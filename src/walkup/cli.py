@@ -180,7 +180,10 @@ def _read_signal_csv(path: str) -> np.ndarray:
         rows = list(csv.reader(fh))
     if not rows or rows[0][:2] != ["t", "value"]:
         raise WalkupError(f"{path}: expected a t,value CSV")
-    return np.array([float(r[1]) for r in rows[1:]], dtype=float)
+    values = np.array([float(r[1]) for r in rows[1:]], dtype=float)
+    if not np.isfinite(values).all():
+        raise WalkupError(f"{path}: non-finite value")
+    return values
 
 
 def _cmd_features(args) -> int:

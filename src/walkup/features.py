@@ -9,7 +9,8 @@ a machine-readable reason rather than raising. Conventions used throughout:
 * entropy tolerances are ``r_factor * population std`` with Chebyshev
   template distance; approximate entropy includes self-matches, sample
   entropy excludes them and counts only templates that have an (m+1)
-  extension;
+  extension; neighbour counts come from a Chebyshev (p = inf) k-d tree,
+  are exact integers and need memory linear in the series length;
 * the DFT is the plain unnormalized sum X_k = sum_t x_t e^{-2*pi*i*k*t/n}.
 """
 
@@ -21,6 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.spatial import cKDTree
 from scipy.special import betainc
 
 from .core import SignalSeries
@@ -181,16 +183,14 @@ def partial_autocorrelation(x: np.ndarray, lag: int) -> Result:
 # ── entropies ────────────────────────────────────────────────────────
 
 
-def _chebyshev_matrix(templates: np.ndarray) -> np.ndarray:
-    return np.max(np.abs(templates[:, None, :] - templates[None, :, :]), axis=2)
+def _neighbour_counts(templates: np.ndarray, r: float) -> np.ndarray:
+    """Per template, how many templates (itself included) lie within Chebyshev distance r."""
+    return cKDTree(templates).query_ball_point(templates, r, p=np.inf, return_length=True)
 
 
 def approximate_entropy_counts(x: np.ndarray, m: int, r: float) -> np.ndarray:
     """Per-template neighbour counts C_i (self-matches included)."""
-    x = np.asarray(x, dtype=float)
-    t = sliding_window_view(x, m)
-    dist = _chebyshev_matrix(t)
-    return np.count_nonzero(dist <= r, axis=1)
+    return _neighbour_counts(sliding_window_view(np.asarray(x, dtype=float), m), r)
 
 
 def _apen_phi(x: np.ndarray, m: int, r: float) -> float:
@@ -216,12 +216,11 @@ def sample_entropy_counts(x: np.ndarray, m: int, r: float) -> tuple[int, int]:
     an (m+1) extension; self-matches are excluded (pairs i < j).
     """
     x = np.asarray(x, dtype=float)
-    n = len(x)
-    tm = sliding_window_view(x, m)[: n - m]
-    tm1 = sliding_window_view(x, m + 1)
-    iu = np.triu_indices(n - m, k=1)
-    b = int(np.count_nonzero(_chebyshev_matrix(tm)[iu] <= r))
-    a = int(np.count_nonzero(_chebyshev_matrix(tm1)[iu] <= r))
+    k = len(x) - m
+    # each unordered pair is counted from both ends, each template once as its
+    # own match; a negative or NaN r matches nothing, not even a template itself
+    b = max(int(_neighbour_counts(sliding_window_view(x, m)[:k], r).sum()) - k, 0) // 2
+    a = max(int(_neighbour_counts(sliding_window_view(x, m + 1), r).sum()) - k, 0) // 2
     return a, b
 
 

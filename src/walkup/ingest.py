@@ -137,6 +137,14 @@ def _pose_from_rows(rows, count: int, line: int, what: str) -> tuple[Landmark, .
     return tuple(_landmark_from_cells(r, line, f"{what}[{i}]") for i, r in enumerate(rows))
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name}")
+
+
+# built once: json.loads with keyword arguments builds a new decoder per line
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def _parse_jsonl(text: str) -> LandmarkSequence:
     lines = text.splitlines()
     numbered = [(i + 1, ln) for i, ln in enumerate(lines) if ln.strip()]
@@ -145,9 +153,11 @@ def _parse_jsonl(text: str) -> LandmarkSequence:
 
     header_no, header_line = numbered[0]
     try:
-        header = json.loads(header_line)
+        header = _DECODER.decode(header_line)
     except json.JSONDecodeError as exc:
         raise SchemaError(header_no, f"invalid JSON: {exc.msg}") from exc
+    except ValueError as exc:
+        raise SchemaError(header_no, str(exc)) from None
     if not isinstance(header, dict) or "fps" not in header:
         raise SchemaError(header_no, 'header must be an object with an "fps" field')
     try:
@@ -160,9 +170,11 @@ def _parse_jsonl(text: str) -> LandmarkSequence:
     frames: list[LandmarkFrame] = []
     for line_no, raw in numbered[1:]:
         try:
-            obj = json.loads(raw)
+            obj = _DECODER.decode(raw)
         except json.JSONDecodeError as exc:
             raise SchemaError(line_no, f"invalid JSON: {exc.msg}") from exc
+        except ValueError as exc:
+            raise SchemaError(line_no, str(exc)) from None
         if not isinstance(obj, dict):
             raise SchemaError(line_no, "frame must be a JSON object")
         if "t" not in obj:
@@ -223,6 +235,8 @@ def _parse_csv(text: str) -> LandmarkSequence:
             t = float(row[0])
         except ValueError:
             raise SchemaError(line_no, "t must be numeric") from None
+        if not math.isfinite(t):
+            raise SchemaError(line_no, "t must be finite")
 
         offset = 1
         poses = {}
@@ -239,6 +253,8 @@ def _parse_csv(text: str) -> LandmarkSequence:
                 vals = [float(c) for c in cells]
             except ValueError:
                 raise SchemaError(line_no, f"{prefix} pose has a non-numeric cell") from None
+            if not all(map(math.isfinite, vals)):
+                raise SchemaError(line_no, f"{prefix} pose has a non-finite cell")
             poses[prefix] = tuple(
                 Landmark(*vals[4 * i : 4 * i + 4]) for i in range(count)
             )
@@ -333,29 +349,34 @@ def fill_gaps(seq: LandmarkSequence, cfg: IngestConfig) -> LandmarkSequence:
     gap); DROP leaves the landmark untouched so downstream consumers skip
     it. Repaired landmarks get visibility == min_visibility so they count
     as present afterwards. Landmarks never visible anywhere stay as-is.
+    Returns ``seq`` itself when no landmark needs repair.
     """
     if cfg.gap_fill is GapFill.DROP or not seq.frames:
         return seq
 
     times = seq.timestamps
     new_poses: dict[str, list] = {}
+    repaired = False
     for slot in ("body", "left_hand", "right_hand"):
-        poses = [getattr(f, slot) for f in seq.frames]
+        poses = new_poses[slot] = [getattr(f, slot) for f in seq.frames]
         present_idx = [i for i, p in enumerate(poses) if p is not None]
         if not present_idx:
-            new_poses[slot] = poses
             continue
+        vis = np.array([[lm.visibility for lm in poses[i].points] for i in present_idx])
+        good_all = vis >= cfg.min_visibility
+        # only landmarks visible in some frames and not in others need repair
+        repair = np.flatnonzero(good_all.any(axis=0) & ~good_all.all(axis=0))
+        if not len(repair):
+            continue
+        repaired = True
         count = BODY_POINT_COUNT if slot == "body" else HAND_POINT_COUNT
         # (frames, points, 4) coordinate block over the frames that carry the pose
         block = np.array(
             [[[lm.x, lm.y, lm.z, lm.visibility] for lm in poses[i].points] for i in present_idx]
         )
         sub_t = times[present_idx]
-        vis = block[:, :, 3]
-        for j in range(count):
-            good = vis[:, j] >= cfg.min_visibility
-            if good.all() or not good.any():
-                continue
+        for j in repair:
+            good = good_all[:, j]
             bad = ~good
             for axis in range(3):
                 col = block[:, j, axis]
@@ -380,6 +401,8 @@ def fill_gaps(seq: LandmarkSequence, cfg: IngestConfig) -> LandmarkSequence:
                 out[i] = HandPose(Side.LEFT if slot == "left_hand" else Side.RIGHT, pts)
         new_poses[slot] = out
 
+    if not repaired:
+        return seq
     frames = tuple(
         LandmarkFrame(
             f.timestamp,

@@ -88,6 +88,28 @@ def test_analyze_single_channel_report(capsys, tmp_path, tap_fixture):
     assert "<polyline" in svg and "<circle" in svg and "<line" in svg
 
 
+def test_analyze_nan_fingertip_fails_without_report(capsys, tmp_path, tap_fixture):
+    bad = tmp_path / "nan_tip.jsonl"
+    lines = tap_fixture.read_text().splitlines()
+    frame = json.loads(lines[5])
+    frame["right_hand"][8][0] = float("nan")  # index fingertip x
+    lines[5] = json.dumps(frame)
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    code, _, err = _run(capsys, "analyze", "--in", str(bad), "--out", str(out))
+    assert code == 1
+    assert "line 6" in err and "NaN" in err
+    assert not (out / "report.json").exists()
+
+
+def test_features_non_finite_value_is_validation_error(capsys, tmp_path):
+    sig = tmp_path / "sig.csv"
+    sig.write_text("t,value\n0.0,1.0\n0.1,nan\n0.2,2.0\n")
+    code, stdout, err = _run(capsys, "features", "--in", str(sig))
+    assert code == 1
+    assert "non-finite" in err and stdout == ""
+
+
 def test_analyze_byte_determinism(capsys, tmp_path, tap_fixture):
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     assert _run(capsys, "analyze", "--in", str(tap_fixture), "--out", str(out1))[0] == 0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from tests.conftest import make_series
 from walkup.errors import EmptySeries, UnknownFeature
 from walkup.features import (
     FeatureSpec,
+    approximate_entropy_counts,
     default_specs,
     extract,
     extract_values,
@@ -130,6 +132,45 @@ def test_sample_entropy_counts_match_brute_force(rng):
         x = rng.normal(size=n)
         r = 0.2 * float(np.std(x))
         assert sample_entropy_counts(x, 2, r) == naive.sampen_counts(x, 2, r)
+
+
+def _tie_heavy_cases(rng):
+    """Series whose template distances land exactly on the tolerance r."""
+    for _ in range(25):
+        n = int(rng.integers(6, 60))
+        yield rng.integers(-3, 4, size=n).astype(float), float(rng.integers(0, 3))
+        yield np.round(rng.normal(size=n), 1), round(0.1 * int(rng.integers(0, 6)), 1)
+        period = int(rng.integers(2, 8))
+        cycle = np.round(rng.normal(size=period), 2)
+        yield np.tile(cycle, n // period + 1)[:n], float(rng.choice([0.0, 0.01, 0.5]))
+
+
+def test_entropy_counts_exact_on_ties(rng):
+    for x, r in _tie_heavy_cases(rng):
+        for m in (2, 3):
+            assert sample_entropy_counts(x, m, r) == naive.sampen_counts(x, m, r), (x, m, r)
+            assert list(approximate_entropy_counts(x, m, r)) == naive.apen_counts(x, m, r), (x, m, r)
+
+
+def test_entropy_counts_negative_tolerance_match_nothing(rng):
+    x = rng.normal(size=30)
+    assert sample_entropy_counts(x, 2, -0.1) == naive.sampen_counts(x, 2, -0.1) == (0, 0)
+    assert list(approximate_entropy_counts(x, 2, -0.1)) == naive.apen_counts(x, 2, -0.1)
+
+
+def test_sample_entropy_counts_long_series_exact_and_small(rng):
+    # 300 s at 60 fps: a dense n x n distance matrix would need gigabytes here
+    t = np.arange(18000) / 60.0
+    x = np.sin(2 * math.pi * 1.5 * t) + 0.05 * rng.normal(size=t.size)
+    r = 0.2 * float(np.std(x))
+    tracemalloc.start()
+    try:
+        got = sample_entropy_counts(x, 2, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert got == naive.sampen_counts(x, 2, r)
 
 
 def test_approximate_entropy_matches_brute_force(rng):

@@ -102,6 +102,34 @@ def test_parse_csv_partial_pose_rejected():
     assert "partially filled" in exc.value.reason
 
 
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_parse_jsonl_rejects_non_finite_constants(constant):
+    frame = _body_line(0.0).replace("0.2", constant, 1)
+    text = "\n".join([json.dumps({"fps": 30}), _body_line(0.0), frame])
+    with pytest.raises(SchemaError) as exc:
+        parse_frames(io.StringIO(text))
+    assert exc.value.line == 3
+    assert constant in exc.value.reason
+
+
+def test_parse_jsonl_rejects_non_finite_fps():
+    with pytest.raises(SchemaError) as exc:
+        parse_frames(io.StringIO("\n".join(['{"fps": NaN}', _body_line(0.0)])))
+    assert exc.value.line == 1
+
+
+@pytest.mark.parametrize("cell, value", [(1, "nan"), (2, "inf"), (0, "nan")])
+def test_parse_csv_rejects_non_finite_cells(cell, value):
+    frames = (LandmarkFrame(0.0, body=body_pose()), LandmarkFrame(0.1, body=body_pose()))
+    lines = serialize_csv(LandmarkSequence(frames, fps=10.0)).splitlines()
+    cells = lines[2].split(",")
+    cells[cell] = value  # 0 is t, 1 body_0_x, 2 body_0_y
+    with pytest.raises(SchemaError) as exc:
+        parse_frames(io.StringIO("\n".join([*lines[:2], ",".join(cells)])), format=FileFormat.CSV)
+    assert exc.value.line == 3
+    assert "finite" in exc.value.reason
+
+
 def test_csv_round_trip_coordinates(rng):
     frames = []
     for i in range(4):
@@ -300,6 +328,14 @@ def test_fill_gaps_never_visible_left_alone():
     seq = _vis_seq([0.1, 0.2, 0.1], [5.0, 6.0, 7.0])
     out = fill_gaps(seq, IngestConfig(min_visibility=0.5, gap_fill=GapFill.LINEAR_INTERP))
     assert [f.right_hand.points[4].x for f in out.frames] == [5.0, 6.0, 7.0]
+
+
+@pytest.mark.parametrize("gap_fill", [GapFill.LINEAR_INTERP, GapFill.HOLD_LAST])
+def test_fill_gaps_returns_clean_sequence_itself(gap_fill):
+    # always visible, and never visible: neither needs repair
+    for vis in ([1.0, 0.5, 1.0], [0.1, 0.2, 0.1]):
+        seq = _vis_seq(vis, [0.0, 99.0, 1.0])
+        assert fill_gaps(seq, IngestConfig(min_visibility=0.5, gap_fill=gap_fill)) is seq
 
 
 def test_ingest_config_validation():
