@@ -24,7 +24,7 @@ from .features import default_specs, extract_values, features_csv, features_json
 from .ingest import FileFormat, GapFill, parse_frames, write_sequence
 from .kinematics import Plane
 from .peaks import overlay_csv
-from .report import AnalysisConfig, analyze, atomic_write, input_digest, plot_svg, report_json
+from .report import AnalysisConfig, analyze, atomic_write, build_signals, input_digest, plot_svg, report_json
 from .signals import signal_csv
 from .synth import DEFAULT_AMPLITUDE, MotionScenario, generate
 
@@ -137,10 +137,9 @@ def _cmd_signals(args) -> int:
     cfg = _resolve_config(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = analyze(seq, cfg)
-    for ch in report.channels:
-        name = f"{report.subject_id or 'anon'}_{report.item.value}_{ch.series.channel.value}.csv"
-        atomic_write(out_dir / name, signal_csv(ch.series))
+    for series in build_signals(seq, cfg):
+        name = f"{seq.subject_id or 'anon'}_{seq.item.value}_{series.channel.value}.csv"
+        atomic_write(out_dir / name, signal_csv(series))
         _err(f"wrote {out_dir / name}")
     return EXIT_OK
 

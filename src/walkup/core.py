@@ -8,9 +8,8 @@ distance signals normalized units, tremor flags {0, 1}.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -30,6 +29,7 @@ __all__ = [
     "BODY_POINT_COUNT",
     "HAND_POINT_COUNT",
     "REQUIRED_POSE",
+    "SLOT_POINTS",
 ]
 
 BODY_POINT_COUNT = 33
@@ -158,30 +158,89 @@ class LandmarkFrame:
         return self.left_hand if side is Side.LEFT else self.right_hand
 
 
+SLOT_POINTS = {"body": BODY_POINT_COUNT, "left_hand": HAND_POINT_COUNT, "right_hand": HAND_POINT_COUNT}
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(frozen=True, eq=False)
 class LandmarkSequence:
-    """Ordered frames plus sampling metadata; the unit of ingestion."""
+    """Timestamps plus, per pose slot, an ``(n_frames, n_points, 4)`` array of
+    x, y, z, visibility (NaN where the slot is absent) and an ``(n_frames,)``
+    presence mask. A slot left out of ``poses`` is absent in every frame.
+    The arrays are read-only; the unit of ingestion."""
 
-    frames: tuple[LandmarkFrame, ...]
+    timestamps: np.ndarray
+    poses: Mapping[str, np.ndarray]
+    present: Mapping[str, np.ndarray]
     fps: float
     item: Optional[UpdrsItem] = None
     subject_id: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "frames", tuple(self.frames))
+        times = np.asarray(self.timestamps, dtype=float)
+        n = len(times)
+        poses, present = {}, {}
+        for slot, count in SLOT_POINTS.items():
+            pts = self.poses.get(slot)
+            pts = np.full((n, count, 4), np.nan) if pts is None else np.asarray(pts, dtype=float)
+            mask = np.asarray(self.present.get(slot, np.zeros(n, dtype=bool)), dtype=bool)
+            if pts.shape != (n, count, 4) or mask.shape != (n,):
+                raise ValueError(f"{slot} needs ({n}, {count}, 4) points and ({n},) presence")
+            poses[slot], present[slot] = _read_only(pts), _read_only(mask)
+        object.__setattr__(self, "timestamps", _read_only(times))
+        object.__setattr__(self, "poses", poses)
+        object.__setattr__(self, "present", present)
 
-    def __len__(self) -> int:
-        return len(self.frames)
+    @classmethod
+    def from_frames(
+        cls,
+        frames: Sequence[LandmarkFrame],
+        fps: float,
+        item: Optional[UpdrsItem] = None,
+        subject_id: str = "",
+    ) -> "LandmarkSequence":
+        """Build the arrays from per-frame pose objects."""
+        poses, present = {}, {}
+        for slot, count in SLOT_POINTS.items():
+            pose = [getattr(f, slot) for f in frames]
+            present[slot] = np.array([p is not None for p in pose], dtype=bool)
+            poses[slot] = np.full((len(pose), count, 4), np.nan)
+            for i, p in enumerate(pose):
+                if p is not None:
+                    poses[slot][i] = [[lm.x, lm.y, lm.z, lm.visibility] for lm in p.points]
+        times = np.array([f.timestamp for f in frames], dtype=float)
+        return cls(times, poses, present, fps, item, subject_id)
 
     @property
-    def timestamps(self) -> np.ndarray:
-        return np.array([f.timestamp for f in self.frames], dtype=float)
+    def frames(self) -> tuple[LandmarkFrame, ...]:
+        """Per-frame pose objects rebuilt from the arrays."""
+
+        def pose(slot: str, i: int):
+            if not self.present[slot][i]:
+                return None
+            pts = tuple(Landmark(*row) for row in self.poses[slot][i].tolist())
+            if slot == "body":
+                return BodyPose(pts)
+            return HandPose(Side.LEFT if slot == "left_hand" else Side.RIGHT, pts)
+
+        return tuple(
+            LandmarkFrame(t, **{slot: pose(slot, i) for slot in SLOT_POINTS})
+            for i, t in enumerate(self.timestamps.tolist())
+        )
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
 
     @property
     def duration_s(self) -> float:
-        if len(self.frames) < 2:
+        if len(self) < 2:
             return 0.0
-        return self.frames[-1].timestamp - self.frames[0].timestamp
+        return float(self.timestamps[-1] - self.timestamps[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,13 +294,7 @@ class ValidationReport:
         return "\n".join(str(v) for v in self.violations)
 
 
-def _landmark_issues(lm: Landmark) -> Optional[str]:
-    for name in ("x", "y", "z", "visibility"):
-        if not math.isfinite(getattr(lm, name)):
-            return f"non-finite {name}"
-    if not 0.0 <= lm.visibility <= 1.0:
-        return f"visibility {lm.visibility} outside [0, 1]"
-    return None
+_COMPONENTS = ("x", "y", "z", "visibility")
 
 
 def validate_sequence(seq: LandmarkSequence) -> ValidationReport:
@@ -252,49 +305,48 @@ def validate_sequence(seq: LandmarkSequence) -> ValidationReport:
     finiteness and visibility range, and the item/pose requirement table.
     """
     report = ValidationReport()
-    if not seq.frames:
+    if not len(seq):
         report.add("empty", "sequence contains no frames")
         return report
     if not (seq.fps > 0):
         report.add("bad_fps", f"fps must be positive, got {seq.fps}")
 
-    prev_t = None
-    for i, frame in enumerate(seq.frames):
-        if not math.isfinite(frame.timestamp):
-            report.add("bad_timestamp", "non-finite timestamp", frame=i)
-        elif frame.timestamp < 0:
-            report.add("bad_timestamp", f"negative timestamp {frame.timestamp}", frame=i)
-        if prev_t is not None and not (frame.timestamp > prev_t):
-            report.add("non_monotone", "non-increasing timestamps", frame=i)
-        prev_t = frame.timestamp
-
-        for pose_name, points in _iter_poses(frame):
-            for j, lm in enumerate(points):
-                issue = _landmark_issues(lm)
-                if issue is not None:
-                    report.add("bad_landmark", f"{pose_name}[{j}]: {issue}", frame=i)
+    # (frame, rank within the frame, code, message), reported in frame order
+    found = []
+    t = seq.timestamps
+    finite = np.isfinite(t)
+    for i in np.flatnonzero(~finite):
+        found.append((i, -2, "bad_timestamp", "non-finite timestamp"))
+    for i in np.flatnonzero(finite & (t < 0)):
+        found.append((i, -2, "bad_timestamp", f"negative timestamp {float(t[i])}"))
+    for i in np.flatnonzero(~(t[1:] > t[:-1])) + 1:
+        found.append((i, -1, "non_monotone", "non-increasing timestamps"))
+    rank = 0
+    for slot, pts in seq.poses.items():
+        bad = ~np.isfinite(pts)
+        vis = pts[:, :, 3]
+        flagged = seq.present[slot][:, None] & (bad.any(axis=2) | ~((vis >= 0.0) & (vis <= 1.0)))
+        for i, j in zip(*np.nonzero(flagged)):
+            if bad[i, j].any():
+                issue = f"non-finite {_COMPONENTS[int(np.argmax(bad[i, j]))]}"
+            else:
+                issue = f"visibility {float(vis[i, j])} outside [0, 1]"
+            found.append((i, rank + j, "bad_landmark", f"{slot}[{j}]: {issue}"))
+        rank += pts.shape[1]
+    for i, _, code, message in sorted(found, key=lambda f: f[:2]):
+        report.add(code, message, frame=int(i))
 
     if seq.item is not None:
         required = REQUIRED_POSE[seq.item]
-        missing = [
-            i
-            for i, frame in enumerate(seq.frames)
-            if (required == "hand" and frame.left_hand is None and frame.right_hand is None)
-            or (required == "body" and frame.body is None)
-        ]
+        if required == "hand":
+            has_pose = seq.present["left_hand"] | seq.present["right_hand"]
+        else:
+            has_pose = seq.present["body"]
+        missing = int((~has_pose).sum())
         if missing:
             report.add(
                 "missing_pose",
                 f"item requires {required} landmarks; missing in "
-                f"{len(missing)} of {len(seq.frames)} frames",
+                f"{missing} of {len(seq)} frames",
             )
     return report
-
-
-def _iter_poses(frame: LandmarkFrame):
-    if frame.body is not None:
-        yield "body", frame.body.points
-    if frame.left_hand is not None:
-        yield "left_hand", frame.left_hand.points
-    if frame.right_hand is not None:
-        yield "right_hand", frame.right_hand.points

@@ -33,10 +33,6 @@ class MissingLandmark(WalkupError):
         self.index = index
 
 
-class DegenerateVector(WalkupError):
-    """Vector norm below tolerance; angle undefined."""
-
-
 class SequenceTooShort(WalkupError):
     """Sequence shorter than the minimum required for windowed analysis."""
 

@@ -26,7 +26,7 @@ from scipy.spatial import cKDTree
 from scipy.special import betainc
 
 from .core import SignalSeries
-from .errors import EmptySeries, UnknownFeature
+from .errors import EmptySeries, UnknownFeature, WalkupError
 
 __all__ = [
     "FeatureSpec",
@@ -638,10 +638,12 @@ def default_specs() -> list[FeatureSpec]:
 
 
 def extract_values(x, specs: Sequence[FeatureSpec]) -> FeatureVector:
-    """Run the given specs against a raw value vector."""
+    """Run the given specs against a raw value vector (all values must be finite)."""
     x = np.asarray(x, dtype=float).ravel()
     if len(x) == 0:
         raise EmptySeries("cannot extract features from an empty series")
+    if not np.isfinite(x).all():
+        raise WalkupError("cannot extract features from non-finite values")
     ids = [s.feature_id for s in specs]
     if len(set(ids)) != len(ids):
         raise UnknownFeature("duplicate feature specs requested")

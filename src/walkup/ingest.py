@@ -20,21 +20,11 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import IO, Iterable, Optional, Union
+from typing import IO, Optional, Union
 
 import numpy as np
 
-from .core import (
-    BODY_POINT_COUNT,
-    HAND_POINT_COUNT,
-    BodyPose,
-    HandPose,
-    Landmark,
-    LandmarkFrame,
-    LandmarkSequence,
-    Side,
-    UpdrsItem,
-)
+from .core import BODY_POINT_COUNT, HAND_POINT_COUNT, SLOT_POINTS, LandmarkSequence, UpdrsItem
 from .errors import EmptySequence, SchemaError, UnreadableInput
 
 __all__ = [
@@ -92,8 +82,10 @@ def parse_frames(
 
     ``fps``/``item``/``subject_id`` override or supply metadata the file
     itself lacks (always needed for CSV). Raises SchemaError with the
-    offending line number on malformed input, EmptySequence when no frame
-    lines are present, UnreadableInput when the file cannot be read.
+    offending line number on malformed input, including a non-finite number
+    (an overflowing literal such as ``1e999`` too) and a timestamp that does
+    not increase; EmptySequence when no frame lines are present;
+    UnreadableInput when the file cannot be read.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -121,20 +113,16 @@ def parse_frames(
     return seq
 
 
-def _landmark_from_cells(cells, line: int, what: str) -> Landmark:
-    if not isinstance(cells, (list, tuple)) or len(cells) != 4:
-        raise SchemaError(line, f"{what} must be [x, y, z, visibility]")
-    try:
-        x, y, z, v = (float(c) for c in cells)
-    except (TypeError, ValueError):
-        raise SchemaError(line, f"{what} has a non-numeric component") from None
-    return Landmark(x, y, z, v)
-
-
-def _pose_from_rows(rows, count: int, line: int, what: str) -> tuple[Landmark, ...]:
+def _pose_array(rows, count: int, line: int, what: str) -> np.ndarray:
     if not isinstance(rows, list) or len(rows) != count:
         raise SchemaError(line, f"{what} must list exactly {count} points")
-    return tuple(_landmark_from_cells(r, line, f"{what}[{i}]") for i, r in enumerate(rows))
+    try:
+        pts = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        pts = None
+    if pts is None or pts.shape != (count, 4):
+        raise SchemaError(line, f"{what} points must each be [x, y, z, visibility] numbers")
+    return pts
 
 
 def _reject_constant(name: str):
@@ -145,6 +133,46 @@ def _reject_constant(name: str):
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
+def _decode(raw: str, line: int):
+    try:
+        return _DECODER.decode(raw)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(line, f"invalid JSON: {exc.msg}") from exc
+    except ValueError as exc:
+        raise SchemaError(line, str(exc)) from None
+
+
+def _stack(frames: list, fps: Optional[float], item=None, subject_id: str = "") -> LandmarkSequence:
+    """Stack parsed ``(line, t, {slot: points})`` frames into one array per slot.
+
+    Rejects a non-finite number and a timestamp that does not increase, with
+    the line. ``fps=None`` (CSV) infers it from the timestamps.
+    """
+    if not frames:
+        raise EmptySequence("header present but no frames")
+    lines = [f[0] for f in frames]
+    t = np.array([f[1] for f in frames], dtype=float)
+    bad = ~np.isfinite(t)
+    poses, present = {}, {}
+    for slot, count in SLOT_POINTS.items():
+        idx = [i for i, f in enumerate(frames) if slot in f[2]]
+        poses[slot] = np.full((len(t), count, 4), np.nan)
+        present[slot] = np.zeros(len(t), dtype=bool)
+        if idx:
+            stacked = np.array([frames[i][2][slot] for i in idx])
+            bad[idx] |= ~np.isfinite(stacked).all(axis=(1, 2))
+            poses[slot][idx] = stacked
+            present[slot][idx] = True
+    if bad.any():
+        raise SchemaError(lines[int(np.argmax(bad))], "non-finite number")
+    stuck = np.flatnonzero(~(t[1:] > t[:-1]))
+    if len(stuck):
+        raise SchemaError(lines[stuck[0] + 1], "t must increase from frame to frame")
+    if fps is None:
+        fps = 30.0 if len(t) < 2 else (len(t) - 1) / float(t[-1] - t[0])
+    return LandmarkSequence(t, poses, present, fps, item, subject_id)
+
+
 def _parse_jsonl(text: str) -> LandmarkSequence:
     lines = text.splitlines()
     numbered = [(i + 1, ln) for i, ln in enumerate(lines) if ln.strip()]
@@ -152,59 +180,36 @@ def _parse_jsonl(text: str) -> LandmarkSequence:
         raise EmptySequence("no content lines")
 
     header_no, header_line = numbered[0]
-    try:
-        header = _DECODER.decode(header_line)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(header_no, f"invalid JSON: {exc.msg}") from exc
-    except ValueError as exc:
-        raise SchemaError(header_no, str(exc)) from None
+    header = _decode(header_line, header_no)
     if not isinstance(header, dict) or "fps" not in header:
         raise SchemaError(header_no, 'header must be an object with an "fps" field')
     try:
         fps = float(header["fps"])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise SchemaError(header_no, "fps must be numeric") from None
     item = UpdrsItem.from_name(header["item"]) if header.get("item") else None
     subject = str(header.get("subject", ""))
 
-    frames: list[LandmarkFrame] = []
+    frames = []
     for line_no, raw in numbered[1:]:
-        try:
-            obj = _DECODER.decode(raw)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(line_no, f"invalid JSON: {exc.msg}") from exc
-        except ValueError as exc:
-            raise SchemaError(line_no, str(exc)) from None
+        obj = _decode(raw, line_no)
         if not isinstance(obj, dict):
             raise SchemaError(line_no, "frame must be a JSON object")
         if "t" not in obj:
             raise SchemaError(line_no, 'frame missing "t" field')
         try:
             t = float(obj["t"])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise SchemaError(line_no, "t must be numeric") from None
-
-        body = None
-        if obj.get("body") is not None:
-            body = BodyPose(_pose_from_rows(obj["body"], BODY_POINT_COUNT, line_no, "body"))
-        left = None
-        if obj.get("left_hand") is not None:
-            left = HandPose(
-                Side.LEFT, _pose_from_rows(obj["left_hand"], HAND_POINT_COUNT, line_no, "left_hand")
-            )
-        right = None
-        if obj.get("right_hand") is not None:
-            right = HandPose(
-                Side.RIGHT,
-                _pose_from_rows(obj["right_hand"], HAND_POINT_COUNT, line_no, "right_hand"),
-            )
-        if body is None and left is None and right is None:
+        poses = {
+            slot: _pose_array(obj[slot], count, line_no, slot)
+            for slot, count in SLOT_POINTS.items()
+            if obj.get(slot) is not None
+        }
+        if not poses:
             raise SchemaError(line_no, "frame has no pose")
-        frames.append(LandmarkFrame(t, body=body, left_hand=left, right_hand=right))
-
-    if not frames:
-        raise EmptySequence("header present but no frames")
-    return LandmarkSequence(tuple(frames), fps=fps, item=item, subject_id=subject)
+        frames.append((line_no, t, poses))
+    return _stack(frames, fps, item, subject)
 
 
 def _csv_columns() -> list[str]:
@@ -227,7 +232,7 @@ def _parse_csv(text: str) -> LandmarkSequence:
     if header != expected:
         raise SchemaError(header_no, "unexpected CSV header")
 
-    frames: list[LandmarkFrame] = []
+    frames = []
     for line_no, row in rows[1:]:
         if len(row) != len(expected):
             raise SchemaError(line_no, f"expected {len(expected)} cells, got {len(row)}")
@@ -235,61 +240,27 @@ def _parse_csv(text: str) -> LandmarkSequence:
             t = float(row[0])
         except ValueError:
             raise SchemaError(line_no, "t must be numeric") from None
-        if not math.isfinite(t):
-            raise SchemaError(line_no, "t must be finite")
 
         offset = 1
         poses = {}
-        for prefix, count in (("body", BODY_POINT_COUNT), ("lh", HAND_POINT_COUNT), ("rh", HAND_POINT_COUNT)):
+        for slot, count in SLOT_POINTS.items():
             cells = row[offset : offset + 4 * count]
             offset += 4 * count
-            filled = [c != "" for c in cells]
-            if not any(filled):
-                poses[prefix] = None
+            if "" in cells:
+                if any(cells):
+                    raise SchemaError(line_no, f"{slot} pose is partially filled")
                 continue
-            if not all(filled):
-                raise SchemaError(line_no, f"{prefix} pose is partially filled")
             try:
-                vals = [float(c) for c in cells]
+                poses[slot] = np.asarray(cells, dtype=float).reshape(count, 4)
             except ValueError:
-                raise SchemaError(line_no, f"{prefix} pose has a non-numeric cell") from None
-            if not all(map(math.isfinite, vals)):
-                raise SchemaError(line_no, f"{prefix} pose has a non-finite cell")
-            poses[prefix] = tuple(
-                Landmark(*vals[4 * i : 4 * i + 4]) for i in range(count)
-            )
-
-        if all(p is None for p in poses.values()):
+                raise SchemaError(line_no, f"{slot} pose has a non-numeric cell") from None
+        if not poses:
             raise SchemaError(line_no, "frame has no pose")
-        frames.append(
-            LandmarkFrame(
-                t,
-                body=BodyPose(poses["body"]) if poses["body"] else None,
-                left_hand=HandPose(Side.LEFT, poses["lh"]) if poses["lh"] else None,
-                right_hand=HandPose(Side.RIGHT, poses["rh"]) if poses["rh"] else None,
-            )
-        )
-
-    if not frames:
-        raise EmptySequence("header present but no frames")
-    fps = _infer_fps(frames)
-    return LandmarkSequence(tuple(frames), fps=fps)
-
-
-def _infer_fps(frames: list[LandmarkFrame]) -> float:
-    if len(frames) < 2:
-        return 30.0
-    span = frames[-1].timestamp - frames[0].timestamp
-    if span <= 0:
-        return 30.0
-    return (len(frames) - 1) / span
+        frames.append((line_no, t, poses))
+    return _stack(frames, None)
 
 
 # ── serialization ────────────────────────────────────────────────────
-
-
-def _pose_rows(points: Iterable[Landmark]) -> list[list[float]]:
-    return [[lm.x, lm.y, lm.z, lm.visibility] for lm in points]
 
 
 def serialize_jsonl(seq: LandmarkSequence) -> str:
@@ -300,14 +271,11 @@ def serialize_jsonl(seq: LandmarkSequence) -> str:
     if seq.subject_id:
         header["subject"] = seq.subject_id
     lines = [json.dumps(header)]
-    for frame in seq.frames:
-        obj: dict = {"t": frame.timestamp}
-        if frame.body is not None:
-            obj["body"] = _pose_rows(frame.body.points)
-        if frame.left_hand is not None:
-            obj["left_hand"] = _pose_rows(frame.left_hand.points)
-        if frame.right_hand is not None:
-            obj["right_hand"] = _pose_rows(frame.right_hand.points)
+    for i, t in enumerate(seq.timestamps.tolist()):
+        obj: dict = {"t": t}
+        for slot in SLOT_POINTS:
+            if seq.present[slot][i]:
+                obj[slot] = seq.poses[slot][i].tolist()
         lines.append(json.dumps(obj))
     return "\n".join(lines) + "\n"
 
@@ -317,18 +285,13 @@ def serialize_csv(seq: LandmarkSequence) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_csv_columns())
-    for frame in seq.frames:
-        row: list = [repr(frame.timestamp)]
-        for pose, count in (
-            (frame.body, BODY_POINT_COUNT),
-            (frame.left_hand, HAND_POINT_COUNT),
-            (frame.right_hand, HAND_POINT_COUNT),
-        ):
-            if pose is None:
-                row.extend([""] * (4 * count))
+    for i, t in enumerate(seq.timestamps.tolist()):
+        row: list = [repr(t)]
+        for slot, count in SLOT_POINTS.items():
+            if seq.present[slot][i]:
+                row.extend(map(repr, seq.poses[slot][i].ravel().tolist()))
             else:
-                for lm in pose.points:
-                    row.extend([repr(lm.x), repr(lm.y), repr(lm.z), repr(lm.visibility)])
+                row.extend([""] * (4 * count))
         writer.writerow(row)
     return buf.getvalue()
 
@@ -351,30 +314,20 @@ def fill_gaps(seq: LandmarkSequence, cfg: IngestConfig) -> LandmarkSequence:
     as present afterwards. Landmarks never visible anywhere stay as-is.
     Returns ``seq`` itself when no landmark needs repair.
     """
-    if cfg.gap_fill is GapFill.DROP or not seq.frames:
+    if cfg.gap_fill is GapFill.DROP or not len(seq):
         return seq
 
-    times = seq.timestamps
-    new_poses: dict[str, list] = {}
-    repaired = False
-    for slot in ("body", "left_hand", "right_hand"):
-        poses = new_poses[slot] = [getattr(f, slot) for f in seq.frames]
-        present_idx = [i for i, p in enumerate(poses) if p is not None]
-        if not present_idx:
-            continue
-        vis = np.array([[lm.visibility for lm in poses[i].points] for i in present_idx])
-        good_all = vis >= cfg.min_visibility
+    repaired = {}
+    for slot, pts in seq.poses.items():
+        present = seq.present[slot]
+        good_all = pts[present, :, 3] >= cfg.min_visibility
         # only landmarks visible in some frames and not in others need repair
         repair = np.flatnonzero(good_all.any(axis=0) & ~good_all.all(axis=0))
         if not len(repair):
             continue
-        repaired = True
-        count = BODY_POINT_COUNT if slot == "body" else HAND_POINT_COUNT
-        # (frames, points, 4) coordinate block over the frames that carry the pose
-        block = np.array(
-            [[[lm.x, lm.y, lm.z, lm.visibility] for lm in poses[i].points] for i in present_idx]
-        )
-        sub_t = times[present_idx]
+        # (frames, points, 4) copy over the frames that carry the pose
+        block = pts[present]
+        sub_t = seq.timestamps[present]
         for j in repair:
             good = good_all[:, j]
             bad = ~good
@@ -388,31 +341,12 @@ def fill_gaps(seq: LandmarkSequence, cfg: IngestConfig) -> LandmarkSequence:
                     pos = np.clip(pos, 0, len(idx) - 1)
                     col[bad] = col[idx[pos]]
             block[bad, j, 3] = cfg.min_visibility
-
-        rebuilt = iter(
-            tuple(Landmark(*block[k, j]) for j in range(count)) for k in range(len(present_idx))
-        )
-        out = list(poses)
-        for i in present_idx:
-            pts = next(rebuilt)
-            if slot == "body":
-                out[i] = BodyPose(pts)
-            else:
-                out[i] = HandPose(Side.LEFT if slot == "left_hand" else Side.RIGHT, pts)
-        new_poses[slot] = out
+        repaired[slot] = pts.copy()
+        repaired[slot][present] = block
 
     if not repaired:
         return seq
-    frames = tuple(
-        LandmarkFrame(
-            f.timestamp,
-            body=new_poses["body"][i],
-            left_hand=new_poses["left_hand"][i],
-            right_hand=new_poses["right_hand"][i],
-        )
-        for i, f in enumerate(seq.frames)
-    )
-    return LandmarkSequence(frames, fps=seq.fps, item=seq.item, subject_id=seq.subject_id)
+    return replace(seq, poses={**seq.poses, **repaired})
 
 
 # ── resampling ───────────────────────────────────────────────────────
@@ -428,86 +362,58 @@ def resample(seq: LandmarkSequence, cfg: IngestConfig) -> LandmarkSequence:
     """
     if cfg.resample_fps is None:
         raise ValueError("cfg.resample_fps must be set")
-    if not seq.frames:
+    if not len(seq):
         raise EmptySequence("cannot resample an empty sequence")
 
     fps = cfg.resample_fps
-    t0 = seq.frames[0].timestamp
-    span = seq.frames[-1].timestamp - t0
-    n_out = int(math.floor(span * fps + 1e-9)) + 1
     times = seq.timestamps
+    t0 = times[0]
+    n_out = int(math.floor((times[-1] - t0) * fps + 1e-9)) + 1
+    tau = np.arange(n_out) / fps
+    s = t0 + tau
+    # bracketing frames j, jn; a grid point within 1e-12 s of frame j, or
+    # past the last frame, takes frame j as it is
+    j = np.maximum(np.searchsorted(times, s + 1e-12) - 1, 0)
+    jn = np.minimum(j + 1, len(times) - 1)
+    at_frame = (np.abs(times[j] - s) <= 1e-12) | (j + 1 >= len(times))
 
-    slot_poses = {slot: [getattr(f, slot) for f in seq.frames] for slot in ("body", "left_hand", "right_hand")}
+    poses, present = {}, {}
+    for slot, pts in seq.poses.items():
+        has = seq.present[slot]
+        carriers = np.flatnonzero(has)
+        if not len(carriers):
+            continue
+        between = has[j] & has[jn] & ~at_frame
+        keep = (has[j] & at_frame) | between
+        i0, i1 = j, np.where(between, jn, j)
+        if cfg.gap_fill is not GapFill.DROP:
+            # the other grid points take the nearest carriers of the pose at
+            # or before (prev) and at or after (nxt) them
+            n_prev = np.searchsorted(times[carriers], s + 1e-12, side="right")
+            n_next = np.searchsorted(times[carriers], s - 1e-12, side="left")
+            prev = carriers[np.maximum(n_prev - 1, 0)]
+            nxt = carriers[np.minimum(n_next, len(carriers) - 1)]
+            fill = ~keep
+            i0 = np.where(fill, np.where(n_prev > 0, prev, nxt), i0)
+            i1 = np.where(fill, i0, i1)
+            if cfg.gap_fill is GapFill.LINEAR_INTERP:
+                i1 = np.where(fill & (n_prev > 0) & (n_next < len(carriers)), nxt, i1)
+            keep = np.ones(n_out, dtype=bool)
+        a, b = pts[i0], pts[i1]
+        with np.errstate(divide="ignore", invalid="ignore"):  # rows with i1 == i0 take a
+            w = ((s - times[i0]) / (times[i1] - times[i0]))[:, None, None]
+            out = np.where((i1 != i0)[:, None, None], a + w * (b - a), a)
+        poses[slot] = np.where(keep[:, None, None], out, np.nan)
+        present[slot] = keep
 
-    out_frames: list[LandmarkFrame] = []
-    for k in range(n_out):
-        tau = k / fps
-        s = t0 + tau
-        kwargs: dict = {}
-        for slot, poses in slot_poses.items():
-            pose = _sample_pose(times, poses, s, cfg.gap_fill)
-            if pose is not None:
-                key = {"body": "body", "left_hand": "left_hand", "right_hand": "right_hand"}[slot]
-                kwargs[key] = pose
-        if not kwargs:
-            continue  # no pose resolvable at this grid point
-        out_frames.append(LandmarkFrame(tau, **kwargs))
-
-    if not out_frames:
+    rows = np.logical_or.reduce(list(present.values()))
+    if not rows.any():
         raise EmptySequence("resampling produced no frames")
-    return LandmarkSequence(tuple(out_frames), fps=fps, item=seq.item, subject_id=seq.subject_id)
-
-
-def _interp_points(pa, pb, w: float):
-    pts = tuple(
-        Landmark(
-            la.x + w * (lb.x - la.x),
-            la.y + w * (lb.y - la.y),
-            la.z + w * (lb.z - la.z),
-            la.visibility + w * (lb.visibility - la.visibility),
-        )
-        for la, lb in zip(pa.points, pb.points)
+    return LandmarkSequence(
+        tau[rows],
+        {slot: pts[rows] for slot, pts in poses.items()},
+        {slot: mask[rows] for slot, mask in present.items()},
+        fps,
+        seq.item,
+        seq.subject_id,
     )
-    if isinstance(pa, BodyPose):
-        return BodyPose(pts)
-    return HandPose(pa.side, pts)
-
-
-def _sample_pose(times: np.ndarray, poses: list, s: float, gap_fill: GapFill):
-    present = [i for i, p in enumerate(poses) if p is not None]
-    if not present:
-        return None
-
-    j = int(np.searchsorted(times, s + 1e-12)) - 1
-    j = max(j, 0)
-    if abs(times[j] - s) <= 1e-12:
-        if poses[j] is not None:
-            return poses[j]
-        return _fill_at(times, poses, present, s, gap_fill)
-    jn = j + 1
-    if jn >= len(times):
-        return poses[j] if poses[j] is not None else _fill_at(times, poses, present, s, gap_fill)
-    if poses[j] is not None and poses[jn] is not None:
-        w = (s - times[j]) / (times[jn] - times[j])
-        return _interp_points(poses[j], poses[jn], w)
-    return _fill_at(times, poses, present, s, gap_fill)
-
-
-def _fill_at(times: np.ndarray, poses: list, present: list[int], s: float, gap_fill: GapFill):
-    if gap_fill is GapFill.DROP:
-        return None
-    prev = [i for i in present if times[i] <= s + 1e-12]
-    nxt = [i for i in present if times[i] >= s - 1e-12]
-    if gap_fill is GapFill.HOLD_LAST:
-        if prev:
-            return poses[prev[-1]]
-        return poses[nxt[0]] if nxt else None
-    # LINEAR_INTERP: bridge across the gap using nearest carriers on each side
-    if prev and nxt:
-        i0, i1 = prev[-1], nxt[0]
-        if i0 == i1:
-            return poses[i0]
-        w = (s - times[i0]) / (times[i1] - times[i0])
-        return _interp_points(poses[i0], poses[i1], w)
-    side = prev or nxt
-    return poses[side[-1] if prev else side[0]] if side else None

@@ -1,25 +1,34 @@
 """Geometric primitives: pairwise vectors, angles, and distances on landmarks.
 
+Every function works over leading axes, so one call covers all frames: a
+landmark array has shape ``(..., n_points, 4)`` (x, y, z, visibility) and a
+vector array ``(..., 2)`` or ``(..., 3)``. A result is NaN where a landmark is
+below the visibility threshold or a direction is undefined.
+
 Default plane is the 2D image plane (x, y); depth is retained as an option
 but none of the shipped signals use it by default, since the hand-orientation
 angle is only well defined against the image horizontal.
+
+Dot products and norms are stacked matrix products, and acos/atan2/hypot run
+per element through ``math``: both give the same floats as the scalar
+``np.dot``/``math`` formulas, which NumPy's own ufuncs do not.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from typing import Sequence
 
 import numpy as np
-
-from .core import Landmark
-from .errors import DegenerateVector, MissingLandmark
 
 __all__ = ["Plane", "NORM_EPS", "vector_between", "angle_between", "angle_to_horizontal", "distance"]
 
 # Below this norm (normalized units) a direction is considered undefined.
 NORM_EPS = 1e-9
+
+_acos_deg = np.vectorize(lambda c: math.degrees(math.acos(c)), otypes=[float])
+_atan2_deg = np.vectorize(lambda y, x: math.degrees(math.atan2(y, x)), otypes=[float])
+_hypot = np.vectorize(math.hypot, otypes=[float])
 
 
 class Plane(enum.Enum):
@@ -27,59 +36,58 @@ class Plane(enum.Enum):
     FULL_3D = "3d"
 
 
-def _coords(lm: Landmark, plane: Plane) -> np.ndarray:
-    if plane is Plane.IMAGE_2D:
-        return np.array([lm.x, lm.y], dtype=float)
-    return np.array([lm.x, lm.y, lm.z], dtype=float)
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
 def vector_between(
-    points: Sequence[Landmark],
+    points: np.ndarray,
     a: int,
     b: int,
     plane: Plane = Plane.IMAGE_2D,
     min_visibility: float = 0.0,
 ) -> np.ndarray:
-    """Vector from point ``b`` to point ``a`` (``points[a] - points[b]``)."""
-    for idx in (a, b):
-        if points[idx].visibility < min_visibility:
-            raise MissingLandmark(idx, "visibility below threshold")
-    return _coords(points[a], plane) - _coords(points[b], plane)
+    """Vector from point ``b`` to point ``a`` (``points[..., a] - points[..., b]``);
+    NaN where either visibility is below ``min_visibility``."""
+    points = np.asarray(points, dtype=float)
+    dims = 2 if plane is Plane.IMAGE_2D else 3
+    vec = points[..., a, :dims] - points[..., b, :dims]
+    hidden = (points[..., a, 3] < min_visibility) | (points[..., b, 3] < min_visibility)
+    return np.where(hidden[..., None], np.nan, vec)
 
 
-def angle_between(u: np.ndarray, v: np.ndarray) -> float:
-    """Angle between two vectors in degrees, clamped into [0, 180]."""
+def angle_between(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Angle between two vectors in degrees, clamped into [0, 180]; NaN where
+    either norm is at most ``NORM_EPS``."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    nu = math.sqrt(float(np.dot(u, u)))
-    nv = math.sqrt(float(np.dot(v, v)))
-    if nu <= NORM_EPS or nv <= NORM_EPS:
-        raise DegenerateVector(f"vector norms {nu:.3e}, {nv:.3e} below {NORM_EPS}")
-    cos = float(np.dot(u, v)) / (nu * nv)
-    cos = max(-1.0, min(1.0, cos))
-    return math.degrees(math.acos(cos))
+    nu = np.sqrt(_dot(u, u))
+    nv = np.sqrt(_dot(v, v))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos = np.clip(_dot(u, v) / (nu * nv), -1.0, 1.0)
+    return _acos_deg(np.where((nu <= NORM_EPS) | (nv <= NORM_EPS), np.nan, cos))
 
 
-def angle_to_horizontal(u: np.ndarray) -> float:
+def angle_to_horizontal(u: np.ndarray) -> np.ndarray:
     """Unsigned angle in [0, 90] degrees between a vector and the image x-axis.
 
     Uses the image-plane components only and is insensitive to the sign of
-    ``u``: atan2(|dy|, |dx|).
+    ``u``: atan2(|dy|, |dx|). NaN where the image-plane norm is at most
+    ``NORM_EPS``.
     """
     u = np.asarray(u, dtype=float)
-    dx, dy = float(u[0]), float(u[1])
-    if math.hypot(dx, dy) <= NORM_EPS:
-        raise DegenerateVector("vector norm below tolerance")
-    return math.degrees(math.atan2(abs(dy), abs(dx)))
+    dx, dy = u[..., 0], u[..., 1]
+    degenerate = _hypot(dx, dy) <= NORM_EPS
+    return _atan2_deg(np.where(degenerate, np.nan, np.abs(dy)), np.abs(dx))
 
 
 def distance(
-    points: Sequence[Landmark],
+    points: np.ndarray,
     a: int,
     b: int,
     plane: Plane = Plane.IMAGE_2D,
     min_visibility: float = 0.0,
-) -> float:
+) -> np.ndarray:
     """Euclidean distance between two landmarks in the selected plane."""
     vec = vector_between(points, a, b, plane=plane, min_visibility=min_visibility)
-    return float(np.linalg.norm(vec))
+    return np.sqrt(_dot(vec, vec))

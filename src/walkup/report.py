@@ -24,7 +24,10 @@ from .kinematics import Plane
 from .peaks import CadenceStats, PeakConfig, cadence_stats, detect_peaks
 from .signals import TremorConfig, build_all
 
-__all__ = ["AnalysisConfig", "ChannelResult", "AnalysisReport", "analyze", "report_json", "plot_svg"]
+__all__ = [
+    "AnalysisConfig", "ChannelResult", "AnalysisReport", "build_signals", "analyze", "report_json",
+    "plot_svg",
+]
 
 REPORT_SCHEMA = "walkup-report/1"
 
@@ -123,13 +126,8 @@ def input_digest(data: bytes) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
-def analyze(
-    seq: LandmarkSequence,
-    config: AnalysisConfig = AnalysisConfig(),
-    digest: str = "",
-) -> AnalysisReport:
-    """Run the full pipeline: clean, (optionally) resample, build signals,
-    detect peaks, compute cadence statistics and the feature set."""
+def build_signals(seq: LandmarkSequence, config: AnalysisConfig = AnalysisConfig()) -> list[SignalSeries]:
+    """The front half of the pipeline: clean, (optionally) resample, build signals."""
     if seq.item is None:
         raise ValueError("sequence has no item tag; pass --item or tag the file")
     ingest_cfg = IngestConfig(
@@ -143,7 +141,7 @@ def analyze(
 
     # Repaired landmarks carry visibility == min_visibility, so the same
     # threshold admits them while leaving unrepairable ones as gaps.
-    series_list = build_all(
+    return build_all(
         seq,
         tremor_cfg=config.tremor,
         min_visibility=config.min_visibility,
@@ -151,9 +149,17 @@ def analyze(
         normalize_palm=config.normalize_palm,
     )
 
+
+def analyze(
+    seq: LandmarkSequence,
+    config: AnalysisConfig = AnalysisConfig(),
+    digest: str = "",
+) -> AnalysisReport:
+    """Run the full pipeline: ``build_signals``, then detect peaks, compute
+    cadence statistics and the feature set."""
     specs = default_specs()
     channels = []
-    for series in series_list:
+    for series in build_signals(seq, config):
         if len(series) >= 3:
             pk, tr = detect_peaks(series, config.peaks)
         else:

@@ -13,30 +13,22 @@ filtered (zero-phase, second-order Butterworth run forward-backward) and the
 window is flagged 1 iff any landmark's filtered displacement RMS exceeds the
 threshold.
 
-Frames where a required landmark is missing (below the visibility threshold)
-or geometrically degenerate become gaps: the frame is skipped in that
-channel's series.
+Each signal is computed over all frames at once. Frames where the pose is
+absent, a required landmark is below the visibility threshold, or the
+geometry is degenerate give NaN and become gaps: the frame is skipped in
+that channel's series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 from scipy.signal import butter, filtfilt
 
 from . import core
-from .core import (
-    Channel,
-    HandPose,
-    LandmarkFrame,
-    LandmarkSequence,
-    Side,
-    SignalSeries,
-    UpdrsItem,
-)
-from .errors import DegenerateVector, MissingLandmark, SequenceTooShort
+from .core import Channel, LandmarkSequence, Side, SignalSeries, UpdrsItem
+from .errors import MissingLandmark, SequenceTooShort
 from .kinematics import Plane, angle_between, angle_to_horizontal, distance, vector_between
 
 __all__ = [
@@ -76,22 +68,36 @@ def _channel(side: Side) -> Channel:
     return Channel.LEFT if side is Side.LEFT else Channel.RIGHT
 
 
-def _per_frame_signal(
+def _hand(side: Side) -> str:
+    return "left_hand" if side is Side.LEFT else "right_hand"
+
+
+def _series(
+    seq: LandmarkSequence, item: UpdrsItem, side: Side, slot: str, values: np.ndarray
+) -> SignalSeries:
+    """Keep the frames that carry ``slot`` and give a defined value."""
+    channel = _channel(side)
+    keep = seq.present[slot] & ~np.isnan(values)
+    if not keep.any():
+        raise MissingLandmark(-1, f"no frame provides the landmarks for {item.value}/{channel.value}")
+    return SignalSeries(item, channel, values[keep], seq.timestamps[keep])
+
+
+def _angle_signal(
     seq: LandmarkSequence,
     item: UpdrsItem,
-    channel: Channel,
-    frame_value: Callable[[LandmarkFrame], Optional[float]],
+    side: Side,
+    slot: str,
+    vertex: int,
+    ray_a: int,
+    ray_b: int,
+    min_visibility: float,
+    plane: Plane,
 ) -> SignalSeries:
-    values: list[float] = []
-    times: list[float] = []
-    for frame in seq.frames:
-        v = frame_value(frame)
-        if v is not None:
-            values.append(v)
-            times.append(frame.timestamp)
-    if not values:
-        raise MissingLandmark(-1, f"no frame provides the landmarks for {item.value}/{channel.value}")
-    return SignalSeries(item, channel, np.array(values), np.array(times))
+    pts = seq.poses[slot]
+    u = vector_between(pts, ray_a, vertex, plane, min_visibility)
+    v = vector_between(pts, ray_b, vertex, plane, min_visibility)
+    return _series(seq, item, side, slot, angle_between(u, v))
 
 
 def finger_taps_signal(
@@ -101,19 +107,10 @@ def finger_taps_signal(
     plane: Plane = Plane.IMAGE_2D,
 ) -> SignalSeries:
     """Hand-openness angle per frame, in degrees."""
-
-    def value(frame: LandmarkFrame) -> Optional[float]:
-        hand = frame.hand(side)
-        if hand is None:
-            return None
-        try:
-            u = vector_between(hand.points, core.INDEX_TIP, core.HAND_WRIST, plane, min_visibility)
-            v = vector_between(hand.points, core.THUMB_TIP, core.HAND_WRIST, plane, min_visibility)
-            return angle_between(u, v)
-        except (MissingLandmark, DegenerateVector):
-            return None
-
-    return _per_frame_signal(seq, UpdrsItem.FINGER_TAPS, _channel(side), value)
+    return _angle_signal(
+        seq, UpdrsItem.FINGER_TAPS, side, _hand(side),
+        core.HAND_WRIST, core.INDEX_TIP, core.THUMB_TIP, min_visibility, plane,
+    )
 
 
 def hand_movement_signal(
@@ -124,24 +121,14 @@ def hand_movement_signal(
     normalize_palm: bool = False,
 ) -> SignalSeries:
     """Mean fingertip-to-wrist distance per frame (optionally / palm length)."""
+    pts = seq.poses[_hand(side)]
     tips = (core.INDEX_TIP, core.MIDDLE_TIP, core.RING_TIP, core.PINKY_TIP)
-
-    def value(frame: LandmarkFrame) -> Optional[float]:
-        hand = frame.hand(side)
-        if hand is None:
-            return None
-        try:
-            d = sum(distance(hand.points, t, core.HAND_WRIST, plane, min_visibility) for t in tips) / 4.0
-            if normalize_palm:
-                palm = distance(hand.points, core.MIDDLE_MCP, core.HAND_WRIST, plane, min_visibility)
-                if palm <= 1e-12:
-                    return None
-                d /= palm
-            return d
-        except MissingLandmark:
-            return None
-
-    return _per_frame_signal(seq, UpdrsItem.HAND_MOVEMENT, _channel(side), value)
+    d = sum(distance(pts, t, core.HAND_WRIST, plane, min_visibility) for t in tips) / 4.0
+    if normalize_palm:
+        palm = distance(pts, core.MIDDLE_MCP, core.HAND_WRIST, plane, min_visibility)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = np.where(palm <= 1e-12, np.nan, d / palm)
+    return _series(seq, UpdrsItem.HAND_MOVEMENT, side, _hand(side), d)
 
 
 def alternating_hands_signal(
@@ -151,41 +138,9 @@ def alternating_hands_signal(
     plane: Plane = Plane.IMAGE_2D,
 ) -> SignalSeries:
     """Hand orientation against the image horizontal, in [0, 90] degrees."""
-
-    def value(frame: LandmarkFrame) -> Optional[float]:
-        hand = frame.hand(side)
-        if hand is None:
-            return None
-        try:
-            u = vector_between(hand.points, core.THUMB_TIP, core.PINKY_TIP, plane, min_visibility)
-            return angle_to_horizontal(u)
-        except (MissingLandmark, DegenerateVector):
-            return None
-
-    return _per_frame_signal(seq, UpdrsItem.ALTERNATING_HANDS, _channel(side), value)
-
-
-def _body_angle_signal(
-    seq: LandmarkSequence,
-    item: UpdrsItem,
-    side: Side,
-    vertex: int,
-    ray_a: int,
-    ray_b: int,
-    min_visibility: float,
-    plane: Plane,
-) -> SignalSeries:
-    def value(frame: LandmarkFrame) -> Optional[float]:
-        if frame.body is None:
-            return None
-        try:
-            u = vector_between(frame.body.points, ray_a, vertex, plane, min_visibility)
-            v = vector_between(frame.body.points, ray_b, vertex, plane, min_visibility)
-            return angle_between(u, v)
-        except (MissingLandmark, DegenerateVector):
-            return None
-
-    return _per_frame_signal(seq, item, _channel(side), value)
+    pts = seq.poses[_hand(side)]
+    u = vector_between(pts, core.THUMB_TIP, core.PINKY_TIP, plane, min_visibility)
+    return _series(seq, UpdrsItem.ALTERNATING_HANDS, side, _hand(side), angle_to_horizontal(u))
 
 
 def leg_agility_signal(
@@ -199,8 +154,8 @@ def leg_agility_signal(
         vertex, knee, shoulder = core.RIGHT_HIP, core.RIGHT_KNEE, core.RIGHT_SHOULDER
     else:
         vertex, knee, shoulder = core.LEFT_HIP, core.LEFT_KNEE, core.LEFT_SHOULDER
-    return _body_angle_signal(
-        seq, UpdrsItem.LEG_AGILITY, side, vertex, knee, shoulder, min_visibility, plane
+    return _angle_signal(
+        seq, UpdrsItem.LEG_AGILITY, side, "body", vertex, knee, shoulder, min_visibility, plane
     )
 
 
@@ -215,8 +170,8 @@ def foot_taps_signal(
         vertex, knee, tip = core.RIGHT_ANKLE, core.RIGHT_KNEE, core.RIGHT_FOOT_TIP
     else:
         vertex, knee, tip = core.LEFT_ANKLE, core.LEFT_KNEE, core.LEFT_FOOT_TIP
-    return _body_angle_signal(
-        seq, UpdrsItem.FOOT_TAPS, side, vertex, knee, tip, min_visibility, plane
+    return _angle_signal(
+        seq, UpdrsItem.FOOT_TAPS, side, "body", vertex, knee, tip, min_visibility, plane
     )
 
 
@@ -224,25 +179,15 @@ def foot_taps_signal(
 
 
 def _landmark_tracks(seq: LandmarkSequence, min_visibility: float) -> np.ndarray:
-    """Stack x/y tracks of every landmark visible in all frames: (n_frames, n_tracks, 2)."""
-    n = len(seq.frames)
-    tracks: list[np.ndarray] = []
-    for slot in ("body", "left_hand", "right_hand"):
-        poses = [getattr(f, slot) for f in seq.frames]
-        if any(p is None for p in poses):
-            continue
-        count = len(poses[0].points)
-        block = np.empty((n, count, 3))
-        for i, p in enumerate(poses):
-            for j, lm in enumerate(p.points):
-                block[i, j, 0] = lm.x
-                block[i, j, 1] = lm.y
-                block[i, j, 2] = lm.visibility
-        visible = (block[:, :, 2] >= min_visibility).all(axis=0)
-        if visible.any():
-            tracks.append(block[:, visible, :2])
+    """Stack x/y tracks of every landmark visible in all frames, from the
+    slots present in all frames: (n_frames, n_tracks, 2)."""
+    tracks = [
+        pts[:, (pts[:, :, 3] >= min_visibility).all(axis=0), :2]
+        for slot, pts in seq.poses.items()
+        if seq.present[slot].all()
+    ]
     if not tracks:
-        return np.empty((n, 0, 2))
+        return np.empty((len(seq), 0, 2))
     return np.concatenate(tracks, axis=1)
 
 
@@ -257,7 +202,7 @@ def tremor_signal(
     evaluated over sliding windows of ``cfg.window_s`` seconds with the
     configured overlap; each value sits at its window-center timestamp.
     """
-    n = len(seq.frames)
+    n = len(seq)
     times = seq.timestamps
     if n < 2:
         raise SequenceTooShort("tremor analysis needs at least one full window")
@@ -327,7 +272,7 @@ def build_all(
     out: list[SignalSeries] = []
     if seq.item in (UpdrsItem.FINGER_TAPS, UpdrsItem.HAND_MOVEMENT, UpdrsItem.ALTERNATING_HANDS):
         for side in (Side.LEFT, Side.RIGHT):
-            if not any(f.hand(side) is not None for f in seq.frames):
+            if not seq.present[_hand(side)].any():
                 continue
             if seq.item is UpdrsItem.FINGER_TAPS:
                 out.append(finger_taps_signal(seq, side, min_visibility, plane))

@@ -21,15 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .core import (
-    BodyPose,
-    HandPose,
-    Landmark,
-    LandmarkFrame,
-    LandmarkSequence,
-    Side,
-    UpdrsItem,
-)
+from .core import LandmarkSequence, UpdrsItem
 from .errors import UnsupportedItem
 
 __all__ = ["MotionScenario", "generate", "DEFAULT_AMPLITUDE"]
@@ -140,37 +132,38 @@ _THIGH_LEN = 0.17
 _FOOT_LEN = 0.06
 
 
-def _body_points(overrides: dict[int, np.ndarray]) -> tuple[Landmark, ...]:
-    pts = []
-    for i in range(core.BODY_POINT_COUNT):
-        xy = overrides.get(i)
-        if xy is None:
-            xy = _BODY_TEMPLATE[i]
-        pts.append(Landmark(float(xy[0]), float(xy[1]), 0.0, 1.0))
-    return tuple(pts)
+_BODY_POINTS = np.array([(*_BODY_TEMPLATE[i], 0.0, 1.0) for i in range(core.BODY_POINT_COUNT)])
 
 
-def _mirror_hand(points: tuple[Landmark, ...]) -> tuple[Landmark, ...]:
-    return tuple(Landmark(1.0 - lm.x, lm.y, lm.z, lm.visibility) for lm in points)
+def _body_points(overrides: dict[int, np.ndarray]) -> np.ndarray:
+    pts = _BODY_POINTS.copy()
+    for i, xy in overrides.items():
+        pts[i, :2] = xy
+    return pts
 
 
-def _hand_points(wrist: np.ndarray, tip_dirs: dict[int, np.ndarray], tip_lens: dict[int, float]) -> tuple[Landmark, ...]:
+def _mirror_hand(points: np.ndarray) -> np.ndarray:
+    out = points.copy()
+    out[..., 0] = 1.0 - points[..., 0]
+    return out
+
+
+def _hand_points(wrist: np.ndarray, tip_dirs: dict[int, np.ndarray], tip_lens: dict[int, float]) -> np.ndarray:
     """Lay out a hand: each finger chain sits on the ray to its tip."""
     chains = {4: (1, 2, 3), 8: (5, 6, 7), 12: (9, 10, 11), 16: (13, 14, 15), 20: (17, 18, 19)}
-    coords = {0: wrist}
+    pts = np.zeros((core.HAND_POINT_COUNT, 4))
+    pts[:, 3] = 1.0
+    pts[0, :2] = wrist
     for tip, joints in chains.items():
         direction = tip_dirs[tip]
         length = tip_lens[tip]
-        coords[tip] = wrist + length * direction
+        pts[tip, :2] = wrist + length * direction
         for rank, j in enumerate(joints):
-            coords[j] = wrist + length * (0.3 + 0.2 * rank) * direction
-    return tuple(
-        Landmark(float(coords[i][0]), float(coords[i][1]), 0.0, 1.0)
-        for i in range(core.HAND_POINT_COUNT)
-    )
+            pts[j, :2] = wrist + length * (0.3 + 0.2 * rank) * direction
+    return pts
 
 
-def _finger_taps_hand(angle_deg: float) -> tuple[Landmark, ...]:
+def _finger_taps_hand(angle_deg: float) -> np.ndarray:
     wrist = np.array([0.62, 0.55])
     thumb_dir = _unit(np.array([1.0, -0.2]))
     index_dir = _rot(thumb_dir, -angle_deg)  # negative: opens upward in image coords
@@ -185,7 +178,7 @@ def _finger_taps_hand(angle_deg: float) -> tuple[Landmark, ...]:
     return _hand_points(wrist, dirs, lens)
 
 
-def _hand_movement_hand(reach: float) -> tuple[Landmark, ...]:
+def _hand_movement_hand(reach: float) -> np.ndarray:
     wrist = np.array([0.62, 0.55])
     base = _unit(np.array([0.15, -1.0]))
     dirs = {
@@ -196,14 +189,13 @@ def _hand_movement_hand(reach: float) -> tuple[Landmark, ...]:
         4: _rot(base, 40.0),
     }
     lens = {8: reach, 12: reach, 16: reach, 20: reach, 4: 0.8 * reach + 0.02}
-    pts = list(_hand_points(wrist, dirs, lens))
+    pts = _hand_points(wrist, dirs, lens)
     # palm anchor at a fixed length so palm-normalized D2 stays well defined
-    palm = wrist + 0.1 * base
-    pts[core.MIDDLE_MCP] = Landmark(float(palm[0]), float(palm[1]), 0.0, 1.0)
-    return tuple(pts)
+    pts[core.MIDDLE_MCP, :2] = wrist + 0.1 * base
+    return pts
 
 
-def _alternating_hand(angle_deg: float) -> tuple[Landmark, ...]:
+def _alternating_hand(angle_deg: float) -> np.ndarray:
     pinky_tip = np.array([0.60, 0.50])
     rad = math.radians(angle_deg)
     span = 0.16
@@ -224,14 +216,14 @@ def _alternating_hand(angle_deg: float) -> tuple[Landmark, ...]:
         12: 0.12,
         16: 0.12,
     }
-    pts = list(_hand_points(wrist, dirs, lens))
+    pts = _hand_points(wrist, dirs, lens)
     # pin the two defining tips exactly
-    pts[core.THUMB_TIP] = Landmark(float(thumb_tip[0]), float(thumb_tip[1]), 0.0, 1.0)
-    pts[core.PINKY_TIP] = Landmark(float(pinky_tip[0]), float(pinky_tip[1]), 0.0, 1.0)
-    return tuple(pts)
+    pts[core.THUMB_TIP, :2] = thumb_tip
+    pts[core.PINKY_TIP, :2] = pinky_tip
+    return pts
 
 
-def _leg_agility_body(raise_deg: float) -> tuple[Landmark, ...]:
+def _leg_agility_body(raise_deg: float) -> np.ndarray:
     overrides: dict[int, np.ndarray] = {}
     for hip_i, knee_i, shoulder_i, ankle_i in (
         (core.RIGHT_HIP, core.RIGHT_KNEE, core.RIGHT_SHOULDER, core.RIGHT_ANKLE),
@@ -246,7 +238,7 @@ def _leg_agility_body(raise_deg: float) -> tuple[Landmark, ...]:
     return _body_points(overrides)
 
 
-def _foot_taps_body(lift_deg: float) -> tuple[Landmark, ...]:
+def _foot_taps_body(lift_deg: float) -> np.ndarray:
     overrides: dict[int, np.ndarray] = {}
     for ankle_i, knee_i, tip_i, sign in (
         (core.RIGHT_ANKLE, core.RIGHT_KNEE, core.RIGHT_FOOT_TIP, 1.0),
@@ -259,7 +251,7 @@ def _foot_taps_body(lift_deg: float) -> tuple[Landmark, ...]:
     return _body_points(overrides)
 
 
-def _tremor_body(sc: MotionScenario, t: float) -> tuple[Landmark, ...]:
+def _tremor_body(sc: MotionScenario, t: float) -> np.ndarray:
     overrides: dict[int, np.ndarray] = {}
     wrist = np.array(_BODY_TEMPLATE[core.RIGHT_WRIST])
     dx = sc.tremor_amplitude * math.sin(2.0 * math.pi * sc.tremor_freq_hz * t)
@@ -273,61 +265,36 @@ def generate(scenario: MotionScenario) -> LandmarkSequence:
     rng = np.random.default_rng(scenario.seed)
     item = scenario.item
 
-    frames: list[LandmarkFrame] = []
     if item in (UpdrsItem.FINGER_TAPS, UpdrsItem.HAND_MOVEMENT, UpdrsItem.ALTERNATING_HANDS):
-        wave = _wave(scenario, times)
         if item is UpdrsItem.HAND_MOVEMENT:
-            def make(w: float) -> tuple[Landmark, ...]:
+            def make(w: float) -> np.ndarray:
                 return _hand_movement_hand(0.05 + w)
         elif item is UpdrsItem.FINGER_TAPS:
             make = _finger_taps_hand
         else:
             make = _alternating_hand
-        for t, w in zip(times, wave):
-            right = make(float(w))
-            left = _mirror_hand(right)
-            frames.append(
-                LandmarkFrame(
-                    float(t),
-                    left_hand=HandPose(Side.LEFT, left),
-                    right_hand=HandPose(Side.RIGHT, right),
-                )
-            )
+        right = np.array([make(float(w)) for w in _wave(scenario, times)])
+        poses = {"left_hand": _mirror_hand(right), "right_hand": right}
     elif item is UpdrsItem.LEG_AGILITY:
-        wave = _wave(scenario, times)
-        for t, w in zip(times, wave):
-            frames.append(LandmarkFrame(float(t), body=BodyPose(_leg_agility_body(float(w)))))
+        poses = {"body": np.array([_leg_agility_body(float(w)) for w in _wave(scenario, times)])}
     elif item is UpdrsItem.FOOT_TAPS:
-        wave = _wave(scenario, times)
-        for t, w in zip(times, wave):
-            frames.append(LandmarkFrame(float(t), body=BodyPose(_foot_taps_body(float(w)))))
+        poses = {"body": np.array([_foot_taps_body(float(w)) for w in _wave(scenario, times)])}
     elif item is UpdrsItem.TREMOR_AT_REST:
-        for t in times:
-            frames.append(LandmarkFrame(float(t), body=BodyPose(_tremor_body(scenario, float(t)))))
+        poses = {"body": np.array([_tremor_body(scenario, float(t)) for t in times])}
     else:  # pragma: no cover - all six items have generators
         raise UnsupportedItem(item.value)
 
     if scenario.noise_std > 0.0:
-        frames = _add_noise(frames, rng, scenario.noise_std)
+        # one draw in frame-major order: frame, then slot, then point
+        stacked = np.stack(list(poses.values()), axis=1)
+        stacked[..., :2] += rng.normal(0.0, scenario.noise_std, size=stacked.shape[:3] + (2,))
+        poses = dict(zip(poses, np.moveaxis(stacked, 1, 0)))
 
     return LandmarkSequence(
-        tuple(frames), fps=scenario.fps, item=item, subject_id=f"synth-{scenario.seed}"
+        times,
+        poses,
+        dict.fromkeys(poses, np.ones(len(times), dtype=bool)),
+        scenario.fps,
+        item,
+        f"synth-{scenario.seed}",
     )
-
-
-def _add_noise(frames: list[LandmarkFrame], rng: np.random.Generator, std: float) -> list[LandmarkFrame]:
-    noisy = []
-    for frame in frames:
-        kwargs = {}
-        for slot in ("body", "left_hand", "right_hand"):
-            pose = getattr(frame, slot)
-            if pose is None:
-                continue
-            jitter = rng.normal(0.0, std, size=(len(pose.points), 2))
-            pts = tuple(
-                Landmark(lm.x + jitter[i, 0], lm.y + jitter[i, 1], lm.z, lm.visibility)
-                for i, lm in enumerate(pose.points)
-            )
-            kwargs[slot] = BodyPose(pts) if slot == "body" else HandPose(pose.side, pts)
-        noisy.append(LandmarkFrame(frame.timestamp, **kwargs))
-    return noisy

@@ -59,12 +59,12 @@ def hand_sequence(hands: list[HandPose], fps: float = 30.0, item: UpdrsItem = Up
         )
         for i, h in enumerate(hands)
     )
-    return LandmarkSequence(frames, fps=fps, item=item)
+    return LandmarkSequence.from_frames(frames, fps=fps, item=item)
 
 
 def body_sequence(bodies: list[BodyPose], fps: float = 30.0, item: UpdrsItem = UpdrsItem.LEG_AGILITY) -> LandmarkSequence:
     frames = tuple(LandmarkFrame(i / fps, body=b) for i, b in enumerate(bodies))
-    return LandmarkSequence(frames, fps=fps, item=item)
+    return LandmarkSequence.from_frames(frames, fps=fps, item=item)
 
 
 def make_series(values, timestamps=None, item: UpdrsItem = UpdrsItem.FINGER_TAPS, channel: Channel = Channel.RIGHT) -> SignalSeries:

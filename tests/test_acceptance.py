@@ -105,7 +105,7 @@ def test_criterion_1_signal_formula_fidelity():
     worst = 0.0
 
     hands = [_random_hand(rng) for _ in range(n)]
-    seq = LandmarkSequence(
+    seq = LandmarkSequence.from_frames(
         tuple(LandmarkFrame(i / 30.0, right_hand=h) for i, h in enumerate(hands)),
         fps=30.0,
     )
@@ -120,7 +120,7 @@ def test_criterion_1_signal_formula_fidelity():
         worst = max(worst, float(np.abs(series.values - expected).max()))
 
     bodies = [_random_body(rng) for _ in range(n)]
-    bseq = LandmarkSequence(
+    bseq = LandmarkSequence.from_frames(
         tuple(LandmarkFrame(i / 30.0, body=b) for i, b in enumerate(bodies)),
         fps=30.0,
     )
@@ -168,14 +168,14 @@ def _angled_hand(rng):
 
 
 def _one_frame_hand_series(builder, pts):
-    seq = LandmarkSequence(
+    seq = LandmarkSequence.from_frames(
         (LandmarkFrame(0.0, right_hand=HandPose(Side.RIGHT, pts)),), fps=30.0
     )
     return builder(seq, Side.RIGHT).values[0]
 
 
 def _one_frame_body_series(builder, pts):
-    seq = LandmarkSequence((LandmarkFrame(0.0, body=BodyPose(pts)),), fps=30.0)
+    seq = LandmarkSequence.from_frames((LandmarkFrame(0.0, body=BodyPose(pts)),), fps=30.0)
     return builder(seq, Side.RIGHT).values[0]
 
 
@@ -449,7 +449,7 @@ def _random_sequence(rng):
                 LandmarkFrame(t, body=body_pose({5: (x, y)}), right_hand=hand_pose({2: (y, x)}))
             )
     item = rng.choice([None, *UpdrsItem])
-    return LandmarkSequence(
+    return LandmarkSequence.from_frames(
         tuple(frames),
         fps=float(rng.uniform(1.0, 240.0)),
         item=item,

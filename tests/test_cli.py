@@ -102,6 +102,24 @@ def test_analyze_nan_fingertip_fails_without_report(capsys, tmp_path, tap_fixtur
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("fault", ["overflow", "swapped"])
+def test_analyze_bad_frame_fails_without_report(capsys, tmp_path, tap_fixture, fault):
+    lines = tap_fixture.read_text().splitlines()
+    if fault == "overflow":  # index fingertip x written as 1e999, which parses to inf
+        frame = json.loads(lines[5])
+        frame["right_hand"][8][0] = 0.123456789
+        lines[5] = json.dumps(frame).replace("0.123456789", "1e999")
+    else:  # frames 4 and 5 swapped: line 6 goes back in time
+        lines[4], lines[5] = lines[5], lines[4]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    code, _, err = _run(capsys, "analyze", "--in", str(bad), "--out", str(out))
+    assert code == 1
+    assert "line 6" in err
+    assert not (out / "report.json").exists()
+
+
 def test_features_non_finite_value_is_validation_error(capsys, tmp_path):
     sig = tmp_path / "sig.csv"
     sig.write_text("t,value\n0.0,1.0\n0.1,nan\n0.2,2.0\n")
@@ -155,6 +173,17 @@ def test_signals_writes_per_channel_csvs(capsys, tmp_path, tap_fixture):
     lines = (out / names[0]).read_text().splitlines()
     assert lines[0] == "t,value"
     assert len(lines) == 301
+
+
+def test_signals_stops_before_features(capsys, tmp_path, tap_fixture, monkeypatch):
+    def no_features(*args, **kwargs):
+        raise AssertionError("walkup signals must not extract features")
+
+    monkeypatch.setattr("walkup.report.extract", no_features)
+    out = tmp_path / "sig"
+    code, _, _ = _run(capsys, "signals", "--in", str(tap_fixture), "--out", str(out))
+    assert code == 0
+    assert len(list(out.iterdir())) == 2
 
 
 def test_features_row_count_matches_default_set(capsys, tmp_path, tap_fixture):

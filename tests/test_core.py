@@ -56,7 +56,7 @@ def test_validate_equal_timestamps():
         LandmarkFrame(0.0, right_hand=hand_pose()),
         LandmarkFrame(0.0, right_hand=hand_pose()),
     )
-    seq = LandmarkSequence(frames, fps=30.0, item=UpdrsItem.FINGER_TAPS)
+    seq = LandmarkSequence.from_frames(frames, fps=30.0, item=UpdrsItem.FINGER_TAPS)
     report = validate_sequence(seq)
     assert any("non-increasing timestamps" in v.message for v in report.violations)
 
@@ -76,11 +76,11 @@ def test_validate_flags_nan_coordinate():
 
 def test_validate_flags_bad_visibility():
     frames = (LandmarkFrame(0.0, right_hand=hand_pose(visibility=1.0)),)
-    seq = LandmarkSequence(frames, fps=30.0)
+    seq = LandmarkSequence.from_frames(frames, fps=30.0)
     # rebuild one landmark with out-of-range visibility
     pts = list(seq.frames[0].right_hand.points)
     pts[0] = Landmark(0.1, 0.1, 0.0, 1.5)
-    seq = LandmarkSequence(
+    seq = LandmarkSequence.from_frames(
         (LandmarkFrame(0.0, right_hand=HandPose(Side.RIGHT, tuple(pts))),), fps=30.0
     )
     report = validate_sequence(seq)
@@ -88,12 +88,12 @@ def test_validate_flags_bad_visibility():
 
 
 def test_validate_empty_sequence():
-    report = validate_sequence(LandmarkSequence((), fps=30.0))
+    report = validate_sequence(LandmarkSequence.from_frames((), fps=30.0))
     assert not report.ok and report.violations[0].code == "empty"
 
 
 def test_validate_bad_fps():
-    seq = LandmarkSequence((LandmarkFrame(0.0, right_hand=hand_pose()),), fps=0.0)
+    seq = LandmarkSequence.from_frames((LandmarkFrame(0.0, right_hand=hand_pose()),), fps=0.0)
     assert any(v.code == "bad_fps" for v in validate_sequence(seq).violations)
 
 
@@ -118,7 +118,7 @@ def valid_sequences(draw):
             frames.append(LandmarkFrame(t, right_hand=hand_pose({0: (x, y)})))
         else:
             frames.append(LandmarkFrame(t, body=body_pose({0: (x, y)})))
-    return LandmarkSequence(tuple(frames), fps=fps, item=item)
+    return LandmarkSequence.from_frames(tuple(frames), fps=fps, item=item)
 
 
 @settings(max_examples=50, deadline=None)
@@ -131,11 +131,11 @@ def test_generated_valid_sequences_pass(seq):
 @given(valid_sequences(), st.sampled_from(["fps", "timestamp", "nan", "pose"]))
 def test_single_mutation_is_caught(seq, mutation):
     if mutation == "fps":
-        broken = LandmarkSequence(seq.frames, fps=-1.0, item=seq.item)
+        broken = LandmarkSequence.from_frames(seq.frames, fps=-1.0, item=seq.item)
     elif mutation == "timestamp" and len(seq.frames) >= 2:
         frames = list(seq.frames)
         frames[1] = dataclasses.replace(frames[1], timestamp=frames[0].timestamp)
-        broken = LandmarkSequence(tuple(frames), fps=seq.fps, item=seq.item)
+        broken = LandmarkSequence.from_frames(tuple(frames), fps=seq.fps, item=seq.item)
     elif mutation == "nan":
         frames = list(seq.frames)
         f = frames[0]
@@ -147,7 +147,7 @@ def test_single_mutation_is_caught(seq, mutation):
             pts = list(f.body.points)
             pts[3] = Landmark(math.nan, 0.5)
             frames[0] = LandmarkFrame(f.timestamp, body=BodyPose(tuple(pts)))
-        broken = LandmarkSequence(tuple(frames), fps=seq.fps, item=seq.item)
+        broken = LandmarkSequence.from_frames(tuple(frames), fps=seq.fps, item=seq.item)
     else:
         # swap the required pose for the wrong one
         frames = [
@@ -158,6 +158,6 @@ def test_single_mutation_is_caught(seq, mutation):
             )
             for f in seq.frames
         ]
-        broken = LandmarkSequence(tuple(frames), fps=seq.fps, item=seq.item)
+        broken = LandmarkSequence.from_frames(tuple(frames), fps=seq.fps, item=seq.item)
     report = validate_sequence(broken)
     assert not report.ok

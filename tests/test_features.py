@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from tests import naive_features as naive
 from tests.conftest import make_series
-from walkup.errors import EmptySeries, UnknownFeature
+from walkup.errors import EmptySeries, UnknownFeature, WalkupError
 from walkup.features import (
     FeatureSpec,
     approximate_entropy_counts,
@@ -357,6 +357,13 @@ def test_extract_orders_lexicographically(rng):
 def test_extract_empty_series():
     with pytest.raises(EmptySeries):
         extract_values([], default_specs())
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_extract_rejects_non_finite_values(bad):
+    # the k-d tree entropies would raise scipy's bare ValueError instead
+    with pytest.raises(WalkupError, match="non-finite"):
+        extract_values([1.0, 2.0, bad, 0.5, 1.5, 2.5], default_specs())
 
 
 def test_extract_duplicate_specs_rejected():

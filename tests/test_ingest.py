@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from tests.conftest import body_pose, hand_pose
 from walkup.core import (
     BODY_POINT_COUNT,
+    SLOT_POINTS,
     BodyPose,
     HandPose,
     Landmark,
@@ -18,7 +19,7 @@ from walkup.core import (
     Side,
     UpdrsItem,
 )
-from walkup.errors import EmptySequence, SchemaError, UnreadableInput
+from walkup.errors import EmptySequence, SchemaError, UnreadableInput, WalkupError
 from walkup.ingest import (
     FileFormat,
     GapFill,
@@ -83,7 +84,7 @@ def test_parse_unreadable_path(tmp_path):
 
 def test_parse_csv_zero_coordinates():
     frames = (LandmarkFrame(0.0, body=BodyPose(tuple(Landmark(0, 0, 0, 1) for _ in range(33)))),)
-    seq = LandmarkSequence(frames, fps=30.0)
+    seq = LandmarkSequence.from_frames(frames, fps=30.0)
     text = serialize_csv(seq)
     parsed = parse_frames(io.StringIO(text), format=FileFormat.CSV)
     lm = parsed.frames[0].body.points[0]
@@ -93,7 +94,7 @@ def test_parse_csv_zero_coordinates():
 
 def test_parse_csv_partial_pose_rejected():
     frames = (LandmarkFrame(0.0, body=body_pose()),)
-    text = serialize_csv(LandmarkSequence(frames, fps=30.0))
+    text = serialize_csv(LandmarkSequence.from_frames(frames, fps=30.0))
     lines = text.splitlines()
     cells = lines[1].split(",")
     cells[1] = ""  # body_0_x
@@ -118,10 +119,42 @@ def test_parse_jsonl_rejects_non_finite_fps():
     assert exc.value.line == 1
 
 
+@pytest.mark.parametrize("old, new", [("0.2", "1e999"), ("0.2", "-1e999"), ('"t": 0.1', '"t": 1e999')])
+def test_parse_jsonl_rejects_overflowing_literal(old, new):
+    frame = _body_line(0.1).replace(old, new, 1)
+    text = "\n".join([json.dumps({"fps": 30}), _body_line(0.0), frame])
+    with pytest.raises(SchemaError) as exc:
+        parse_frames(io.StringIO(text))
+    assert exc.value.line == 3
+    assert "finite" in exc.value.reason
+
+
+@pytest.mark.parametrize(
+    "times, bad_line",
+    [
+        ([0.0, 0.04, 0.03, 0.08], 4),  # two swapped frames
+        ([0.0, 0.04, 0.04, 0.08], 4),  # a repeated timestamp
+        ([0.0, 0.041, 0.062, 0.1049], None),  # jittered but increasing
+    ],
+)
+@pytest.mark.parametrize("fmt", list(FileFormat))
+def test_parse_timestamps_must_increase(times, bad_line, fmt):
+    frames = tuple(LandmarkFrame(t, body=body_pose()) for t in times)
+    seq = LandmarkSequence.from_frames(frames, fps=25.0)
+    text = serialize_jsonl(seq) if fmt is FileFormat.JSONL else serialize_csv(seq)
+    if bad_line is None:
+        assert parse_frames(io.StringIO(text), format=fmt).timestamps.tolist() == times
+        return
+    with pytest.raises(SchemaError) as exc:
+        parse_frames(io.StringIO(text), format=fmt)
+    assert exc.value.line == bad_line
+    assert "increase" in exc.value.reason
+
+
 @pytest.mark.parametrize("cell, value", [(1, "nan"), (2, "inf"), (0, "nan")])
 def test_parse_csv_rejects_non_finite_cells(cell, value):
     frames = (LandmarkFrame(0.0, body=body_pose()), LandmarkFrame(0.1, body=body_pose()))
-    lines = serialize_csv(LandmarkSequence(frames, fps=10.0)).splitlines()
+    lines = serialize_csv(LandmarkSequence.from_frames(frames, fps=10.0)).splitlines()
     cells = lines[2].split(",")
     cells[cell] = value  # 0 is t, 1 body_0_x, 2 body_0_y
     with pytest.raises(SchemaError) as exc:
@@ -140,7 +173,7 @@ def test_csv_round_trip_coordinates(rng):
                 right_hand=hand_pose({5: tuple(rng.uniform(0, 1, size=2))}),
             )
         )
-    seq = LandmarkSequence(tuple(frames), fps=30.0)
+    seq = LandmarkSequence.from_frames(tuple(frames), fps=30.0)
     back = parse_frames(io.StringIO(serialize_csv(seq)), format=FileFormat.CSV, fps=30.0)
     for fa, fb in zip(seq.frames, back.frames):
         assert fa.timestamp == fb.timestamp
@@ -177,7 +210,7 @@ def sequences(draw):
             )
     fps = draw(st.floats(min_value=0.5, max_value=240.0, allow_nan=False))
     subject = draw(st.text(alphabet="abc123", max_size=6))
-    return LandmarkSequence(tuple(frames), fps=fps, item=item, subject_id=subject)
+    return LandmarkSequence.from_frames(tuple(frames), fps=fps, item=item, subject_id=subject)
 
 
 @settings(max_examples=60, deadline=None)
@@ -198,11 +231,77 @@ def test_jsonl_round_trip_exact(seq):
                     assert (la.x, la.y, la.z, la.visibility) == (lb.x, lb.y, lb.z, lb.visibility)
 
 
+# ── parser property: reject, or return finite, increasing arrays ─────
+
+_JSON_TOKENS = ["1e999", "-1e999", "null", '"x"', '"0.5"', "true", "[]", "1" + "0" * 400, "NaN"]
+_CSV_TOKENS = ["1e999", "-1e999", "nan", "inf", "x", "", "0x10"]
+
+
+@st.composite
+def landmark_texts(draw):
+    """JSONL or CSV text of a few frames, with bad tokens, wrong point counts
+    and shuffled or repeated timestamps mixed in."""
+    fmt = draw(st.sampled_from(list(FileFormat)))
+    n = draw(st.integers(min_value=1, max_value=4))
+    times = sorted(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        times = draw(st.permutations(times))
+    frames = []
+    for t in times:
+        slots = draw(st.sampled_from([("body",), ("right_hand",), ("body", "left_hand")]))
+        poses = {}
+        for slot in slots:
+            count = SLOT_POINTS[slot] + draw(st.sampled_from([0, 0, 0, 0, 0, 0, -1, 1]))
+            poses[slot] = [["0.5", "0.25", "0.0", "1.0"] for _ in range(count)]
+        frames.append([repr(t), poses])
+    tokens = _JSON_TOKENS if fmt is FileFormat.JSONL else _CSV_TOKENS
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        frame = draw(st.sampled_from(frames))
+        if draw(st.integers(min_value=0, max_value=4)) == 0:
+            frame[0] = draw(st.sampled_from(tokens))
+            continue
+        pose = frame[1][draw(st.sampled_from(sorted(frame[1])))]
+        point = draw(st.integers(min_value=0, max_value=len(pose) - 1))
+        pose[point][draw(st.integers(min_value=0, max_value=3))] = draw(st.sampled_from(tokens))
+
+    if fmt is FileFormat.JSONL:
+        lines = ['{"fps": 30}']
+        for t, poses in frames:
+            parts = [f'"t": {t}']
+            for slot, pose in poses.items():
+                parts.append(f'"{slot}": [' + ", ".join("[" + ", ".join(p) + "]" for p in pose) + "]")
+            lines.append("{" + ", ".join(parts) + "}")
+    else:
+        empty = LandmarkSequence.from_frames((LandmarkFrame(0.0, body=body_pose()),), fps=30.0)
+        lines = [serialize_csv(empty).splitlines()[0]]
+        for t, poses in frames:
+            cells = [t]
+            for slot, count in SLOT_POINTS.items():
+                pose = poses.get(slot)
+                cells += [c for p in pose for c in p] if pose else [""] * (4 * count)
+            lines.append(",".join(cells))
+    return fmt, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(landmark_texts())
+def test_parse_rejects_or_returns_finite_increasing(case):
+    fmt, text = case
+    try:
+        seq = parse_frames(io.StringIO(text), format=fmt)
+    except WalkupError:
+        return
+    assert np.isfinite(seq.timestamps).all()
+    assert (np.diff(seq.timestamps) > 0).all()
+    for slot, pts in seq.poses.items():
+        assert np.isfinite(pts[seq.present[slot]]).all()
+
+
 # ── resample ─────────────────────────────────────────────────────────
 
 
 def _two_frame_seq():
-    return LandmarkSequence(
+    return LandmarkSequence.from_frames(
         (
             LandmarkFrame(0.0, body=body_pose({0: (0.0, 0.0)})),
             LandmarkFrame(1.0, body=body_pose({0: (1.0, 0.0)})),
@@ -223,7 +322,7 @@ def test_resample_identity_at_same_fps():
     frames = tuple(
         LandmarkFrame(k / fps, body=body_pose({0: (0.1 * k, 0.5)})) for k in range(10)
     )
-    seq = LandmarkSequence(frames, fps=fps)
+    seq = LandmarkSequence.from_frames(frames, fps=fps)
     out = resample(seq, IngestConfig(resample_fps=fps))
     assert len(out) == len(seq)
     for fa, fb in zip(seq.frames, out.frames):
@@ -245,7 +344,7 @@ def test_resample_idempotent():
 
 
 def test_resample_single_frame_at_zero():
-    seq = LandmarkSequence((LandmarkFrame(3.7, body=body_pose()),), fps=30.0)
+    seq = LandmarkSequence.from_frames((LandmarkFrame(3.7, body=body_pose()),), fps=30.0)
     out = resample(seq, IngestConfig(resample_fps=10.0))
     assert len(out) == 1
     assert out.frames[0].timestamp == 0.0
@@ -260,7 +359,7 @@ def test_resample_missing_pose_policies():
         LandmarkFrame(1.0, body=body_pose()),
         LandmarkFrame(2.0, body=body_pose(), right_hand=h2),
     )
-    seq = LandmarkSequence(frames, fps=1.0)
+    seq = LandmarkSequence.from_frames(frames, fps=1.0)
 
     bridged = resample(seq, IngestConfig(resample_fps=1.0, gap_fill=GapFill.LINEAR_INTERP))
     assert bridged.frames[1].right_hand.points[0].x == pytest.approx(0.5)
@@ -280,7 +379,7 @@ def test_resample_requires_fps():
 
 def test_resample_empty():
     with pytest.raises(EmptySequence):
-        resample(LandmarkSequence((), fps=30.0), IngestConfig(resample_fps=10.0))
+        resample(LandmarkSequence.from_frames((), fps=30.0), IngestConfig(resample_fps=10.0))
 
 
 # ── gap fill ─────────────────────────────────────────────────────────
@@ -292,7 +391,7 @@ def _vis_seq(visibilities: list[float], xs: list[float]) -> LandmarkSequence:
         pts = list(hand_pose().points)
         pts[4] = Landmark(x, 0.5, 0.0, v)
         frames.append(LandmarkFrame(float(i), right_hand=HandPose(Side.RIGHT, tuple(pts))))
-    return LandmarkSequence(tuple(frames), fps=1.0)
+    return LandmarkSequence.from_frames(tuple(frames), fps=1.0)
 
 
 def test_fill_gaps_linear_interp():

@@ -45,7 +45,7 @@ def test_config_rejects_unknown_keys():
 def test_analyze_requires_item():
     frames = (LandmarkFrame(0.0, right_hand=hand_pose()),)
     with pytest.raises(ValueError):
-        analyze(LandmarkSequence(frames, fps=30.0))
+        analyze(LandmarkSequence.from_frames(frames, fps=30.0))
 
 
 def test_analyze_full_pipeline_report_fields():
@@ -77,7 +77,7 @@ def test_analyze_with_resample_and_gap_fill():
         left_hand=frames[10].left_hand,
         right_hand=HandPose(Side.RIGHT, tuple(pts)),
     )
-    seq = LandmarkSequence(tuple(frames), fps=seq.fps, item=seq.item, subject_id=seq.subject_id)
+    seq = LandmarkSequence.from_frames(tuple(frames), fps=seq.fps, item=seq.item, subject_id=seq.subject_id)
     cfg = AnalysisConfig(resample_fps=15.0, min_visibility=0.5, gap_fill=GapFill.LINEAR_INTERP)
     report = analyze(seq, cfg)
     right = [ch for ch in report.channels if ch.series.channel.value == "right"][0]
@@ -90,7 +90,7 @@ def test_report_json_is_nan_free_and_sorted():
     frames = tuple(
         LandmarkFrame(i / 30.0, right_hand=hand_pose()) for i in range(90)
     )
-    seq = LandmarkSequence(frames, fps=30.0, item=UpdrsItem.FINGER_TAPS, subject_id="s")
+    seq = LandmarkSequence.from_frames(frames, fps=30.0, item=UpdrsItem.FINGER_TAPS, subject_id="s")
     payload = report_json(analyze(seq, AnalysisConfig()))
     assert "NaN" not in payload
     data = json.loads(payload)

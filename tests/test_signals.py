@@ -220,7 +220,7 @@ def test_foot_taps_degenerate_frame_becomes_gap():
 def _static_body_seq(n: int = 90, fps: float = 30.0) -> LandmarkSequence:
     body = body_pose()
     frames = tuple(LandmarkFrame(i / fps, body=body) for i in range(n))
-    return LandmarkSequence(frames, fps=fps, item=UpdrsItem.TREMOR_AT_REST)
+    return LandmarkSequence.from_frames(frames, fps=fps, item=UpdrsItem.TREMOR_AT_REST)
 
 
 def test_tremor_static_all_zero():
@@ -239,7 +239,7 @@ def test_tremor_oscillating_wrist_all_one():
         frames.append(
             LandmarkFrame(t, body=body_pose({core.RIGHT_WRIST: (0.64 + dx, 0.53)}))
         )
-    seq = LandmarkSequence(tuple(frames), fps=fps, item=UpdrsItem.TREMOR_AT_REST)
+    seq = LandmarkSequence.from_frames(tuple(frames), fps=fps, item=UpdrsItem.TREMOR_AT_REST)
     s = tremor_signal(seq)
     assert (s.values == 1.0).all()
 
@@ -253,7 +253,7 @@ def test_tremor_slow_drift_filtered_out():
         frames.append(
             LandmarkFrame(t, body=body_pose({core.RIGHT_WRIST: (0.64 + dx, 0.53)}))
         )
-    seq = LandmarkSequence(tuple(frames), fps=fps, item=UpdrsItem.TREMOR_AT_REST)
+    seq = LandmarkSequence.from_frames(tuple(frames), fps=fps, item=UpdrsItem.TREMOR_AT_REST)
     s = tremor_signal(seq)
     assert (s.values == 0.0).all()
 
@@ -273,7 +273,7 @@ def test_tremor_values_binary_and_threshold_monotone():
         frames.append(
             LandmarkFrame(t, body=body_pose({core.RIGHT_WRIST: (0.64 + dx, 0.53)}))
         )
-    seq = LandmarkSequence(tuple(frames), fps=fps, item=UpdrsItem.TREMOR_AT_REST)
+    seq = LandmarkSequence.from_frames(tuple(frames), fps=fps, item=UpdrsItem.TREMOR_AT_REST)
     lo = tremor_signal(seq, TremorConfig(rms_threshold=0.001))
     hi = tremor_signal(seq, TremorConfig(rms_threshold=0.01))
     for s in (lo, hi):
@@ -309,7 +309,7 @@ def test_build_all_right_hand_only():
     frames = tuple(
         LandmarkFrame(i / 30.0, right_hand=hand_pose()) for i in range(3)
     )
-    seq = LandmarkSequence(frames, fps=30.0, item=UpdrsItem.FINGER_TAPS)
+    seq = LandmarkSequence.from_frames(frames, fps=30.0, item=UpdrsItem.FINGER_TAPS)
     series = build_all(seq)
     assert len(series) == 1
     assert series[0].channel is Channel.RIGHT
@@ -318,7 +318,7 @@ def test_build_all_right_hand_only():
 def test_build_all_requires_item_tag():
     frames = (LandmarkFrame(0.0, right_hand=hand_pose()),)
     with pytest.raises(ValueError):
-        build_all(LandmarkSequence(frames, fps=30.0))
+        build_all(LandmarkSequence.from_frames(frames, fps=30.0))
 
 
 # ── geometric invariances (similarity transforms) ────────────────────
@@ -346,7 +346,7 @@ def _transform_seq(seq, scale, theta, tx, ty, rotate=True):
             if p is not None:
                 kwargs[slot] = _transform_pose(p, scale, theta, tx, ty, rotate)
         frames.append(LandmarkFrame(f.timestamp, **kwargs))
-    return LandmarkSequence(tuple(frames), fps=seq.fps, item=seq.item, subject_id=seq.subject_id)
+    return LandmarkSequence.from_frames(tuple(frames), fps=seq.fps, item=seq.item, subject_id=seq.subject_id)
 
 
 def test_angle_signal_similarity_invariance(rng):
