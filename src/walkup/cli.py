@@ -179,10 +179,15 @@ def _read_signal_csv(path: str) -> np.ndarray:
         rows = list(csv.reader(fh))
     if not rows or rows[0][:2] != ["t", "value"]:
         raise WalkupError(f"{path}: expected a t,value CSV")
-    values = np.array([float(r[1]) for r in rows[1:]], dtype=float)
-    if not np.isfinite(values).all():
-        raise WalkupError(f"{path}: non-finite value")
-    return values
+    values = []
+    for line, row in enumerate(rows[1:], start=2):
+        try:
+            values.append(float(row[1]))
+        except (IndexError, ValueError):
+            raise WalkupError(f"{path}: line {line}: expected a t,value row of numbers") from None
+        if not np.isfinite(values[-1]):
+            raise WalkupError(f"{path}: line {line}: non-finite value")
+    return np.array(values, dtype=float)
 
 
 def _cmd_features(args) -> int:

@@ -10,7 +10,9 @@ a machine-readable reason rather than raising. Conventions used throughout:
   template distance; approximate entropy includes self-matches, sample
   entropy excludes them and counts only templates that have an (m+1)
   extension; neighbour counts come from a Chebyshev (p = inf) k-d tree,
-  are exact integers and need memory linear in the series length;
+  are exact integers and need memory linear in the series length; both
+  entropies read one count pass (length m and m+1 templates) per (m, r)
+  within an ``extract_values`` call;
 * the DFT is the plain unnormalized sum X_k = sum_t x_t e^{-2*pi*i*k*t/n}.
 """
 
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -185,7 +188,25 @@ def partial_autocorrelation(x: np.ndarray, lag: int) -> Result:
 
 def _neighbour_counts(templates: np.ndarray, r: float) -> np.ndarray:
     """Per template, how many templates (itself included) lie within Chebyshev distance r."""
-    return cKDTree(templates).query_ball_point(templates, r, p=np.inf, return_length=True)
+    # leafsize sweep 16-256 at n = 300, 3600, 18000: 64 never slower than 16, 1.3-1.7x faster at n >= 3600
+    return cKDTree(templates, leafsize=64).query_ball_point(templates, r, p=np.inf, return_length=True)
+
+
+def _entropy_counts(x: np.ndarray, m: int, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """(C_m, C_{m+1}): neighbour counts of the n - m + 1 length-m and n - m length-(m+1) templates."""
+    x = np.asarray(x, dtype=float)
+    return tuple(_neighbour_counts(sliding_window_view(x, k), r) for k in (m, m + 1))
+
+
+def _pair_counts(c_m: np.ndarray, c_m1: np.ndarray) -> tuple[int, int]:
+    """SampEn's (A, B) from the shared neighbour counts."""
+    k = len(c_m1)
+    # each unordered pair is counted from both ends, each template once as its own
+    # match; B drops the pairs of the last length-m template, which has no (m+1)
+    # extension; a negative or NaN r matches nothing, not even a template itself
+    a = max(int(c_m1.sum()) - k, 0) // 2
+    b = max(int(c_m.sum()) - (k + 1) - 2 * (int(c_m[-1]) - 1), 0) // 2
+    return a, b
 
 
 def approximate_entropy_counts(x: np.ndarray, m: int, r: float) -> np.ndarray:
@@ -193,20 +214,15 @@ def approximate_entropy_counts(x: np.ndarray, m: int, r: float) -> np.ndarray:
     return _neighbour_counts(sliding_window_view(np.asarray(x, dtype=float), m), r)
 
 
-def _apen_phi(x: np.ndarray, m: int, r: float) -> float:
-    counts = approximate_entropy_counts(x, m, r)
-    return float(np.mean(np.log(counts / len(counts))))
-
-
-def approximate_entropy(x: np.ndarray, m: int, r_factor: float) -> Result:
+def approximate_entropy(x: np.ndarray, m: int, r_factor: float, counts: Callable) -> Result:
     """ApEn = Phi_m(r) - Phi_{m+1}(r), r = r_factor * population std."""
     if len(x) < m + 2:
         return _undefined("series too short")
     sd = float(np.std(x))
     if sd == 0.0:
         return _undefined("zero std")
-    r = r_factor * sd
-    return _ok(_apen_phi(x, m, r) - _apen_phi(x, m + 1, r))
+    phi_m, phi_m1 = (float(np.mean(np.log(c / len(c)))) for c in counts(m, r_factor * sd))
+    return _ok(phi_m - phi_m1)
 
 
 def sample_entropy_counts(x: np.ndarray, m: int, r: float) -> tuple[int, int]:
@@ -215,23 +231,17 @@ def sample_entropy_counts(x: np.ndarray, m: int, r: float) -> tuple[int, int]:
     Only the first n - m templates of length m are considered, so each has
     an (m+1) extension; self-matches are excluded (pairs i < j).
     """
-    x = np.asarray(x, dtype=float)
-    k = len(x) - m
-    # each unordered pair is counted from both ends, each template once as its
-    # own match; a negative or NaN r matches nothing, not even a template itself
-    b = max(int(_neighbour_counts(sliding_window_view(x, m)[:k], r).sum()) - k, 0) // 2
-    a = max(int(_neighbour_counts(sliding_window_view(x, m + 1), r).sum()) - k, 0) // 2
-    return a, b
+    return _pair_counts(*_entropy_counts(x, m, r))
 
 
-def sample_entropy(x: np.ndarray, m: int, r_factor: float) -> Result:
+def sample_entropy(x: np.ndarray, m: int, r_factor: float, counts: Callable) -> Result:
     """SampEn = -ln(A / B) with self-matches excluded."""
     if len(x) < m + 2:
         return _undefined("series too short")
     sd = float(np.std(x))
     if sd == 0.0:
         return _undefined("zero std")
-    a, b = sample_entropy_counts(x, m, r_factor * sd)
+    a, b = _pair_counts(*counts(m, r_factor * sd))
     if b == 0 or a == 0:
         return _undefined("no matches")
     return _ok(-math.log(a / b))
@@ -573,8 +583,11 @@ class FeatureSpec:
         parts = [self.name] + [f"{k}={_format_value(v)}" for k, v in self.params]
         return "__".join(parts)
 
-    def compute(self, x: np.ndarray) -> Result:
+    def compute(self, x: np.ndarray, counts: Optional[Callable] = None) -> Result:
+        """Evaluate on x; the entropies read ``counts(m, r)``, by default a count pass on x."""
         func, _ = _REGISTRY[self.name]
+        if func in (approximate_entropy, sample_entropy):
+            return func(x, counts=counts or partial(_entropy_counts, x), **dict(self.params))
         return func(x, **dict(self.params))
 
 
@@ -647,9 +660,11 @@ def extract_values(x, specs: Sequence[FeatureSpec]) -> FeatureVector:
     ids = [s.feature_id for s in specs]
     if len(set(ids)) != len(ids):
         raise UnknownFeature("duplicate feature specs requested")
+    # ApEn and SampEn at one (m, r) read one count pass
+    counts = cache(partial(_entropy_counts, x))
     entries = []
     for spec in specs:
-        value, reason = spec.compute(x)
+        value, reason = spec.compute(x, counts)
         entries.append(FeatureEntry(spec.feature_id, value, reason))
     entries.sort(key=lambda e: e.feature_id)
     return FeatureVector(tuple(entries))

@@ -187,7 +187,12 @@ def _parse_jsonl(text: str) -> LandmarkSequence:
         fps = float(header["fps"])
     except (TypeError, ValueError, OverflowError):
         raise SchemaError(header_no, "fps must be numeric") from None
-    item = UpdrsItem.from_name(header["item"]) if header.get("item") else None
+    if not math.isfinite(fps):
+        raise SchemaError(header_no, "fps must be finite")
+    try:
+        item = UpdrsItem.from_name(header["item"]) if header.get("item") else None
+    except ValueError as exc:
+        raise SchemaError(header_no, str(exc)) from None
     subject = str(header.get("subject", ""))
 
     frames = []

@@ -68,6 +68,34 @@ def test_validate_bad_sequence(capsys, tmp_path):
     assert "hand" in err
 
 
+def _header_fixture(tmp_path, header: str) -> Path:
+    path = tmp_path / "header.jsonl"
+    body = [[0.1, 0.2, 0.0, 1.0]] * 33
+    path.write_text(header + "\n" + json.dumps({"t": 0.0, "body": body}) + "\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "header, reason",
+    [
+        ('{"fps": 1e999, "item": "leg_agility"}', "fps must be finite"),
+        ('{"fps": 30, "item": "jumping_jacks"}', "unknown item 'jumping_jacks'"),
+    ],
+    ids=["fps_overflow", "unknown_item"],
+)
+def test_validate_bad_header_is_validation_error(capsys, tmp_path, header, reason):
+    code, _, err = _run(capsys, "validate", "--in", str(_header_fixture(tmp_path, header)))
+    assert code == 1
+    assert "SchemaError: line 1:" in err and reason in err
+
+
+def test_validate_unknown_item_option_is_usage_error(capsys, tmp_path):
+    path = _header_fixture(tmp_path, '{"fps": 30}')
+    code, _, err = _run(capsys, "validate", "--in", str(path), "--item", "jumping_jacks")
+    assert code == 2
+    assert "unknown item 'jumping_jacks'" in err
+
+
 def test_usage_error_exit_2(capsys):
     assert main(["frobnicate"]) == 2
 
@@ -125,7 +153,16 @@ def test_features_non_finite_value_is_validation_error(capsys, tmp_path):
     sig.write_text("t,value\n0.0,1.0\n0.1,nan\n0.2,2.0\n")
     code, stdout, err = _run(capsys, "features", "--in", str(sig))
     assert code == 1
-    assert "non-finite" in err and stdout == ""
+    assert "line 3: non-finite" in err and stdout == ""
+
+
+@pytest.mark.parametrize("row", ["0.1", "0.1,abc", "0.1,"], ids=["one_cell", "text", "empty"])
+def test_features_malformed_row_is_validation_error(capsys, tmp_path, row):
+    sig = tmp_path / "sig.csv"
+    sig.write_text(f"t,value\n0.0,1.0\n{row}\n0.2,2.0\n")
+    code, stdout, err = _run(capsys, "features", "--in", str(sig))
+    assert code == 1
+    assert "line 3: expected a t,value row of numbers" in err and stdout == ""
 
 
 def test_analyze_byte_determinism(capsys, tmp_path, tap_fixture):

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from scipy.spatial import cKDTree
+
 from tests import naive_features as naive
 from tests.conftest import make_series
+from walkup import features
 from walkup.errors import EmptySeries, UnknownFeature, WalkupError
 from walkup.features import (
     FeatureSpec,
@@ -143,13 +146,43 @@ def _tie_heavy_cases(rng):
         period = int(rng.integers(2, 8))
         cycle = np.round(rng.normal(size=period), 2)
         yield np.tile(cycle, n // period + 1)[:n], float(rng.choice([0.0, 0.01, 0.5]))
+        # a constant tail: the last template matches many others
+        tail = np.round(rng.normal(size=n), 1)
+        tail[int(rng.integers(0, n - 3)) :] = 0.5
+        yield tail, float(rng.choice([0.0, 0.1]))
 
 
 def test_entropy_counts_exact_on_ties(rng):
     for x, r in _tie_heavy_cases(rng):
-        for m in (2, 3):
+        for m in (1, 2, 3):
             assert sample_entropy_counts(x, m, r) == naive.sampen_counts(x, m, r), (x, m, r)
             assert list(approximate_entropy_counts(x, m, r)) == naive.apen_counts(x, m, r), (x, m, r)
+
+
+def test_extract_entropies_equal_standalone_on_ties(rng):
+    specs = [
+        FeatureSpec.make(name, m=m, r_factor=r_factor)
+        for name in ("approximate_entropy", "sample_entropy")
+        for m in (1, 2, 3)
+        for r_factor in (0.1, 0.2, 0.5)
+    ]
+    for x, _ in _tie_heavy_cases(rng):
+        got = extract_values(x, specs).as_dict()
+        for spec in specs:
+            value, _ = spec.compute(x)
+            assert got[spec.feature_id] == value or (math.isnan(value) and math.isnan(got[spec.feature_id]))
+
+
+def test_extract_builds_two_trees_for_both_entropies(rng, monkeypatch):
+    built = []
+
+    def counting_tree(data, **kwargs):
+        built.append(len(data))
+        return cKDTree(data, **kwargs)
+
+    monkeypatch.setattr(features, "cKDTree", counting_tree)
+    extract_values(rng.normal(size=200), default_specs())
+    assert built == [199, 198]  # length-2 and length-3 templates, read by ApEn and SampEn
 
 
 def test_entropy_counts_negative_tolerance_match_nothing(rng):

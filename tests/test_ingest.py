@@ -119,6 +119,24 @@ def test_parse_jsonl_rejects_non_finite_fps():
     assert exc.value.line == 1
 
 
+@pytest.mark.parametrize("fps", ["1e999", "-1e999", '"inf"', '"nan"'])
+def test_parse_jsonl_rejects_overflowing_fps(fps):
+    # inf used to parse, and serialize_jsonl then wrote a header it could not read back
+    with pytest.raises(SchemaError) as exc:
+        parse_frames(io.StringIO("\n".join(['{"fps": %s}' % fps, _body_line(0.0)])))
+    assert exc.value.line == 1
+    assert exc.value.reason == "fps must be finite"
+
+
+@pytest.mark.parametrize("item", ['"jumping_jacks"', "5", "[1]"])
+def test_parse_jsonl_unknown_item_is_schema_error(item):
+    text = "\n".join(["", '{"fps": 30, "item": %s}' % item, _body_line(0.0)])
+    with pytest.raises(SchemaError) as exc:
+        parse_frames(io.StringIO(text))
+    assert exc.value.line == 2
+    assert "unknown item" in exc.value.reason
+
+
 @pytest.mark.parametrize("old, new", [("0.2", "1e999"), ("0.2", "-1e999"), ('"t": 0.1', '"t": 1e999')])
 def test_parse_jsonl_rejects_overflowing_literal(old, new):
     frame = _body_line(0.1).replace(old, new, 1)
