@@ -38,6 +38,17 @@ def _err(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _exit_code(exc: BaseException) -> int:
+    """The exit code ``main`` gives a failure; anything else is re-raised."""
+    if isinstance(exc, (UnreadableInput, OSError)):
+        return EXIT_IO
+    if isinstance(exc, WalkupError):
+        return EXIT_VALIDATION
+    if isinstance(exc, ValueError):
+        return EXIT_USAGE
+    raise exc
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="walkup", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -167,11 +178,16 @@ def _cmd_analyze(args) -> int:
     if len(args.inputs) == 1:
         _analyze_one(args.inputs[0], args, cfg, out_dir)
         return EXIT_OK
+    # every input is analyzed and every failure reported; the worst code wins
+    worst = EXIT_OK
     with ThreadPoolExecutor(max_workers=min(4, len(args.inputs))) as pool:
         futures = [pool.submit(_analyze_one, p, args, cfg, out_dir) for p in args.inputs]
-        for f in futures:
-            f.result()
-    return EXIT_OK
+        for path, future in zip(args.inputs, futures):
+            exc = future.exception()
+            if exc is not None:
+                _err(f"{path}: {type(exc).__name__}: {exc}")
+                worst = max(worst, _exit_code(exc))
+    return worst
 
 
 def _read_signal_csv(path: str) -> np.ndarray:

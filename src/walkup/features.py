@@ -478,6 +478,13 @@ def _cast_unit(v) -> float:
     return f
 
 
+def _cast_nonneg_float(v) -> float:
+    f = float(v)
+    if not 0.0 <= f < math.inf:
+        raise ValueError(f"expected a finite non-negative number, got {v!r}")
+    return f
+
+
 def _cast_nonneg_int(v) -> int:
     i = int(v)
     if i < 0:
@@ -511,9 +518,12 @@ _REGISTRY: dict[str, tuple[Callable, tuple[tuple[str, Callable, object], ...]]] 
     "partial_autocorrelation": (partial_autocorrelation, (("lag", _cast_nonneg_int, 1),)),
     "approximate_entropy": (
         approximate_entropy,
-        (("m", _cast_pos_int, 2), ("r_factor", float, 0.2)),
+        (("m", _cast_pos_int, 2), ("r_factor", _cast_nonneg_float, 0.2)),
     ),
-    "sample_entropy": (sample_entropy, (("m", _cast_pos_int, 2), ("r_factor", float, 0.2))),
+    "sample_entropy": (
+        sample_entropy,
+        (("m", _cast_pos_int, 2), ("r_factor", _cast_nonneg_float, 0.2)),
+    ),
     "fft_coefficient": (
         fft_coefficient,
         (("coeff", _cast_nonneg_int, 5), ("attr", _cast_choice(_FFT_COEFF_ATTRS), "abs")),

@@ -11,15 +11,21 @@ neighbours.
 
 Values are range-normalized before thresholding, so detection is exactly
 invariant under positive affine transforms of the values.
+
+The candidate extrema and their prominences are exactly those of SciPy's
+``scipy.signal.find_peaks`` and ``scipy.signal.peak_prominences`` (Virtanen
+et al. 2020, Nature Methods 17:261): both are built from comparisons, min/max
+and one subtraction, so the kernels here give the same bits without
+importing ``scipy.signal``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.signal import find_peaks, peak_prominences
 
 from .core import SignalSeries
 from .errors import SeriesTooShort
@@ -57,21 +63,65 @@ class CadenceStats:
     amplitude_slope: Optional[float]
 
 
-def _select(
-    v: np.ndarray, t: np.ndarray, threshold: float, min_sep: float
-) -> np.ndarray:
-    candidates = find_peaks(v)[0]
+def _local_maxima(v: np.ndarray) -> np.ndarray:
+    """Midpoints of the runs of equal samples with a lower neighbour on both
+    sides; runs touching the boundary never count (``find_peaks(v)[0]``)."""
+    edges = np.flatnonzero(v[1:] != v[:-1]) + 1  # first index of every run but the first
+    left, right = edges[:-1], edges[1:] - 1  # the interior runs
+    keep = (v[left - 1] < v[left]) & (v[right + 1] < v[right])
+    return (left[keep] + right[keep]) // 2
+
+
+def _prominences(v: np.ndarray, peaks: np.ndarray) -> np.ndarray:
+    """``v[p] - max(left_min, right_min)`` per local maximum p, where each
+    side's minimum runs up to the nearest strictly higher sample or to the end
+    of the series (``peak_prominences(v, peaks)[0]``).
+
+    Between two neighbouring local maxima the series only falls and then
+    rises, so the samples that one side of p reaches cover whole segments
+    between maxima, up to the nearest higher maximum, and take in the minimum
+    of each. A side minimum is therefore the least of those segment minima,
+    which a monotone stack over the maxima collects in one pass per side.
+    """
+    seg = np.minimum.reduceat(v, np.concatenate(([0], peaks))).tolist()
+    tops = v[peaks].tolist()
+
+    def reach(tops: list[float], seg: list[float]) -> list[float]:
+        out: list[float] = []
+        stack: list[tuple[float, float]] = []  # (top, minimum since the entry below)
+        for top, low in zip(tops, seg):
+            while stack and stack[-1][0] <= top:
+                low = min(low, stack.pop()[1])
+            out.append(low)
+            stack.append((top, low))
+        return out
+
+    left = reach(tops, seg)
+    right = reach(tops[::-1], seg[:0:-1])[::-1]
+    return v[peaks] - np.maximum(left, right)
+
+
+def _select(v: np.ndarray, t: list[float], threshold: float, min_sep: float) -> np.ndarray:
+    candidates = _local_maxima(v)
     if len(candidates) == 0:
         return candidates
-    prom = peak_prominences(v, candidates)[0]
+    prom = _prominences(v, candidates)
     keep = prom >= threshold
     candidates, prom = candidates[keep], prom[keep]
-    # greedy by descending prominence; ties resolved by earlier time
+    # greedy by descending prominence; ties resolved by earlier time. The
+    # accepted times are kept sorted, so only the nearest one on each side
+    # needs checking: a difference of floats is monotone in either operand.
     order = np.lexsort((candidates, -prom))
     accepted: list[int] = []
-    for idx in candidates[order]:
-        if all(abs(t[idx] - t[j]) >= min_sep for j in accepted):
-            accepted.append(int(idx))
+    taken: list[float] = []
+    for idx in candidates[order].tolist():
+        ti = t[idx]
+        pos = bisect(taken, ti)
+        if (pos == 0 or ti - taken[pos - 1] >= min_sep) and (
+            pos == len(taken) or taken[pos] - ti >= min_sep
+        ):
+            taken.insert(pos, ti)
+            accepted.append(idx)
     return np.array(sorted(accepted), dtype=int)
 
 
@@ -108,8 +158,9 @@ def detect_peaks(
         return np.array([], dtype=int), np.array([], dtype=int)
     w = (v - vmin) / value_range
 
-    peaks = _select(w, t, cfg.min_prominence, cfg.min_separation_s)
-    troughs = _select(-w, t, cfg.min_prominence, cfg.min_separation_s)
+    times = t.tolist()
+    peaks = _select(w, times, cfg.min_prominence, cfg.min_separation_s)
+    troughs = _select(-w, times, cfg.min_prominence, cfg.min_separation_s)
     return _enforce_alternation(v, peaks, troughs)
 
 

@@ -217,10 +217,19 @@ def report_json(report: AnalysisReport) -> str:
 
 
 def atomic_write(path: Path, text: str) -> None:
+    """Write ``text`` to a temp file of its own next to ``path``, then rename it
+    over ``path``: concurrent writers never share a temp file, and a reader
+    sees one whole payload. The temp file is removed if the write fails."""
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8")  # exclusive: never another writer's file
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # ── plot data (signal + mean line + extrema markers) ─────────────────

@@ -11,7 +11,10 @@ Per frame:
 Tremor (T4) is windowed: every present landmark's x(t), y(t) is high-pass
 filtered (zero-phase, second-order Butterworth run forward-backward) and the
 window is flagged 1 iff any landmark's filtered displacement RMS exceeds the
-threshold.
+threshold. The filter repeats the float operations of SciPy's
+``scipy.signal.butter(2, cut, btype="highpass")`` and
+``scipy.signal.filtfilt(b, a, x, axis=0)`` (Virtanen et al. 2020, Nature
+Methods 17:261), so it gives the same bits without importing ``scipy.signal``.
 
 Each signal is computed over all frames at once. Frames where the pose is
 absent, a required landmark is below the visibility threshold, or the
@@ -24,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import butter, filtfilt
 
 from . import core
 from .core import Channel, LandmarkSequence, Side, SignalSeries, UpdrsItem
@@ -191,6 +193,52 @@ def _landmark_tracks(seq: LandmarkSequence, min_visibility: float) -> np.ndarray
     return np.concatenate(tracks, axis=1)
 
 
+def _butter_highpass(cut: float) -> tuple[np.ndarray, np.ndarray]:
+    """(b, a) of the second-order digital Butterworth high-pass at ``cut``, a
+    fraction of Nyquist, in the steps of ``butter``: the analog prototype, the
+    pre-warp, ``lp2hp_zpk``, ``bilinear_zpk`` and ``zpk2tf``."""
+    prototype = -np.exp(1j * np.pi * np.arange(-1, 2, 2, dtype=np.float64) / 4)
+    warped = float(4.0 * np.tan(np.pi * np.asarray(cut, dtype=np.float64) / 2.0))
+    # high-pass: the poles move to warped / p and the two zeros from infinity to 0
+    gain = np.real(1.0 / np.prod(-prototype))
+    poles = warped / prototype
+    # bilinear transform at fs = 2, s -> 4 (z - 1) / (z + 1): both zeros land on z = 1
+    gain = gain * np.real(16.0 / np.prod(4.0 - poles))
+    poles = (4.0 + poles) / (4.0 - poles)
+    a = np.ones(1, dtype=complex)
+    for pole in poles:
+        a = np.convolve(a, np.array([1.0 + 0j, -pole]))
+    return gain * np.array([1.0, -2.0, 1.0]), a.real.copy()
+
+
+def _lfilter(b: np.ndarray, a: np.ndarray, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Direct form II transposed along axis 0 from the state ``z`` (2, columns),
+    in ``lfilter``'s order: y = z0 + b0 x, z0 = (z1 + b1 x) - a1 y, z1 = b2 x - a2 y."""
+    # per sample the rows b0 x, b1 x, b2 x; the loop turns the first two into y and z1 + b1 x
+    rows = x[:, None, :] * b[:, None]
+    a12 = a[1:, None]
+    z = z.copy()
+    ay = np.empty_like(z)
+    for row in rows:
+        head = row[:2]
+        np.add(head, z, out=head)
+        np.multiply(a12, row[0], out=ay)
+        np.subtract(row[1:], ay, out=z)
+    return rows[:, 0]
+
+
+def _filtfilt(b: np.ndarray, a: np.ndarray, x: np.ndarray, edge: int) -> np.ndarray:
+    """Forward-backward filter along axis 0 with ``filtfilt``'s defaults: an odd
+    extension of ``edge`` samples and the steady-state initial condition
+    (``lfilter_zi``) scaled by the first sample of each pass."""
+    ext = np.concatenate((2 * x[:1] - x[edge:0:-1], x, 2 * x[-1:] - x[-2 : -edge - 2 : -1]))
+    # zi solves (I - A) zi = b[1:] - a[1:] b0 for the companion matrix A of a
+    zi = np.linalg.solve(np.array([[1.0 + a[1], -1.0], [a[2], 1.0]]), b[1:] - a[1:] * b[0])[:, None]
+    y = _lfilter(b, a, ext, zi * ext[0])
+    y = _lfilter(b, a, y[::-1], zi * y[-1])
+    return y[::-1][edge:-edge]
+
+
 def tremor_signal(
     seq: LandmarkSequence,
     cfg: TremorConfig = TremorConfig(),
@@ -227,12 +275,12 @@ def tremor_signal(
     # Second-order Butterworth high-pass, |H(jw)|^2 = (w/wc)^4 / (1 + (w/wc)^4),
     # discretized by the bilinear transform at the normalized cutoff; filtfilt
     # applies it forward and backward for zero phase (magnitude squared).
-    b, a = butter(2, cut, btype="highpass")
+    b, a = _butter_highpass(cut)
     padlen = 3 * max(len(a), len(b))
     if n <= padlen:
         raise SequenceTooShort(f"zero-phase filtering needs more than {padlen} frames, got {n}")
     flat = tracks.reshape(n, -1)
-    filtered = filtfilt(b, a, flat, axis=0).reshape(n, -1, 2)
+    filtered = _filtfilt(b, a, flat, padlen).reshape(n, -1, 2)
     # per-frame squared displacement of each landmark
     sq = filtered[:, :, 0] ** 2 + filtered[:, :, 1] ** 2
 

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import walkup
 from walkup.cli import main
 
 
@@ -269,3 +273,57 @@ def test_analyze_multiple_inputs(capsys, tmp_path):
     assert subdirs == ["synth-1_finger_taps", "synth-2_leg_agility"]
     for sub in subdirs:
         assert (out / sub / "report.json").exists()
+
+
+def test_analyze_batch_reports_every_failure(capsys, tmp_path):
+    fixtures = []
+    for item, seed in (("finger_taps", 1), ("hand_movement", 2), ("leg_agility", 3)):
+        p = tmp_path / f"{item}.jsonl"
+        main(["synth", "--item", item, "--out", str(p), "--seed", str(seed)])
+        fixtures.append(p)
+    lines = fixtures[1].read_text().splitlines()
+    lines[4] = lines[4][: len(lines[4]) // 2]  # a truncated frame
+    fixtures[1].write_text("\n".join(lines) + "\n")
+    out = tmp_path / "multi"
+    code, _, err = _run(capsys, "analyze", "--in", *map(str, fixtures), "--out", str(out))
+    assert code == 1
+    assert f"{fixtures[1]}: SchemaError: " in err
+    assert (out / "synth-1_finger_taps" / "report.json").exists()
+    assert (out / "synth-3_leg_agility" / "report.json").exists()
+    assert not (out / "synth-2_hand_movement").exists()
+
+
+def test_analyze_batch_worst_exit_code_wins(capsys, tmp_path, tap_fixture):
+    corrupt = tmp_path / "corrupt.jsonl"
+    corrupt.write_text("not json\n")
+    missing = tmp_path / "missing.jsonl"
+    code, _, err = _run(
+        capsys, "analyze", "--in", str(corrupt), str(tap_fixture), str(missing), "--out", str(tmp_path / "o")
+    )
+    assert code == 3
+    assert f"{corrupt}: SchemaError: " in err and f"{missing}: FileNotFoundError: " in err
+
+
+def test_analyze_leaves_scipy_signal_and_stats_unloaded(tmp_path):
+    """The whole analyze path, every item, without scipy.signal or scipy.stats.
+
+    Runs in a fresh interpreter, because this test process imports both."""
+    script = f"""
+import json, sys
+from walkup.cli import main
+from walkup.core import UpdrsItem
+codes = []
+for item in UpdrsItem:
+    path = {str(tmp_path)!r} + "/" + item.value + ".jsonl"
+    codes.append(main(["synth", "--item", item.value, "--out", path, "--tremor-amplitude", "0.01"]))
+    codes.append(main(["analyze", "--in", path, "--out", {str(tmp_path)!r} + "/out_" + item.value]))
+loaded = sorted(m for m in sys.modules if m.startswith(("scipy.signal", "scipy.stats")))
+print(json.dumps({{"codes": codes, "loaded": loaded}}))
+"""
+    src = str(Path(walkup.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [0] * 12
+    assert result["loaded"] == []

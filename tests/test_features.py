@@ -380,6 +380,22 @@ def test_unknown_feature_and_params_rejected():
         FeatureSpec.make("linear_trend", attr="curvature")
 
 
+@pytest.mark.parametrize("name", ["approximate_entropy", "sample_entropy"])
+@pytest.mark.parametrize("r_factor", ["-0.2", -0.2, "nan", math.nan, "inf", math.inf])
+def test_entropy_r_factor_must_be_finite_non_negative(name, r_factor):
+    with pytest.raises(UnknownFeature, match="r_factor"):
+        FeatureSpec.make(name, r_factor=r_factor)
+
+
+@pytest.mark.parametrize("name", ["approximate_entropy", "sample_entropy"])
+def test_entropy_r_factor_zero_is_accepted(name, rng):
+    spec = FeatureSpec.make(name, r_factor=0.0)
+    assert dict(spec.params)["r_factor"] == 0.0
+    for x in (rng.normal(size=100), np.repeat(rng.integers(0, 3, size=50), 2).astype(float)):
+        (entry,) = extract_values(x, [spec]).entries
+        assert math.isnan(entry.value) == (entry.reason is not None)
+
+
 def test_extract_orders_lexicographically(rng):
     vec = extract(make_series(rng.normal(size=64)))
     ids = [e.feature_id for e in vec.entries]

@@ -1,13 +1,24 @@
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import find_peaks, peak_prominences
 
 from tests.conftest import make_series
 from walkup.errors import SeriesTooShort
-from walkup.peaks import CadenceStats, PeakConfig, cadence_stats, detect_peaks, overlay_csv
+from walkup.peaks import (
+    CadenceStats,
+    PeakConfig,
+    _local_maxima,
+    _prominences,
+    _select,
+    cadence_stats,
+    detect_peaks,
+    overlay_csv,
+)
 
 
 def test_zigzag_interior_extrema_only():
@@ -178,3 +189,57 @@ def test_overlay_csv_format():
     assert lines[1] == "1.0,1.0,peak"
     kinds = [ln.split(",")[2] for ln in lines[1:]]
     assert kinds == ["peak", "trough", "peak"]
+
+
+# ── in-repo kernels against scipy.signal, bit for bit ─────────────────
+
+
+def _kernel_cases(rng):
+    """Random, integer tie-heavy, plateau and noisy-sinusoid series, n from 3."""
+    for v in ([0, 1, 0], [1, 1, 1], [1, 0, 1], [0, 1, 1, 0], [2, 1, 2, 1, 2], [0, 2, 2, 1, 3, 3, 0]):
+        yield np.array(v, dtype=float)
+    for i in range(250):
+        n = 3 if i % 10 == 0 else int(rng.integers(3, 400))
+        yield rng.normal(size=n)
+        yield rng.integers(0, 4, size=n).astype(float)
+        yield np.repeat(rng.integers(0, 6, size=n), rng.integers(1, 6, size=n))[:n].astype(float)
+        t = np.arange(n) / 30.0
+        yield np.sin(2 * math.pi * rng.uniform(0.5, 5.0) * t) + rng.normal(scale=0.05, size=n)
+
+
+def test_local_maxima_and_prominences_match_scipy(rng):
+    checked = 0
+    for v in _kernel_cases(rng):
+        for x in (v, -v):
+            want = find_peaks(x)[0]
+            got = _local_maxima(x)
+            assert np.array_equal(got, want)
+            if len(want):
+                assert _prominences(x, got).tobytes() == peak_prominences(x, want)[0].tobytes()
+                checked += 1
+    assert checked > 1000
+
+
+def _select_by_pairwise_scan(v, t, threshold, min_sep):
+    """Greedy selection that checks each candidate against every accepted one."""
+    candidates = find_peaks(v)[0]
+    if len(candidates) == 0:
+        return candidates
+    prom = peak_prominences(v, candidates)[0]
+    keep = prom >= threshold
+    candidates, prom = candidates[keep], prom[keep]
+    accepted = []
+    for idx in candidates[np.lexsort((candidates, -prom))]:
+        if all(abs(t[idx] - t[j]) >= min_sep for j in accepted):
+            accepted.append(int(idx))
+    return np.array(sorted(accepted), dtype=int)
+
+
+def test_selection_matches_pairwise_scan(rng):
+    for v in islice(_kernel_cases(rng), 300):
+        n = len(v)
+        w = (v - v.min()) / ((v.max() - v.min()) or 1.0)
+        for t in (np.arange(n) / 30.0, np.sort(rng.uniform(0, n / 30.0, n)), rng.permutation(n) / 30.0):
+            for min_sep in (0.0, 0.1, 0.15, 1.0 / 30.0):
+                want = _select_by_pairwise_scan(w, t, 0.2, min_sep)
+                assert np.array_equal(_select(w, t.tolist(), 0.2, min_sep), want)

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ from walkup.core import HandPose, Landmark, LandmarkFrame, LandmarkSequence, Sid
 from walkup.ingest import GapFill
 from walkup.kinematics import Plane
 from walkup.peaks import PeakConfig
-from walkup.report import AnalysisConfig, analyze, plot_svg, report_json
+from walkup.report import AnalysisConfig, analyze, atomic_write, plot_svg, report_json
 from walkup.signals import TremorConfig
 from walkup.synth import MotionScenario, generate
 
@@ -109,3 +113,46 @@ def test_plot_svg_elements_and_determinism():
     assert svg1 == svg2
     assert svg1.count("<circle") == len(ch.peaks) + len(ch.troughs)
     assert "<polyline" in svg1 and "<line" in svg1
+
+
+def test_atomic_write_concurrent_writers(tmp_path):
+    """Many threads writing one path: no collision on a shared temp file, the
+    file ends as one whole payload, and no temp file is left behind."""
+    target = tmp_path / "report.json"
+    payloads = [f"writer {i}\n" + "x" * 20000 + "\n" for i in range(2 * (os.cpu_count() or 2) + 4)]
+    errors: list[BaseException] = []
+    start = threading.Barrier(len(payloads))
+
+    def writer(text: str) -> None:
+        try:
+            start.wait()
+            for _ in range(200):
+                atomic_write(target, text)
+        except BaseException as exc:  # noqa: BLE001 - collected and asserted below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=writer, args=(p,)) for p in payloads]
+        began = time.monotonic()
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert time.monotonic() - began < 60
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert target.read_text(encoding="utf-8") in payloads
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
+
+def test_atomic_write_failure_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "report.json"
+    target.write_text("old", encoding="utf-8")
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write(target, "\ud800")  # a lone surrogate cannot be encoded
+    assert target.read_text(encoding="utf-8") == "old"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import butter, filtfilt
 
 from tests.conftest import body_pose, body_sequence, hand_pose, hand_sequence
 from walkup import core
@@ -18,6 +19,8 @@ from walkup.core import (
 from walkup.errors import MissingLandmark, SequenceTooShort
 from walkup.signals import (
     TremorConfig,
+    _butter_highpass,
+    _filtfilt,
     alternating_hands_signal,
     build_all,
     finger_taps_signal,
@@ -392,3 +395,23 @@ def test_hand_movement_homogeneity(rng):
             _transform_seq(seq, scale, 0.0, tx, ty, rotate=False), Side.RIGHT
         ).values
         assert np.abs(moved - scale * base).max() < 1e-12 * max(1.0, scale)
+
+
+# ── in-repo high-pass filter against scipy.signal, bit for bit ───────
+
+
+def test_butter_highpass_matches_scipy(rng):
+    for cut in [2.0 / 15.0, 1e-3, 0.5, 0.999] + list(rng.uniform(0.0, 1.0, 300)):
+        want_b, want_a = butter(2, cut, btype="highpass")
+        b, a = _butter_highpass(float(cut))
+        assert b.tobytes() == want_b.tobytes() and a.tobytes() == want_a.tobytes()
+
+
+def test_filtfilt_matches_scipy(rng):
+    padlen = 9
+    shapes = [(padlen + 1, 1), (padlen + 1, 4), (padlen + 2, 3)]
+    shapes += [(int(rng.integers(padlen + 1, 400)), int(rng.integers(1, 9))) for _ in range(150)]
+    for n, columns in shapes:
+        b, a = _butter_highpass(float(rng.uniform(0.01, 0.99)))
+        x = rng.normal(size=(n, columns)).cumsum(axis=0)
+        assert _filtfilt(b, a, x, padlen).tobytes() == filtfilt(b, a, x, axis=0).tobytes()
