@@ -280,7 +280,13 @@ def tremor_signal(
     if n <= padlen:
         raise SequenceTooShort(f"zero-phase filtering needs more than {padlen} frames, got {n}")
     flat = tracks.reshape(n, -1)
-    filtered = _filtfilt(b, a, flat, padlen).reshape(n, -1, 2)
+    try:
+        filtered = _filtfilt(b, a, flat, padlen).reshape(n, -1, 2)
+    except np.linalg.LinAlgError:
+        # the poles round onto z = 1, so the filter has no steady state to start from
+        raise ValueError(
+            f"highpass_cutoff_hz {cfg.highpass_cutoff_hz} Hz is too low to filter at {fs:.1f} fps"
+        ) from None
     # per-frame squared displacement of each landmark
     sq = filtered[:, :, 0] ** 2 + filtered[:, :, 1] ** 2
 

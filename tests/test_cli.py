@@ -304,12 +304,13 @@ def test_analyze_batch_worst_exit_code_wins(capsys, tmp_path, tap_fixture):
     assert f"{corrupt}: SchemaError: " in err and f"{missing}: FileNotFoundError: " in err
 
 
-def test_analyze_leaves_scipy_signal_and_stats_unloaded(tmp_path):
-    """The whole analyze path, every item, without scipy.signal or scipy.stats.
+def test_analyze_imports_no_scipy(tmp_path):
+    """The whole analyze path, every item, with any scipy import made to fail.
 
-    Runs in a fresh interpreter, because this test process imports both."""
+    Runs in a fresh interpreter, because this test process imports scipy."""
     script = f"""
 import json, sys
+sys.modules["scipy"] = None
 from walkup.cli import main
 from walkup.core import UpdrsItem
 codes = []
@@ -317,7 +318,7 @@ for item in UpdrsItem:
     path = {str(tmp_path)!r} + "/" + item.value + ".jsonl"
     codes.append(main(["synth", "--item", item.value, "--out", path, "--tremor-amplitude", "0.01"]))
     codes.append(main(["analyze", "--in", path, "--out", {str(tmp_path)!r} + "/out_" + item.value]))
-loaded = sorted(m for m in sys.modules if m.startswith(("scipy.signal", "scipy.stats")))
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy" and sys.modules[m] is not None)
 print(json.dumps({{"codes": codes, "loaded": loaded}}))
 """
     src = str(Path(walkup.__file__).resolve().parents[1])
@@ -327,3 +328,15 @@ print(json.dumps({{"codes": codes, "loaded": loaded}}))
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["codes"] == [0] * 12
     assert result["loaded"] == []
+
+
+def test_analyze_tremor_cutoff_too_low_names_cutoff_and_fps(capsys, tmp_path):
+    fixture = tmp_path / "tremor.jsonl"
+    main(["synth", "--item", "tremor_at_rest", "--out", str(fixture), "--tremor-amplitude", "0.02"])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"tremor": {"highpass_cutoff_hz": 1e-9}}))
+    code, _, err = _run(
+        capsys, "analyze", "--in", str(fixture), "--out", str(tmp_path / "out"), "--config", str(cfg_path)
+    )
+    assert code == 2
+    assert "highpass_cutoff_hz 1e-09 Hz" in err and "30.0 fps" in err

@@ -1,12 +1,12 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-
-from scipy.spatial import cKDTree
+from scipy.special import betainc
 
 from tests import naive_features as naive
 from tests.conftest import make_series
@@ -150,6 +150,12 @@ def _tie_heavy_cases(rng):
         tail = np.round(rng.normal(size=n), 1)
         tail[int(rng.integers(0, n - 3)) :] = 0.5
         yield tail, float(rng.choice([0.0, 0.1]))
+        # mostly constant 0/1: long runs of identical templates
+        yield (rng.random(n) < 0.05).astype(float), float(rng.choice([0.0, 0.2, 1.0]))
+        # r equal to a first-coordinate difference (m <= 3), so that the sweep's stop lands on it
+        walk = rng.normal(size=n)
+        i, j = rng.integers(0, n - 3, size=2)
+        yield walk, float(abs(walk[i] - walk[j]))
 
 
 def test_entropy_counts_exact_on_ties(rng):
@@ -173,16 +179,45 @@ def test_extract_entropies_equal_standalone_on_ties(rng):
             assert got[spec.feature_id] == value or (math.isnan(value) and math.isnan(got[spec.feature_id]))
 
 
-def test_extract_builds_two_trees_for_both_entropies(rng, monkeypatch):
-    built = []
+def test_extract_runs_one_count_pass_per_entropy_setting(rng, monkeypatch):
+    passes = []
 
-    def counting_tree(data, **kwargs):
-        built.append(len(data))
-        return cKDTree(data, **kwargs)
+    def counting(x, m, r):
+        passes.append((len(x), m, r))
+        return entropy_counts(x, m, r)
 
-    monkeypatch.setattr(features, "cKDTree", counting_tree)
-    extract_values(rng.normal(size=200), default_specs())
-    assert built == [199, 198]  # length-2 and length-3 templates, read by ApEn and SampEn
+    entropy_counts = features._entropy_counts
+    monkeypatch.setattr(features, "_entropy_counts", counting)
+    x = rng.normal(size=200)
+    extract_values(x, default_specs())
+    assert passes == [(200, 2, 0.2 * float(np.std(x)))]  # read by ApEn and SampEn
+
+
+def test_entropy_counts_exact_on_mostly_constant_long_series(rng):
+    # 95% zeros: the sorted sweep alone would compare most template pairs. With
+    # 0 < r < 1 a 0/1 template matches exactly its identical copies.
+    x = (rng.random(18000) < 0.05).astype(float)
+    r = 0.2 * float(np.std(x))
+
+    def copies(templates):
+        _, inverse, number = np.unique(templates, axis=0, return_inverse=True, return_counts=True)
+        return number[inverse.ravel()]
+
+    t2 = np.lib.stride_tricks.sliding_window_view(x, 2)
+    t3 = np.lib.stride_tricks.sliding_window_view(x, 3)
+    assert np.array_equal(approximate_entropy_counts(x, 2, r), copies(t2))
+    # SampEn: the first n - m templates, each unordered pair of copies once
+    a, b = (int((copies(t) - 1).sum()) // 2 for t in (t3, t2[:-1]))
+    assert sample_entropy_counts(x, 2, r) == (a, b)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_entropy_counts_reject_non_finite_values(bad):
+    x = [1.0, 2.0, bad, 0.5, 1.5, 2.5]
+    with pytest.raises(WalkupError, match="non-finite"):
+        approximate_entropy_counts(x, 2, 0.5)
+    with pytest.raises(WalkupError, match="non-finite"):
+        sample_entropy_counts(x, 2, 0.5)
 
 
 def test_entropy_counts_negative_tolerance_match_nothing(rng):
@@ -290,6 +325,31 @@ def test_linear_trend_matches_linregress(rng):
         )
 
 
+def _pvalue_cases(rng):
+    """(df, t) over small and large df, t near 0, near the fraction's swap point and far out."""
+    for df in [1, 2, 3, 30, 298, 3598, 17998] + [int(v) for v in rng.integers(1, 20001, 12)]:
+        a = df / 2
+        ts = [0.0, 1e-300, 1e-9, 1e-3, 0.5, 1.0, 2.0, 5.0, 30.0] + list(10 ** rng.uniform(-6, 3, 20))
+        swap = (a + 1) / (a + 2.5)
+        xs = list(swap + (1 - swap) * rng.uniform(-3.0, 0.9, 15)) + [10 ** (-260 / a)]
+        ts += [math.sqrt(df / x - df) for x in xs if 0.0 < x < 1.0]
+        for t in ts:
+            yield df, t
+
+
+def test_linear_trend_pvalue_matches_betainc(rng):
+    tails = 0
+    for df, t in _pvalue_cases(rng):
+        x = df / (df + t * t)
+        want = float(betainc(df / 2, 0.5, x))
+        got = features._betainc_half(df / 2, x)
+        # below the smallest normal double neither side keeps 12 digits, and
+        # betainc flushes to 0 from about 1e-310
+        assert abs(got - want) <= 1e-12 * want or max(got, want) < sys.float_info.min, (df, t, got, want)
+        tails += want < 1e-250
+    assert tails >= 18  # every df but 1, where x >= 2.2e-308 keeps p above 1e-154
+
+
 def test_adf_separates_walk_from_noise(rng):
     walk = rng.normal(size=500).cumsum()
     noise = rng.normal(size=500)
@@ -320,6 +380,17 @@ def test_benford_powers_of_two():
     value, reason = one("benford_correlation", x)
     assert reason is None
     assert value > 0.9
+
+
+def test_first_digits_equal_format_float_scientific(rng):
+    powers = [float(f"1e{e}") for e in range(-300, 301)]
+    values = [w for v in powers for w in (np.nextafter(v, 0.0), v, np.nextafter(v, math.inf))]
+    values += [5e-324, 1e-323, 2.5e-322, 1e-310, 2.2250738585072014e-308, np.nextafter(2.2250738585072014e-308, 0.0)]
+    values += [9.5, 9.9999999999999, 9.999999999999998, np.nextafter(10.0, 0.0), 1.7976931348623157e308]
+    values += list(rng.normal(size=2000) * 10.0 ** rng.uniform(-300, 300, 2000))
+    values = np.array(values + [-v for v in values[:50]])
+    want = [int(np.format_float_scientific(abs(v))[0]) for v in values]
+    assert features._first_digits(values).tolist() == want
 
 
 def test_benford_no_nonzero():
