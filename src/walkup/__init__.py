@@ -3,11 +3,7 @@
 __version__ = "0.1.0"
 
 from .core import (
-    BodyPose,
     Channel,
-    HandPose,
-    Landmark,
-    LandmarkFrame,
     LandmarkSequence,
     Side,
     SignalSeries,
@@ -23,10 +19,6 @@ from .synth import MotionScenario, generate
 
 __all__ = [
     "__version__",
-    "Landmark",
-    "BodyPose",
-    "HandPose",
-    "LandmarkFrame",
     "LandmarkSequence",
     "UpdrsItem",
     "Side",

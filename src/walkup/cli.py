@@ -12,7 +12,6 @@ import csv
 import dataclasses
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Optional
 
@@ -24,7 +23,9 @@ from .features import default_specs, extract_values, features_csv, features_json
 from .ingest import FileFormat, GapFill, parse_frames, write_sequence
 from .kinematics import Plane
 from .peaks import overlay_csv
-from .report import AnalysisConfig, analyze, atomic_write, build_signals, input_digest, plot_svg, report_json
+from .report import (
+    REPORT_SCHEMA, AnalysisConfig, analyze, atomic_write, build_signals, input_digest, plot_svg, report_json,
+)
 from .signals import signal_csv
 from .synth import DEFAULT_AMPLITUDE, MotionScenario, generate
 
@@ -125,13 +126,9 @@ def _cmd_validate(args) -> int:
     for path in args.inputs:
         try:
             seq = _load_sequence(path, args)
-        except UnreadableInput as exc:
-            _err(f"{path}: {type(exc).__name__}: {exc}")
-            worst = max(worst, EXIT_IO)
-            continue
         except WalkupError as exc:
             _err(f"{path}: {type(exc).__name__}: {exc}")
-            worst = max(worst, EXIT_VALIDATION)
+            worst = max(worst, _exit_code(exc))
             continue
         report = validate_sequence(seq)
         if report.ok:
@@ -178,15 +175,15 @@ def _cmd_analyze(args) -> int:
     if len(args.inputs) == 1:
         _analyze_one(args.inputs[0], args, cfg, out_dir)
         return EXIT_OK
-    # every input is analyzed and every failure reported; the worst code wins
+    # inputs run one after another in the order given; every failure is
+    # reported and the worst code wins
     worst = EXIT_OK
-    with ThreadPoolExecutor(max_workers=min(4, len(args.inputs))) as pool:
-        futures = [pool.submit(_analyze_one, p, args, cfg, out_dir) for p in args.inputs]
-        for path, future in zip(args.inputs, futures):
-            exc = future.exception()
-            if exc is not None:
-                _err(f"{path}: {type(exc).__name__}: {exc}")
-                worst = max(worst, _exit_code(exc))
+    for path in args.inputs:
+        try:
+            _analyze_one(path, args, cfg, out_dir)
+        except Exception as exc:
+            _err(f"{path}: {type(exc).__name__}: {exc}")
+            worst = max(worst, _exit_code(exc))
     return worst
 
 
@@ -247,31 +244,60 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
-_SUMMARY_COLUMNS = [
-    "subject", "item", "channel", "length", "signal_mean", "peak_count",
-    "mean_amplitude", "mean_interval_s", "interval_slope_s_per_cycle", "amplitude_slope",
-]
+_CADENCE_KEYS = (
+    "peak_count", "mean_amplitude", "mean_interval_s", "interval_slope_s_per_cycle", "amplitude_slope",
+)
+_SUMMARY_COLUMNS = ["subject", "item", "channel", "length", "signal_mean", *_CADENCE_KEYS]
+
+
+def _field(obj, key: str, where: str):
+    if not isinstance(obj, dict) or key not in obj:
+        raise WalkupError(f"{where} has no {key!r} field")
+    return obj[key]
+
+
+def _summary_rows(path: str) -> list[list[str]]:
+    """One summary row per channel of a report.json; a malformed report is a WalkupError."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # undecodable bytes or invalid JSON
+        raise WalkupError(f"not JSON: {exc}") from None
+    schema = _field(data, "schema", "report")
+    if schema != REPORT_SCHEMA:
+        raise WalkupError(f"schema {schema!r} is not {REPORT_SCHEMA!r}")
+    channels = _field(data, "channels", "report")
+    if not isinstance(channels, dict):
+        raise WalkupError("report channels must be an object")
+    rows = []
+    for channel in sorted(channels):
+        where = f"channel {channel!r}"
+        signal = _field(channels[channel], "signal", where)
+        cadence = _field(channels[channel], "cadence", where)
+        row = [
+            str(data.get("subject", "")),
+            str(data.get("item", "")),
+            channel,
+            str(_field(signal, "length", f"{where} signal")),
+            repr(_field(signal, "mean", f"{where} signal")),
+        ]
+        for key in _CADENCE_KEYS:
+            v = _field(cadence, key, f"{where} cadence")
+            row.append("" if v is None else (str(v) if isinstance(v, int) else repr(v)))
+        rows.append(row)
+    return rows
 
 
 def _cmd_report(args) -> int:
     rows: list[list[str]] = []
+    worst = EXIT_OK
     for path in args.inputs:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        for channel in sorted(data.get("channels", {})):
-            ch = data["channels"][channel]
-            cadence = ch["cadence"]
-            row = [
-                data.get("subject", ""),
-                data.get("item", ""),
-                channel,
-                str(ch["signal"]["length"]),
-                repr(ch["signal"]["mean"]),
-            ]
-            for key in ("peak_count", "mean_amplitude", "mean_interval_s",
-                        "interval_slope_s_per_cycle", "amplitude_slope"):
-                v = cadence.get(key)
-                row.append("" if v is None else (str(v) if isinstance(v, int) else repr(v)))
-            rows.append(row)
+        try:
+            rows += _summary_rows(path)
+        except (OSError, WalkupError) as exc:
+            _err(f"{path}: {type(exc).__name__}: {exc}")
+            worst = max(worst, _exit_code(exc))
+    if worst:
+        return worst
     lines = [",".join(_SUMMARY_COLUMNS)]
     lines += [",".join(r) for r in rows]
     text = "\n".join(lines) + "\n"

@@ -9,15 +9,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
 __all__ = [
-    "Landmark",
-    "BodyPose",
-    "HandPose",
-    "LandmarkFrame",
     "LandmarkSequence",
     "UpdrsItem",
     "Channel",
@@ -100,64 +96,6 @@ REQUIRED_POSE = {
 }
 
 
-@dataclass(frozen=True)
-class Landmark:
-    """One keypoint: normalized image coordinates plus detector confidence."""
-
-    x: float
-    y: float
-    z: float = 0.0
-    visibility: float = 1.0
-
-    def __post_init__(self):
-        # keep plain floats so downstream repr/JSON stay clean
-        for name in ("x", "y", "z", "visibility"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-
-
-@dataclass(frozen=True)
-class BodyPose:
-    """Exactly 33 landmarks following the standard full-body topology."""
-
-    points: tuple[Landmark, ...]
-
-    def __post_init__(self):
-        if len(self.points) != BODY_POINT_COUNT:
-            raise ValueError(f"body pose needs {BODY_POINT_COUNT} points, got {len(self.points)}")
-        object.__setattr__(self, "points", tuple(self.points))
-
-
-@dataclass(frozen=True)
-class HandPose:
-    """Exactly 21 landmarks; 0 = wrist, tips at 4, 8, 12, 16, 20."""
-
-    side: Side
-    points: tuple[Landmark, ...]
-
-    def __post_init__(self):
-        if len(self.points) != HAND_POINT_COUNT:
-            raise ValueError(f"hand pose needs {HAND_POINT_COUNT} points, got {len(self.points)}")
-        object.__setattr__(self, "points", tuple(self.points))
-
-
-@dataclass(frozen=True)
-class LandmarkFrame:
-    """One timestamped sample; at least one pose must be present."""
-
-    timestamp: float
-    body: Optional[BodyPose] = None
-    left_hand: Optional[HandPose] = None
-    right_hand: Optional[HandPose] = None
-
-    def __post_init__(self):
-        if self.body is None and self.left_hand is None and self.right_hand is None:
-            raise ValueError("frame must carry at least one of body/left_hand/right_hand")
-        object.__setattr__(self, "timestamp", float(self.timestamp))
-
-    def hand(self, side: Side) -> Optional[HandPose]:
-        return self.left_hand if side is Side.LEFT else self.right_hand
-
-
 SLOT_POINTS = {"body": BODY_POINT_COUNT, "left_hand": HAND_POINT_COUNT, "right_hand": HAND_POINT_COUNT}
 
 
@@ -195,43 +133,6 @@ class LandmarkSequence:
         object.__setattr__(self, "timestamps", _read_only(times))
         object.__setattr__(self, "poses", poses)
         object.__setattr__(self, "present", present)
-
-    @classmethod
-    def from_frames(
-        cls,
-        frames: Sequence[LandmarkFrame],
-        fps: float,
-        item: Optional[UpdrsItem] = None,
-        subject_id: str = "",
-    ) -> "LandmarkSequence":
-        """Build the arrays from per-frame pose objects."""
-        poses, present = {}, {}
-        for slot, count in SLOT_POINTS.items():
-            pose = [getattr(f, slot) for f in frames]
-            present[slot] = np.array([p is not None for p in pose], dtype=bool)
-            poses[slot] = np.full((len(pose), count, 4), np.nan)
-            for i, p in enumerate(pose):
-                if p is not None:
-                    poses[slot][i] = [[lm.x, lm.y, lm.z, lm.visibility] for lm in p.points]
-        times = np.array([f.timestamp for f in frames], dtype=float)
-        return cls(times, poses, present, fps, item, subject_id)
-
-    @property
-    def frames(self) -> tuple[LandmarkFrame, ...]:
-        """Per-frame pose objects rebuilt from the arrays."""
-
-        def pose(slot: str, i: int):
-            if not self.present[slot][i]:
-                return None
-            pts = tuple(Landmark(*row) for row in self.poses[slot][i].tolist())
-            if slot == "body":
-                return BodyPose(pts)
-            return HandPose(Side.LEFT if slot == "left_hand" else Side.RIGHT, pts)
-
-        return tuple(
-            LandmarkFrame(t, **{slot: pose(slot, i) for slot in SLOT_POINTS})
-            for i, t in enumerate(self.timestamps.tolist())
-        )
 
     def __len__(self) -> int:
         return len(self.timestamps)

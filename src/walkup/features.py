@@ -2,7 +2,8 @@
 
 Implements the 21-feature catalogue as pure functions of a value vector.
 Every feature that is mathematically undefined on its input yields NaN with
-a machine-readable reason rather than raising. Conventions used throughout:
+a machine-readable reason rather than raising; a non-finite input value is a
+``WalkupError``. Conventions used throughout:
 
 * population (biased) variance wherever sigma^2 normalizes an
   autocorrelation; the bias-adjusted estimator only inside kurtosis;
@@ -706,7 +707,9 @@ class FeatureSpec:
         return "__".join(parts)
 
     def compute(self, x: np.ndarray, counts: Optional[Callable] = None) -> Result:
-        """Evaluate on x; the entropies read ``counts(m, r)``, by default a count pass on x."""
+        """Evaluate on x, which must be finite; the entropies read ``counts(m, r)``,
+        by default a count pass on x."""
+        _check_finite(x)
         func, _ = _REGISTRY[self.name]
         if func in (approximate_entropy, sample_entropy):
             return func(x, counts=counts or partial(_entropy_counts, x), **dict(self.params))

@@ -1,4 +1,4 @@
-"""Shared builders for hand/body poses and signal series."""
+"""Shared builders for pose arrays, landmark sequences and signal series."""
 
 from __future__ import annotations
 
@@ -9,13 +9,9 @@ from hypothesis import settings
 from walkup.core import (
     BODY_POINT_COUNT,
     HAND_POINT_COUNT,
-    BodyPose,
+    SLOT_POINTS,
     Channel,
-    HandPose,
-    Landmark,
-    LandmarkFrame,
     LandmarkSequence,
-    Side,
     SignalSeries,
     UpdrsItem,
 )
@@ -25,46 +21,55 @@ settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
 
 
-def hand_pose(overrides: dict[int, tuple] = None, side: Side = Side.RIGHT, visibility: float = 1.0) -> HandPose:
-    """A hand with every point at a distinct location; overrides pin specific indices."""
-    overrides = overrides or {}
-    pts = []
-    for i in range(HAND_POINT_COUNT):
-        if i in overrides:
-            c = overrides[i]
-            pts.append(Landmark(c[0], c[1], c[2] if len(c) > 2 else 0.0, visibility))
-        else:
-            pts.append(Landmark(0.4 + 0.01 * i, 0.5 + 0.005 * i, 0.0, visibility))
-    return HandPose(side, tuple(pts))
+def _pose(count: int, x: tuple, y: tuple, overrides, visibility: float) -> np.ndarray:
+    i = np.arange(count)
+    pts = np.stack([x[0] + x[1] * i, y[0] + y[1] * i, np.zeros(count), np.full(count, visibility)], axis=1)
+    for j, c in (overrides or {}).items():
+        pts[j] = (c[0], c[1], c[2] if len(c) > 2 else 0.0, visibility)
+    return pts
 
 
-def body_pose(overrides: dict[int, tuple] = None, visibility: float = 1.0) -> BodyPose:
-    overrides = overrides or {}
-    pts = []
-    for i in range(BODY_POINT_COUNT):
-        if i in overrides:
-            c = overrides[i]
-            pts.append(Landmark(c[0], c[1], c[2] if len(c) > 2 else 0.0, visibility))
-        else:
-            pts.append(Landmark(0.3 + 0.01 * i, 0.2 + 0.02 * i, 0.0, visibility))
-    return BodyPose(tuple(pts))
+def hand_pose(overrides: dict[int, tuple] = None, visibility: float = 1.0) -> np.ndarray:
+    """A (21, 4) hand with every point at a distinct location; overrides pin specific indices."""
+    return _pose(HAND_POINT_COUNT, (0.4, 0.01), (0.5, 0.005), overrides, visibility)
 
 
-def hand_sequence(hands: list[HandPose], fps: float = 30.0, item: UpdrsItem = UpdrsItem.FINGER_TAPS) -> LandmarkSequence:
-    frames = tuple(
-        LandmarkFrame(
-            i / fps,
-            left_hand=h if h.side is Side.LEFT else None,
-            right_hand=h if h.side is Side.RIGHT else None,
-        )
-        for i, h in enumerate(hands)
+def body_pose(overrides: dict[int, tuple] = None, visibility: float = 1.0) -> np.ndarray:
+    """A (33, 4) body, built like ``hand_pose``."""
+    return _pose(BODY_POINT_COUNT, (0.3, 0.01), (0.2, 0.02), overrides, visibility)
+
+
+def sequence(times=None, fps: float = 30.0, item: UpdrsItem = None, subject_id: str = "", **slots) -> LandmarkSequence:
+    """Stack per-frame pose arrays into a sequence.
+
+    Each keyword (``body``, ``left_hand``, ``right_hand``) lists one pose per
+    frame, or None where the slot is absent; a slot not named is absent in
+    every frame. ``times`` defaults to i / fps."""
+    if times is None:
+        times = np.arange(len(next(iter(slots.values())))) / fps
+    poses, present = {}, {}
+    for slot, frames in slots.items():
+        absent = np.full((SLOT_POINTS[slot], 4), np.nan)
+        poses[slot] = np.stack([absent if p is None else p for p in frames])
+        present[slot] = np.array([p is not None for p in frames])
+    return LandmarkSequence(times, poses, present, fps, item, subject_id)
+
+
+def hand_sequence(hands: list, fps: float = 30.0, item: UpdrsItem = UpdrsItem.FINGER_TAPS) -> LandmarkSequence:
+    return sequence(fps=fps, item=item, right_hand=hands)
+
+
+def body_sequence(bodies: list, fps: float = 30.0, item: UpdrsItem = UpdrsItem.LEG_AGILITY) -> LandmarkSequence:
+    return sequence(fps=fps, item=item, body=bodies)
+
+
+def same_landmarks(a: LandmarkSequence, b: LandmarkSequence) -> bool:
+    """Equal timestamps, presence masks and pose arrays (NaN, an absent slot, equals NaN)."""
+    return np.array_equal(a.timestamps, b.timestamps) and all(
+        np.array_equal(a.present[slot], b.present[slot])
+        and np.array_equal(a.poses[slot], b.poses[slot], equal_nan=True)
+        for slot in SLOT_POINTS
     )
-    return LandmarkSequence.from_frames(frames, fps=fps, item=item)
-
-
-def body_sequence(bodies: list[BodyPose], fps: float = 30.0, item: UpdrsItem = UpdrsItem.LEG_AGILITY) -> LandmarkSequence:
-    frames = tuple(LandmarkFrame(i / fps, body=b) for i, b in enumerate(bodies))
-    return LandmarkSequence.from_frames(frames, fps=fps, item=item)
 
 
 def make_series(values, timestamps=None, item: UpdrsItem = UpdrsItem.FINGER_TAPS, channel: Channel = Channel.RIGHT) -> SignalSeries:

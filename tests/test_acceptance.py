@@ -11,18 +11,10 @@ import numpy as np
 import pytest
 
 from tests import naive_features as naive
-from tests.conftest import body_pose, hand_pose
+from tests.conftest import body_pose, hand_pose, same_landmarks, sequence
 from walkup import core
 from walkup.cli import main as cli_main
-from walkup.core import (
-    BodyPose,
-    HandPose,
-    Landmark,
-    LandmarkFrame,
-    LandmarkSequence,
-    Side,
-    UpdrsItem,
-)
+from walkup.core import SLOT_POINTS, LandmarkSequence, Side, UpdrsItem
 from walkup.features import (
     FeatureSpec,
     approximate_entropy_counts,
@@ -58,7 +50,7 @@ def _acos_deg(u, v):
 
 
 def _sub(points, a, b):
-    return (points[a].x - points[b].x, points[a].y - points[b].y)
+    return (points[a][0] - points[b][0], points[a][1] - points[b][1])
 
 
 def _oracle_finger_taps(hand):
@@ -88,14 +80,9 @@ def _oracle_foot(body, side):
     return _acos_deg(_sub(body, knee, ankle), _sub(body, tip, ankle))
 
 
-def _random_hand(rng):
-    pts = tuple(Landmark(*rng.uniform(0.0, 1.0, size=2)) for _ in range(21))
-    return HandPose(Side.RIGHT, pts)
-
-
-def _random_body(rng):
-    pts = tuple(Landmark(*rng.uniform(0.0, 1.0, size=2)) for _ in range(33))
-    return BodyPose(pts)
+def _random_pose(rng, count):
+    """count points with x, y uniform in [0, 1), z 0 and visibility 1."""
+    return np.column_stack([rng.uniform(0.0, 1.0, size=(count, 2)), np.zeros(count), np.ones(count)])
 
 
 def test_criterion_1_signal_formula_fidelity():
@@ -104,11 +91,8 @@ def test_criterion_1_signal_formula_fidelity():
     t0 = time.perf_counter()
     worst = 0.0
 
-    hands = [_random_hand(rng) for _ in range(n)]
-    seq = LandmarkSequence.from_frames(
-        tuple(LandmarkFrame(i / 30.0, right_hand=h) for i, h in enumerate(hands)),
-        fps=30.0,
-    )
+    hands = [_random_pose(rng, 21) for _ in range(n)]
+    seq = sequence(right_hand=hands)
     for builder, oracle in (
         (finger_taps_signal, _oracle_finger_taps),
         (hand_movement_signal, _oracle_hand_movement),
@@ -116,19 +100,16 @@ def test_criterion_1_signal_formula_fidelity():
     ):
         series = builder(seq, Side.RIGHT)
         assert len(series) == n
-        expected = np.array([oracle(h.points) for h in hands])
+        expected = np.array([oracle(h.tolist()) for h in hands])
         worst = max(worst, float(np.abs(series.values - expected).max()))
 
-    bodies = [_random_body(rng) for _ in range(n)]
-    bseq = LandmarkSequence.from_frames(
-        tuple(LandmarkFrame(i / 30.0, body=b) for i, b in enumerate(bodies)),
-        fps=30.0,
-    )
+    bodies = [_random_pose(rng, 33) for _ in range(n)]
+    bseq = sequence(body=bodies)
     for builder, oracle in ((leg_agility_signal, _oracle_leg), (foot_taps_signal, _oracle_foot)):
         for side, side_name in ((Side.LEFT, "left"), (Side.RIGHT, "right")):
             series = builder(bseq, side)
             assert len(series) == n
-            expected = np.array([oracle(b.points, side_name) for b in bodies])
+            expected = np.array([oracle(b.tolist(), side_name) for b in bodies])
             worst = max(worst, float(np.abs(series.values - expected).max()))
 
     elapsed = time.perf_counter() - t0
@@ -144,13 +125,12 @@ def test_criterion_1_signal_formula_fidelity():
 
 def _apply(pts, scale, theta, tx, ty, rotate):
     c, s = math.cos(theta), math.sin(theta)
-    out = []
-    for lm in pts:
-        x, y = lm.x, lm.y
-        if rotate:
-            x, y = c * x - s * y, s * x + c * y
-        out.append(Landmark(scale * x + tx, scale * y + ty))
-    return tuple(out)
+    x, y = pts[:, 0], pts[:, 1]
+    if rotate:
+        x, y = c * x - s * y, s * x + c * y
+    out = np.zeros_like(pts)
+    out[:, 0], out[:, 1], out[:, 3] = scale * x + tx, scale * y + ty, 1.0
+    return out
 
 
 def _angled_hand(rng):
@@ -168,15 +148,11 @@ def _angled_hand(rng):
 
 
 def _one_frame_hand_series(builder, pts):
-    seq = LandmarkSequence.from_frames(
-        (LandmarkFrame(0.0, right_hand=HandPose(Side.RIGHT, pts)),), fps=30.0
-    )
-    return builder(seq, Side.RIGHT).values[0]
+    return builder(sequence([0.0], right_hand=[pts]), Side.RIGHT).values[0]
 
 
 def _one_frame_body_series(builder, pts):
-    seq = LandmarkSequence.from_frames((LandmarkFrame(0.0, body=BodyPose(pts)),), fps=30.0)
-    return builder(seq, Side.RIGHT).values[0]
+    return builder(sequence([0.0], body=[pts]), Side.RIGHT).values[0]
 
 
 def _angled_body(rng, vertex, ray_a, ray_b, max_angle):
@@ -206,21 +182,21 @@ def test_criterion_2_geometric_invariances():
         tx, ty = rng.uniform(-1.0, 1.0, size=2)
 
         # rotation included for the three pure-angle signals
-        hand = _angled_hand(rng).points
+        hand = _angled_hand(rng)
         base = _one_frame_hand_series(finger_taps_signal, hand)
         moved = _one_frame_hand_series(
             finger_taps_signal, _apply(hand, scale, theta, tx, ty, rotate=True)
         )
         worst_angle = max(worst_angle, abs(moved - base))
 
-        body = _angled_body(rng, core.RIGHT_HIP, core.RIGHT_KNEE, core.RIGHT_SHOULDER, 179.0).points
+        body = _angled_body(rng, core.RIGHT_HIP, core.RIGHT_KNEE, core.RIGHT_SHOULDER, 179.0)
         base = _one_frame_body_series(leg_agility_signal, body)
         moved = _one_frame_body_series(
             leg_agility_signal, _apply(body, scale, theta, tx, ty, rotate=True)
         )
         worst_angle = max(worst_angle, abs(moved - base))
 
-        body = _angled_body(rng, core.RIGHT_ANKLE, core.RIGHT_KNEE, core.RIGHT_FOOT_TIP, 179.0).points
+        body = _angled_body(rng, core.RIGHT_ANKLE, core.RIGHT_KNEE, core.RIGHT_FOOT_TIP, 179.0)
         base = _one_frame_body_series(foot_taps_signal, body)
         moved = _one_frame_body_series(
             foot_taps_signal, _apply(body, scale, theta, tx, ty, rotate=True)
@@ -228,7 +204,7 @@ def test_criterion_2_geometric_invariances():
         worst_angle = max(worst_angle, abs(moved - base))
 
         # orientation signal: translation + positive scale only
-        hand = _angled_hand(rng).points
+        hand = _angled_hand(rng)
         base = _one_frame_hand_series(alternating_hands_signal, hand)
         moved = _one_frame_hand_series(
             alternating_hands_signal, _apply(hand, scale, 0.0, tx, ty, rotate=False)
@@ -236,7 +212,7 @@ def test_criterion_2_geometric_invariances():
         worst_a3 = max(worst_a3, abs(moved - base))
 
         # distance signal homogeneity
-        hand = _random_hand(rng).points
+        hand = _random_pose(rng, 21)
         base = _one_frame_hand_series(hand_movement_signal, hand)
         moved = _one_frame_hand_series(
             hand_movement_signal, _apply(hand, scale, 0.0, tx, ty, rotate=False)
@@ -434,44 +410,27 @@ def test_criterion_7_cli_determinism(tmp_path):
 
 def _random_sequence(rng):
     n = int(rng.integers(1, 8))
-    frames = []
+    times, slots = [], {slot: [] for slot in SLOT_POINTS}
     t = 0.0
     for _ in range(n):
         t += float(rng.uniform(1e-3, 0.5))
         kind = int(rng.integers(0, 3))
         x, y = (float(v) for v in rng.uniform(-1.5, 1.5, size=2))
-        if kind == 0:
-            frames.append(LandmarkFrame(t, body=body_pose({0: (x, y)})))
-        elif kind == 1:
-            frames.append(LandmarkFrame(t, left_hand=hand_pose({3: (x, y)}, side=Side.LEFT)))
-        else:
-            frames.append(
-                LandmarkFrame(t, body=body_pose({5: (x, y)}), right_hand=hand_pose({2: (y, x)}))
-            )
+        frame = [
+            {"body": body_pose({0: (x, y)})},
+            {"left_hand": hand_pose({3: (x, y)})},
+            {"body": body_pose({5: (x, y)}), "right_hand": hand_pose({2: (y, x)})},
+        ][kind]
+        times.append(t)
+        for slot, poses in slots.items():
+            poses.append(frame.get(slot))
     item = rng.choice([None, *UpdrsItem])
-    return LandmarkSequence.from_frames(
-        tuple(frames),
-        fps=float(rng.uniform(1.0, 240.0)),
-        item=item,
-        subject_id=f"s{int(rng.integers(0, 99))}",
-    )
+    fps = float(rng.uniform(1.0, 240.0))
+    return sequence(times, fps, item, f"s{int(rng.integers(0, 99))}", **slots)
 
 
 def _sequences_equal(a: LandmarkSequence, b: LandmarkSequence) -> bool:
-    if (a.fps, a.item, a.subject_id, len(a)) != (b.fps, b.item, b.subject_id, len(b)):
-        return False
-    for fa, fb in zip(a.frames, b.frames):
-        if fa.timestamp != fb.timestamp:
-            return False
-        for slot in ("body", "left_hand", "right_hand"):
-            pa, pb = getattr(fa, slot), getattr(fb, slot)
-            if (pa is None) != (pb is None):
-                return False
-            if pa is not None:
-                for la, lb in zip(pa.points, pb.points):
-                    if (la.x, la.y, la.z, la.visibility) != (lb.x, lb.y, lb.z, lb.visibility):
-                        return False
-    return True
+    return (a.fps, a.item, a.subject_id) == (b.fps, b.item, b.subject_id) and same_landmarks(a, b)
 
 
 def test_criterion_8_jsonl_round_trip():

@@ -72,6 +72,15 @@ def test_validate_bad_sequence(capsys, tmp_path):
     assert "hand" in err
 
 
+def test_validate_frame_without_pose(capsys, tmp_path):
+    path = tmp_path / "no_pose.jsonl"
+    body = [[0.1, 0.2, 0.0, 1.0]] * 33
+    path.write_text("\n".join(json.dumps(x) for x in ({"fps": 30}, {"t": 0.0, "body": body}, {"t": 0.1})))
+    code, _, err = _run(capsys, "validate", "--in", str(path))
+    assert code == 1
+    assert err == f"{path}: SchemaError: line 3: frame has no pose\n"
+
+
 def _header_fixture(tmp_path, header: str) -> Path:
     path = tmp_path / "header.jsonl"
     body = [[0.1, 0.2, 0.0, 1.0]] * 33
@@ -304,6 +313,22 @@ def test_analyze_batch_worst_exit_code_wins(capsys, tmp_path, tap_fixture):
     assert f"{corrupt}: SchemaError: " in err and f"{missing}: FileNotFoundError: " in err
 
 
+def test_analyze_batch_runs_inputs_in_order(capsys, tmp_path, tap_fixture):
+    good, swapped, missing = (tmp_path / f"{name}.jsonl" for name in "abc")
+    lines = tap_fixture.read_text().splitlines()
+    good.write_text("\n".join(lines) + "\n")
+    lines[4], lines[5] = lines[5], lines[4]  # line 6 goes back in time
+    swapped.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()  # drop the fixture's synth message
+    out = tmp_path / "out"
+    code, _, err = _run(capsys, "analyze", "--in", str(good), str(swapped), str(missing), "--out", str(out))
+    assert code == 3
+    first, second, third = err.splitlines()
+    assert first == f"analyzed {good} -> {out / 'synth-3_finger_taps'}"
+    assert second == f"{swapped}: SchemaError: line 6: t must increase from frame to frame"
+    assert third.startswith(f"{missing}: FileNotFoundError: ")
+
+
 def test_analyze_imports_no_scipy(tmp_path):
     """The whole analyze path, every item, with any scipy import made to fail.
 
@@ -340,3 +365,23 @@ def test_analyze_tremor_cutoff_too_low_names_cutoff_and_fps(capsys, tmp_path):
     )
     assert code == 2
     assert "highpass_cutoff_hz 1e-09 Hz" in err and "30.0 fps" in err
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ('{"channels": {"left": {}}}', "report has no 'schema' field"),
+        ('{"schema": "walkup-report/1", "channels": {"left": {}}}', "channel 'left' has no 'signal' field"),
+        ("[1, 2]", "report has no 'schema' field"),
+        ("not json", "not JSON: "),
+        ('{"schema": "walkup-report/0", "channels": {}}', "schema 'walkup-report/0' is not 'walkup-report/1'"),
+    ],
+    ids=["no_schema", "no_signal", "list", "not_json", "wrong_schema"],
+)
+def test_report_malformed_input_is_validation_error(capsys, tmp_path, text, problem):
+    path = tmp_path / "report.json"
+    path.write_text(text)
+    code, out, err = _run(capsys, "report", "--in", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"{path}: WalkupError: {problem}")

@@ -1,37 +1,35 @@
 import dataclasses
-import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import body_pose, body_sequence, hand_pose, hand_sequence
+from tests.conftest import body_pose, body_sequence, hand_pose, hand_sequence, sequence
 from walkup.core import (
-    BodyPose,
-    HandPose,
-    Landmark,
-    LandmarkFrame,
+    REQUIRED_POSE,
     LandmarkSequence,
-    Side,
     SignalSeries,
     UpdrsItem,
     validate_sequence,
 )
 
 
-def test_body_pose_requires_33_points():
+def _one_frame(slot: str, count: int) -> LandmarkSequence:
+    return LandmarkSequence(np.zeros(1), {slot: np.zeros((1, count, 4))}, {slot: np.ones(1, dtype=bool)}, 30.0)
+
+
+def test_sequence_body_requires_33_points():
+    assert _one_frame("body", 33).present["body"].all()
     with pytest.raises(ValueError):
-        BodyPose(tuple(Landmark(0, 0) for _ in range(32)))
+        _one_frame("body", 32)
 
 
-def test_hand_pose_requires_21_points():
-    with pytest.raises(ValueError):
-        HandPose(Side.LEFT, tuple(Landmark(0, 0) for _ in range(20)))
-
-
-def test_frame_needs_at_least_one_pose():
-    with pytest.raises(ValueError):
-        LandmarkFrame(0.0)
+def test_sequence_hand_requires_21_points():
+    for slot in ("left_hand", "right_hand"):
+        assert _one_frame(slot, 21).present[slot].all()
+        with pytest.raises(ValueError):
+            _one_frame(slot, 20)
 
 
 def test_signal_series_length_mismatch():
@@ -52,11 +50,7 @@ def test_validate_well_formed_sequence():
 
 
 def test_validate_equal_timestamps():
-    frames = (
-        LandmarkFrame(0.0, right_hand=hand_pose()),
-        LandmarkFrame(0.0, right_hand=hand_pose()),
-    )
-    seq = LandmarkSequence.from_frames(frames, fps=30.0, item=UpdrsItem.FINGER_TAPS)
+    seq = sequence([0.0, 0.0], item=UpdrsItem.FINGER_TAPS, right_hand=[hand_pose(), hand_pose()])
     report = validate_sequence(seq)
     assert any("non-increasing timestamps" in v.message for v in report.violations)
 
@@ -75,25 +69,19 @@ def test_validate_flags_nan_coordinate():
 
 
 def test_validate_flags_bad_visibility():
-    frames = (LandmarkFrame(0.0, right_hand=hand_pose(visibility=1.0)),)
-    seq = LandmarkSequence.from_frames(frames, fps=30.0)
-    # rebuild one landmark with out-of-range visibility
-    pts = list(seq.frames[0].right_hand.points)
-    pts[0] = Landmark(0.1, 0.1, 0.0, 1.5)
-    seq = LandmarkSequence.from_frames(
-        (LandmarkFrame(0.0, right_hand=HandPose(Side.RIGHT, tuple(pts))),), fps=30.0
-    )
-    report = validate_sequence(seq)
+    pts = hand_pose(visibility=1.0)
+    pts[0] = (0.1, 0.1, 0.0, 1.5)  # one landmark with out-of-range visibility
+    report = validate_sequence(sequence([0.0], right_hand=[pts]))
     assert any("visibility" in v.message for v in report.violations)
 
 
 def test_validate_empty_sequence():
-    report = validate_sequence(LandmarkSequence.from_frames((), fps=30.0))
+    report = validate_sequence(sequence([]))
     assert not report.ok and report.violations[0].code == "empty"
 
 
 def test_validate_bad_fps():
-    seq = LandmarkSequence.from_frames((LandmarkFrame(0.0, right_hand=hand_pose()),), fps=0.0)
+    seq = sequence([0.0], fps=0.0, right_hand=[hand_pose()])
     assert any(v.code == "bad_fps" for v in validate_sequence(seq).violations)
 
 
@@ -108,17 +96,16 @@ def valid_sequences(draw):
     item = draw(_items)
     n = draw(st.integers(min_value=1, max_value=6))
     fps = draw(st.floats(min_value=1.0, max_value=120.0, allow_nan=False))
-    frames = []
+    slot, pose = ("right_hand", hand_pose) if REQUIRED_POSE[item] == "hand" else ("body", body_pose)
+    times, poses = [], []
     t = 0.0
     for i in range(n):
         t += draw(st.floats(min_value=1e-3, max_value=0.5, allow_nan=False))
         x = draw(_coords)
         y = draw(_coords)
-        if item in (UpdrsItem.FINGER_TAPS, UpdrsItem.HAND_MOVEMENT, UpdrsItem.ALTERNATING_HANDS):
-            frames.append(LandmarkFrame(t, right_hand=hand_pose({0: (x, y)})))
-        else:
-            frames.append(LandmarkFrame(t, body=body_pose({0: (x, y)})))
-    return LandmarkSequence.from_frames(tuple(frames), fps=fps, item=item)
+        times.append(t)
+        poses.append(pose({0: (x, y)}))
+    return sequence(times, fps=fps, item=item, **{slot: poses})
 
 
 @settings(max_examples=50, deadline=None)
@@ -131,33 +118,24 @@ def test_generated_valid_sequences_pass(seq):
 @given(valid_sequences(), st.sampled_from(["fps", "timestamp", "nan", "pose"]))
 def test_single_mutation_is_caught(seq, mutation):
     if mutation == "fps":
-        broken = LandmarkSequence.from_frames(seq.frames, fps=-1.0, item=seq.item)
-    elif mutation == "timestamp" and len(seq.frames) >= 2:
-        frames = list(seq.frames)
-        frames[1] = dataclasses.replace(frames[1], timestamp=frames[0].timestamp)
-        broken = LandmarkSequence.from_frames(tuple(frames), fps=seq.fps, item=seq.item)
+        broken = dataclasses.replace(seq, fps=-1.0)
+    elif mutation == "timestamp" and len(seq) >= 2:
+        times = seq.timestamps.copy()
+        times[1] = times[0]
+        broken = dataclasses.replace(seq, timestamps=times)
     elif mutation == "nan":
-        frames = list(seq.frames)
-        f = frames[0]
-        if f.right_hand is not None:
-            pts = list(f.right_hand.points)
-            pts[3] = Landmark(math.nan, 0.5)
-            frames[0] = LandmarkFrame(f.timestamp, right_hand=HandPose(Side.RIGHT, tuple(pts)))
-        else:
-            pts = list(f.body.points)
-            pts[3] = Landmark(math.nan, 0.5)
-            frames[0] = LandmarkFrame(f.timestamp, body=BodyPose(tuple(pts)))
-        broken = LandmarkSequence.from_frames(tuple(frames), fps=seq.fps, item=seq.item)
+        slot = "right_hand" if seq.present["right_hand"][0] else "body"
+        pts = seq.poses[slot].copy()
+        pts[0, 3] = (np.nan, 0.5, 0.0, 1.0)
+        broken = dataclasses.replace(seq, poses={**seq.poses, slot: pts})
     else:
         # swap the required pose for the wrong one
-        frames = [
-            LandmarkFrame(
-                f.timestamp,
-                body=body_pose() if f.body is None else None,
-                right_hand=hand_pose() if f.right_hand is None else None,
-            )
-            for f in seq.frames
-        ]
-        broken = LandmarkSequence.from_frames(tuple(frames), fps=seq.fps, item=seq.item)
+        broken = sequence(
+            seq.timestamps,
+            fps=seq.fps,
+            item=seq.item,
+            body=[None if p else body_pose() for p in seq.present["body"]],
+            right_hand=[None if p else hand_pose() for p in seq.present["right_hand"]],
+        )
     report = validate_sequence(broken)
     assert not report.ok

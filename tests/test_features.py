@@ -486,6 +486,14 @@ def test_extract_rejects_non_finite_values(bad):
         extract_values([1.0, 2.0, bad, 0.5, 1.5, 2.5], default_specs())
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["variance", "benford_correlation", "sample_entropy"])
+def test_compute_rejects_non_finite_values(name, bad):
+    # variance gave a NaN without a reason, and benford_correlation skipped the value
+    with pytest.raises(WalkupError, match="cannot extract features from non-finite values"):
+        FeatureSpec.make(name).compute(np.array([1.0, bad, 2.0, 35.0, 7.0]))
+
+
 def test_extract_duplicate_specs_rejected():
     with pytest.raises(UnknownFeature):
         extract_values([1.0, 2.0], [FeatureSpec.make("abs_energy"), FeatureSpec.make("abs_energy")])

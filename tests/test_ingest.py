@@ -7,18 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import body_pose, hand_pose
-from walkup.core import (
-    BODY_POINT_COUNT,
-    SLOT_POINTS,
-    BodyPose,
-    HandPose,
-    Landmark,
-    LandmarkFrame,
-    LandmarkSequence,
-    Side,
-    UpdrsItem,
-)
+from tests.conftest import body_pose, hand_pose, same_landmarks, sequence
+from walkup.core import SLOT_POINTS, UpdrsItem
 from walkup.errors import EmptySequence, SchemaError, UnreadableInput, WalkupError
 from walkup.ingest import (
     FileFormat,
@@ -42,8 +32,8 @@ def test_parse_jsonl_two_body_frames():
     assert len(seq) == 2
     assert seq.fps == 25.0
     assert seq.subject_id == "s1"
-    assert seq.frames[0].body is not None
-    assert seq.frames[0].left_hand is None
+    assert seq.present["body"].tolist() == [True, True]
+    assert not seq.present["left_hand"].any()
 
 
 def test_parse_jsonl_item_tag():
@@ -83,24 +73,33 @@ def test_parse_unreadable_path(tmp_path):
 
 
 def test_parse_csv_zero_coordinates():
-    frames = (LandmarkFrame(0.0, body=BodyPose(tuple(Landmark(0, 0, 0, 1) for _ in range(33)))),)
-    seq = LandmarkSequence.from_frames(frames, fps=30.0)
+    seq = sequence([0.0], body=[np.tile([0.0, 0.0, 0.0, 1.0], (33, 1))])
     text = serialize_csv(seq)
     parsed = parse_frames(io.StringIO(text), format=FileFormat.CSV)
-    lm = parsed.frames[0].body.points[0]
-    assert (lm.x, lm.y, lm.z, lm.visibility) == (0.0, 0.0, 0.0, 1.0)
-    assert parsed.frames[0].left_hand is None
+    assert parsed.poses["body"][0, 0].tolist() == [0.0, 0.0, 0.0, 1.0]
+    assert not parsed.present["left_hand"][0]
 
 
 def test_parse_csv_partial_pose_rejected():
-    frames = (LandmarkFrame(0.0, body=body_pose()),)
-    text = serialize_csv(LandmarkSequence.from_frames(frames, fps=30.0))
+    text = serialize_csv(sequence([0.0], body=[body_pose()]))
     lines = text.splitlines()
     cells = lines[1].split(",")
     cells[1] = ""  # body_0_x
     with pytest.raises(SchemaError) as exc:
         parse_frames(io.StringIO("\n".join([lines[0], ",".join(cells)])), format=FileFormat.CSV)
     assert "partially filled" in exc.value.reason
+
+
+def test_parse_rejects_frame_without_pose():
+    jsonl = "\n".join([json.dumps({"fps": 30}), _body_line(0.0), json.dumps({"t": 0.1})])
+    csv_lines = serialize_csv(sequence([0.0], body=[body_pose()])).splitlines()
+    empty_row = "0.1" + "," * (len(csv_lines[0].split(",")) - 1)
+    csv_text = "\n".join([*csv_lines, empty_row])
+    for fmt, text in ((FileFormat.JSONL, jsonl), (FileFormat.CSV, csv_text)):
+        with pytest.raises(SchemaError) as exc:
+            parse_frames(io.StringIO(text), format=fmt)
+        assert exc.value.line == 3
+        assert exc.value.reason == "frame has no pose"
 
 
 @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
@@ -157,8 +156,7 @@ def test_parse_jsonl_rejects_overflowing_literal(old, new):
 )
 @pytest.mark.parametrize("fmt", list(FileFormat))
 def test_parse_timestamps_must_increase(times, bad_line, fmt):
-    frames = tuple(LandmarkFrame(t, body=body_pose()) for t in times)
-    seq = LandmarkSequence.from_frames(frames, fps=25.0)
+    seq = sequence(times, fps=25.0, body=[body_pose()] * len(times))
     text = serialize_jsonl(seq) if fmt is FileFormat.JSONL else serialize_csv(seq)
     if bad_line is None:
         assert parse_frames(io.StringIO(text), format=fmt).timestamps.tolist() == times
@@ -171,8 +169,7 @@ def test_parse_timestamps_must_increase(times, bad_line, fmt):
 
 @pytest.mark.parametrize("cell, value", [(1, "nan"), (2, "inf"), (0, "nan")])
 def test_parse_csv_rejects_non_finite_cells(cell, value):
-    frames = (LandmarkFrame(0.0, body=body_pose()), LandmarkFrame(0.1, body=body_pose()))
-    lines = serialize_csv(LandmarkSequence.from_frames(frames, fps=10.0)).splitlines()
+    lines = serialize_csv(sequence([0.0, 0.1], fps=10.0, body=[body_pose()] * 2)).splitlines()
     cells = lines[2].split(",")
     cells[cell] = value  # 0 is t, 1 body_0_x, 2 body_0_y
     with pytest.raises(SchemaError) as exc:
@@ -182,21 +179,13 @@ def test_parse_csv_rejects_non_finite_cells(cell, value):
 
 
 def test_csv_round_trip_coordinates(rng):
-    frames = []
-    for i in range(4):
-        frames.append(
-            LandmarkFrame(
-                i / 30.0,
-                body=body_pose({2: tuple(rng.uniform(0, 1, size=2))}),
-                right_hand=hand_pose({5: tuple(rng.uniform(0, 1, size=2))}),
-            )
-        )
-    seq = LandmarkSequence.from_frames(tuple(frames), fps=30.0)
+    bodies, hands = [], []
+    for _ in range(4):
+        bodies.append(body_pose({2: tuple(rng.uniform(0, 1, size=2))}))
+        hands.append(hand_pose({5: tuple(rng.uniform(0, 1, size=2))}))
+    seq = sequence(body=bodies, right_hand=hands)
     back = parse_frames(io.StringIO(serialize_csv(seq)), format=FileFormat.CSV, fps=30.0)
-    for fa, fb in zip(seq.frames, back.frames):
-        assert fa.timestamp == fb.timestamp
-        for pa, pb in zip(fa.body.points, fb.body.points):
-            assert (pa.x, pa.y, pa.z, pa.visibility) == (pb.x, pb.y, pb.z, pb.visibility)
+    assert same_landmarks(seq, back)
 
 
 # ── JSONL round trip ────────────────────────────────────────────────
@@ -208,27 +197,23 @@ coord = st.floats(min_value=-2, max_value=2, allow_nan=False)
 def sequences(draw):
     n = draw(st.integers(min_value=1, max_value=5))
     item = draw(st.none() | st.sampled_from(list(UpdrsItem)))
-    frames = []
+    times, slots = [], {slot: [] for slot in SLOT_POINTS}
     t = 0.0
     for _ in range(n):
         t += draw(st.floats(min_value=0.001, max_value=1.0, allow_nan=False))
         which = draw(st.integers(min_value=0, max_value=2))
         x = draw(coord)
-        if which == 0:
-            frames.append(LandmarkFrame(t, body=body_pose({0: (x, 0.5)})))
-        elif which == 1:
-            frames.append(LandmarkFrame(t, left_hand=hand_pose({0: (x, 0.5)}, side=Side.LEFT)))
-        else:
-            frames.append(
-                LandmarkFrame(
-                    t,
-                    body=body_pose({1: (x, 0.25)}),
-                    right_hand=hand_pose({2: (x, 0.75)}),
-                )
-            )
+        frame = [
+            {"body": body_pose({0: (x, 0.5)})},
+            {"left_hand": hand_pose({0: (x, 0.5)})},
+            {"body": body_pose({1: (x, 0.25)}), "right_hand": hand_pose({2: (x, 0.75)})},
+        ][which]
+        times.append(t)
+        for slot, poses in slots.items():
+            poses.append(frame.get(slot))
     fps = draw(st.floats(min_value=0.5, max_value=240.0, allow_nan=False))
     subject = draw(st.text(alphabet="abc123", max_size=6))
-    return LandmarkSequence.from_frames(tuple(frames), fps=fps, item=item, subject_id=subject)
+    return sequence(times, fps, item, subject, **slots)
 
 
 @settings(max_examples=60, deadline=None)
@@ -238,15 +223,7 @@ def test_jsonl_round_trip_exact(seq):
     assert back.fps == seq.fps
     assert back.item == seq.item
     assert back.subject_id == seq.subject_id
-    assert len(back) == len(seq)
-    for fa, fb in zip(seq.frames, back.frames):
-        assert fa.timestamp == fb.timestamp
-        for slot in ("body", "left_hand", "right_hand"):
-            pa, pb = getattr(fa, slot), getattr(fb, slot)
-            assert (pa is None) == (pb is None)
-            if pa is not None:
-                for la, lb in zip(pa.points, pb.points):
-                    assert (la.x, la.y, la.z, la.visibility) == (lb.x, lb.y, lb.z, lb.visibility)
+    assert same_landmarks(seq, back)
 
 
 # ── parser property: reject, or return finite, increasing arrays ─────
@@ -290,8 +267,7 @@ def landmark_texts(draw):
                 parts.append(f'"{slot}": [' + ", ".join("[" + ", ".join(p) + "]" for p in pose) + "]")
             lines.append("{" + ", ".join(parts) + "}")
     else:
-        empty = LandmarkSequence.from_frames((LandmarkFrame(0.0, body=body_pose()),), fps=30.0)
-        lines = [serialize_csv(empty).splitlines()[0]]
+        lines = [serialize_csv(sequence([0.0], body=[body_pose()])).splitlines()[0]]
         for t, poses in frames:
             cells = [t]
             for slot, count in SLOT_POINTS.items():
@@ -319,34 +295,21 @@ def test_parse_rejects_or_returns_finite_increasing(case):
 
 
 def _two_frame_seq():
-    return LandmarkSequence.from_frames(
-        (
-            LandmarkFrame(0.0, body=body_pose({0: (0.0, 0.0)})),
-            LandmarkFrame(1.0, body=body_pose({0: (1.0, 0.0)})),
-        ),
-        fps=1.0,
-    )
+    return sequence([0.0, 1.0], fps=1.0, body=[body_pose({0: (0.0, 0.0)}), body_pose({0: (1.0, 0.0)})])
 
 
 def test_resample_linear_midpoint():
     out = resample(_two_frame_seq(), IngestConfig(resample_fps=2.0))
-    assert [f.timestamp for f in out.frames] == [0.0, 0.5, 1.0]
-    xs = [f.body.points[0].x for f in out.frames]
-    assert xs == pytest.approx([0.0, 0.5, 1.0])
+    assert out.timestamps.tolist() == [0.0, 0.5, 1.0]
+    assert out.poses["body"][:, 0, 0].tolist() == pytest.approx([0.0, 0.5, 1.0])
 
 
 def test_resample_identity_at_same_fps():
     fps = 30.0
-    frames = tuple(
-        LandmarkFrame(k / fps, body=body_pose({0: (0.1 * k, 0.5)})) for k in range(10)
-    )
-    seq = LandmarkSequence.from_frames(frames, fps=fps)
+    seq = sequence(fps=fps, body=[body_pose({0: (0.1 * k, 0.5)}) for k in range(10)])
     out = resample(seq, IngestConfig(resample_fps=fps))
     assert len(out) == len(seq)
-    for fa, fb in zip(seq.frames, out.frames):
-        for la, lb in zip(fa.body.points, fb.body.points):
-            assert abs(la.x - lb.x) < 1e-12
-            assert abs(la.y - lb.y) < 1e-12
+    assert np.abs(out.poses["body"][..., :2] - seq.poses["body"][..., :2]).max() < 1e-12
 
 
 def test_resample_idempotent():
@@ -355,39 +318,31 @@ def test_resample_idempotent():
     once = resample(seq, cfg)
     twice = resample(once, cfg)
     assert len(once) == len(twice)
-    for fa, fb in zip(once.frames, twice.frames):
-        assert fa.timestamp == fb.timestamp
-        for la, lb in zip(fa.body.points, fb.body.points):
-            assert abs(la.x - lb.x) < 1e-12
+    assert np.array_equal(once.timestamps, twice.timestamps)
+    assert np.abs(twice.poses["body"][..., 0] - once.poses["body"][..., 0]).max() < 1e-12
 
 
 def test_resample_single_frame_at_zero():
-    seq = LandmarkSequence.from_frames((LandmarkFrame(3.7, body=body_pose()),), fps=30.0)
-    out = resample(seq, IngestConfig(resample_fps=10.0))
+    out = resample(sequence([3.7], body=[body_pose()]), IngestConfig(resample_fps=10.0))
     assert len(out) == 1
-    assert out.frames[0].timestamp == 0.0
+    assert out.timestamps[0] == 0.0
 
 
 def test_resample_missing_pose_policies():
     # hand present only on the first and last frame
     h0 = hand_pose({0: (0.0, 0.0)})
     h2 = hand_pose({0: (1.0, 0.0)})
-    frames = (
-        LandmarkFrame(0.0, body=body_pose(), right_hand=h0),
-        LandmarkFrame(1.0, body=body_pose()),
-        LandmarkFrame(2.0, body=body_pose(), right_hand=h2),
-    )
-    seq = LandmarkSequence.from_frames(frames, fps=1.0)
+    seq = sequence([0.0, 1.0, 2.0], fps=1.0, body=[body_pose()] * 3, right_hand=[h0, None, h2])
 
     bridged = resample(seq, IngestConfig(resample_fps=1.0, gap_fill=GapFill.LINEAR_INTERP))
-    assert bridged.frames[1].right_hand.points[0].x == pytest.approx(0.5)
+    assert bridged.poses["right_hand"][1, 0, 0] == pytest.approx(0.5)
 
     held = resample(seq, IngestConfig(resample_fps=1.0, gap_fill=GapFill.HOLD_LAST))
-    assert held.frames[1].right_hand.points[0].x == pytest.approx(0.0)
+    assert held.poses["right_hand"][1, 0, 0] == pytest.approx(0.0)
 
     dropped = resample(seq, IngestConfig(resample_fps=1.0, gap_fill=GapFill.DROP))
-    assert dropped.frames[1].right_hand is None
-    assert dropped.frames[1].body is not None
+    assert not dropped.present["right_hand"][1]
+    assert dropped.present["body"][1]
 
 
 def test_resample_requires_fps():
@@ -397,54 +352,52 @@ def test_resample_requires_fps():
 
 def test_resample_empty():
     with pytest.raises(EmptySequence):
-        resample(LandmarkSequence.from_frames((), fps=30.0), IngestConfig(resample_fps=10.0))
+        resample(sequence([]), IngestConfig(resample_fps=10.0))
 
 
 # ── gap fill ─────────────────────────────────────────────────────────
 
 
-def _vis_seq(visibilities: list[float], xs: list[float]) -> LandmarkSequence:
-    frames = []
-    for i, (v, x) in enumerate(zip(visibilities, xs)):
-        pts = list(hand_pose().points)
-        pts[4] = Landmark(x, 0.5, 0.0, v)
-        frames.append(LandmarkFrame(float(i), right_hand=HandPose(Side.RIGHT, tuple(pts))))
-    return LandmarkSequence.from_frames(tuple(frames), fps=1.0)
+def _vis_seq(visibilities: list[float], xs: list[float]):
+    hands = [hand_pose() for _ in xs]
+    for pts, v, x in zip(hands, visibilities, xs):
+        pts[4] = (x, 0.5, 0.0, v)
+    return sequence(fps=1.0, right_hand=hands)
 
 
 def test_fill_gaps_linear_interp():
     seq = _vis_seq([1.0, 0.1, 1.0], [0.0, 99.0, 1.0])
     out = fill_gaps(seq, IngestConfig(min_visibility=0.5, gap_fill=GapFill.LINEAR_INTERP))
-    lm = out.frames[1].right_hand.points[4]
-    assert lm.x == pytest.approx(0.5)
-    assert lm.visibility == pytest.approx(0.5)  # marked just-visible
+    x, _, _, visibility = out.poses["right_hand"][1, 4]
+    assert x == pytest.approx(0.5)
+    assert visibility == pytest.approx(0.5)  # marked just-visible
     # untouched neighbours keep their values
-    assert out.frames[0].right_hand.points[4].x == 0.0
+    assert out.poses["right_hand"][0, 4, 0] == 0.0
 
 
 def test_fill_gaps_hold_last():
     seq = _vis_seq([1.0, 0.1, 1.0], [0.0, 99.0, 1.0])
     out = fill_gaps(seq, IngestConfig(min_visibility=0.5, gap_fill=GapFill.HOLD_LAST))
-    assert out.frames[1].right_hand.points[4].x == pytest.approx(0.0)
+    assert out.poses["right_hand"][1, 4, 0] == pytest.approx(0.0)
 
 
 def test_fill_gaps_leading_gap_backfills():
     seq = _vis_seq([0.1, 1.0], [99.0, 0.7])
     out = fill_gaps(seq, IngestConfig(min_visibility=0.5, gap_fill=GapFill.HOLD_LAST))
-    assert out.frames[0].right_hand.points[4].x == pytest.approx(0.7)
+    assert out.poses["right_hand"][0, 4, 0] == pytest.approx(0.7)
 
 
 def test_fill_gaps_drop_leaves_untouched():
     seq = _vis_seq([1.0, 0.1, 1.0], [0.0, 99.0, 1.0])
     out = fill_gaps(seq, IngestConfig(min_visibility=0.5, gap_fill=GapFill.DROP))
-    assert out.frames[1].right_hand.points[4].x == 99.0
-    assert out.frames[1].right_hand.points[4].visibility == pytest.approx(0.1)
+    assert out.poses["right_hand"][1, 4, 0] == 99.0
+    assert out.poses["right_hand"][1, 4, 3] == pytest.approx(0.1)
 
 
 def test_fill_gaps_never_visible_left_alone():
     seq = _vis_seq([0.1, 0.2, 0.1], [5.0, 6.0, 7.0])
     out = fill_gaps(seq, IngestConfig(min_visibility=0.5, gap_fill=GapFill.LINEAR_INTERP))
-    assert [f.right_hand.points[4].x for f in out.frames] == [5.0, 6.0, 7.0]
+    assert out.poses["right_hand"][:, 4, 0].tolist() == [5.0, 6.0, 7.0]
 
 
 @pytest.mark.parametrize("gap_fill", [GapFill.LINEAR_INTERP, GapFill.HOLD_LAST])

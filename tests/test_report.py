@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -8,8 +9,8 @@ import time
 import numpy as np
 import pytest
 
-from tests.conftest import hand_pose
-from walkup.core import HandPose, Landmark, LandmarkFrame, LandmarkSequence, Side, UpdrsItem
+from tests.conftest import hand_pose, sequence
+from walkup.core import UpdrsItem
 from walkup.ingest import GapFill
 from walkup.kinematics import Plane
 from walkup.peaks import PeakConfig
@@ -47,9 +48,8 @@ def test_config_rejects_unknown_keys():
 
 
 def test_analyze_requires_item():
-    frames = (LandmarkFrame(0.0, right_hand=hand_pose()),)
     with pytest.raises(ValueError):
-        analyze(LandmarkSequence.from_frames(frames, fps=30.0))
+        analyze(sequence([0.0], right_hand=[hand_pose()]))
 
 
 def test_analyze_full_pipeline_report_fields():
@@ -73,15 +73,9 @@ def test_analyze_with_resample_and_gap_fill():
     sc = MotionScenario(item=UpdrsItem.FINGER_TAPS, duration_s=3.0, seed=8)
     seq = generate(sc)
     # hide one landmark in one frame; the pipeline should repair it
-    frames = list(seq.frames)
-    pts = list(frames[10].right_hand.points)
-    pts[8] = Landmark(pts[8].x, pts[8].y, pts[8].z, 0.1)
-    frames[10] = LandmarkFrame(
-        frames[10].timestamp,
-        left_hand=frames[10].left_hand,
-        right_hand=HandPose(Side.RIGHT, tuple(pts)),
-    )
-    seq = LandmarkSequence.from_frames(tuple(frames), fps=seq.fps, item=seq.item, subject_id=seq.subject_id)
+    hands = seq.poses["right_hand"].copy()
+    hands[10, 8, 3] = 0.1
+    seq = dataclasses.replace(seq, poses={**seq.poses, "right_hand": hands})
     cfg = AnalysisConfig(resample_fps=15.0, min_visibility=0.5, gap_fill=GapFill.LINEAR_INTERP)
     report = analyze(seq, cfg)
     right = [ch for ch in report.channels if ch.series.channel.value == "right"][0]
@@ -91,10 +85,7 @@ def test_analyze_with_resample_and_gap_fill():
 
 def test_report_json_is_nan_free_and_sorted():
     # constant series produce NaN features; JSON must map them to null + reason
-    frames = tuple(
-        LandmarkFrame(i / 30.0, right_hand=hand_pose()) for i in range(90)
-    )
-    seq = LandmarkSequence.from_frames(frames, fps=30.0, item=UpdrsItem.FINGER_TAPS, subject_id="s")
+    seq = sequence(item=UpdrsItem.FINGER_TAPS, subject_id="s", right_hand=[hand_pose()] * 90)
     payload = report_json(analyze(seq, AnalysisConfig()))
     assert "NaN" not in payload
     data = json.loads(payload)

@@ -1,21 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.signal import butter, filtfilt
 
-from tests.conftest import body_pose, body_sequence, hand_pose, hand_sequence
+from tests.conftest import body_pose, body_sequence, hand_pose, hand_sequence, sequence
 from walkup import core
-from walkup.core import (
-    BodyPose,
-    Channel,
-    HandPose,
-    Landmark,
-    LandmarkFrame,
-    LandmarkSequence,
-    Side,
-    UpdrsItem,
-)
+from walkup.core import Channel, LandmarkSequence, Side, UpdrsItem
 from walkup.errors import MissingLandmark, SequenceTooShort
 from walkup.signals import (
     TremorConfig,
@@ -138,7 +130,7 @@ def test_alternating_hands_dominant_frequency_matches_generator():
 # ── leg agility ──────────────────────────────────────────────────────
 
 
-def _leg_body(hip, knee, shoulder) -> BodyPose:
+def _leg_body(hip, knee, shoulder) -> np.ndarray:
     return body_pose({core.RIGHT_HIP: hip, core.RIGHT_KNEE: knee, core.RIGHT_SHOULDER: shoulder})
 
 
@@ -221,9 +213,13 @@ def test_foot_taps_degenerate_frame_becomes_gap():
 
 
 def _static_body_seq(n: int = 90, fps: float = 30.0) -> LandmarkSequence:
-    body = body_pose()
-    frames = tuple(LandmarkFrame(i / fps, body=body) for i in range(n))
-    return LandmarkSequence.from_frames(frames, fps=fps, item=UpdrsItem.TREMOR_AT_REST)
+    return body_sequence([body_pose()] * n, fps=fps, item=UpdrsItem.TREMOR_AT_REST)
+
+
+def _wrist_seq(dxs, fps: float) -> LandmarkSequence:
+    """A resting body whose right wrist is shifted by dxs[i] in frame i."""
+    bodies = [body_pose({core.RIGHT_WRIST: (0.64 + dx, 0.53)}) for dx in dxs]
+    return body_sequence(bodies, fps=fps, item=UpdrsItem.TREMOR_AT_REST)
 
 
 def test_tremor_static_all_zero():
@@ -235,29 +231,13 @@ def test_tremor_static_all_zero():
 def test_tremor_oscillating_wrist_all_one():
     # RMS of a 5 Hz, 0.02-amplitude sinusoid is 0.0141 > threshold 0.005
     fps, n = 30.0, 300
-    frames = []
-    for i in range(n):
-        t = i / fps
-        dx = 0.02 * math.sin(2 * math.pi * 5.0 * t)
-        frames.append(
-            LandmarkFrame(t, body=body_pose({core.RIGHT_WRIST: (0.64 + dx, 0.53)}))
-        )
-    seq = LandmarkSequence.from_frames(tuple(frames), fps=fps, item=UpdrsItem.TREMOR_AT_REST)
-    s = tremor_signal(seq)
+    s = tremor_signal(_wrist_seq([0.02 * math.sin(2 * math.pi * 5.0 * (i / fps)) for i in range(n)], fps))
     assert (s.values == 1.0).all()
 
 
 def test_tremor_slow_drift_filtered_out():
     fps, n = 30.0, 300
-    frames = []
-    for i in range(n):
-        t = i / fps
-        dx = 0.05 * math.sin(2 * math.pi * 0.1 * t)
-        frames.append(
-            LandmarkFrame(t, body=body_pose({core.RIGHT_WRIST: (0.64 + dx, 0.53)}))
-        )
-    seq = LandmarkSequence.from_frames(tuple(frames), fps=fps, item=UpdrsItem.TREMOR_AT_REST)
-    s = tremor_signal(seq)
+    s = tremor_signal(_wrist_seq([0.05 * math.sin(2 * math.pi * 0.1 * (i / fps)) for i in range(n)], fps))
     assert (s.values == 0.0).all()
 
 
@@ -269,14 +249,7 @@ def test_tremor_sequence_too_short():
 def test_tremor_values_binary_and_threshold_monotone():
     fps, n = 30.0, 240
     rng = np.random.default_rng(3)
-    frames = []
-    for i in range(n):
-        t = i / fps
-        dx = float(rng.normal(0, 0.004))
-        frames.append(
-            LandmarkFrame(t, body=body_pose({core.RIGHT_WRIST: (0.64 + dx, 0.53)}))
-        )
-    seq = LandmarkSequence.from_frames(tuple(frames), fps=fps, item=UpdrsItem.TREMOR_AT_REST)
+    seq = _wrist_seq([float(rng.normal(0, 0.004)) for _ in range(n)], fps)
     lo = tremor_signal(seq, TremorConfig(rms_threshold=0.001))
     hi = tremor_signal(seq, TremorConfig(rms_threshold=0.01))
     for s in (lo, hi):
@@ -309,47 +282,28 @@ def test_build_all_tremor_single_global():
 
 
 def test_build_all_right_hand_only():
-    frames = tuple(
-        LandmarkFrame(i / 30.0, right_hand=hand_pose()) for i in range(3)
-    )
-    seq = LandmarkSequence.from_frames(frames, fps=30.0, item=UpdrsItem.FINGER_TAPS)
-    series = build_all(seq)
+    series = build_all(hand_sequence([hand_pose()] * 3))
     assert len(series) == 1
     assert series[0].channel is Channel.RIGHT
 
 
 def test_build_all_requires_item_tag():
-    frames = (LandmarkFrame(0.0, right_hand=hand_pose()),)
     with pytest.raises(ValueError):
-        build_all(LandmarkSequence.from_frames(frames, fps=30.0))
+        build_all(sequence([0.0], right_hand=[hand_pose()]))
 
 
 # ── geometric invariances (similarity transforms) ────────────────────
 
 
-def _transform_pose(pose, scale, theta, tx, ty, rotate=True):
+def _transform_seq(seq, scale, theta, tx, ty, rotate=True):
     c, s = math.cos(theta), math.sin(theta)
-    pts = []
-    for lm in pose.points:
-        x, y = lm.x, lm.y
+    poses = {}
+    for slot, pts in seq.poses.items():
+        x, y, z, visibility = np.moveaxis(pts, -1, 0)
         if rotate:
             x, y = c * x - s * y, s * x + c * y
-        pts.append(Landmark(scale * x + tx, scale * y + ty, scale * lm.z, lm.visibility))
-    if isinstance(pose, BodyPose):
-        return BodyPose(tuple(pts))
-    return HandPose(pose.side, tuple(pts))
-
-
-def _transform_seq(seq, scale, theta, tx, ty, rotate=True):
-    frames = []
-    for f in seq.frames:
-        kwargs = {}
-        for slot in ("body", "left_hand", "right_hand"):
-            p = getattr(f, slot)
-            if p is not None:
-                kwargs[slot] = _transform_pose(p, scale, theta, tx, ty, rotate)
-        frames.append(LandmarkFrame(f.timestamp, **kwargs))
-    return LandmarkSequence.from_frames(tuple(frames), fps=seq.fps, item=seq.item, subject_id=seq.subject_id)
+        poses[slot] = np.stack([scale * x + tx, scale * y + ty, scale * z, visibility], axis=-1)
+    return dataclasses.replace(seq, poses=poses)
 
 
 def test_angle_signal_similarity_invariance(rng):
