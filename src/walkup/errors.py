@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from typing import Optional
+
 
 class WalkupError(Exception):
     """Base class for all walkup errors."""
@@ -23,12 +25,13 @@ class EmptySequence(WalkupError):
 
 
 class MissingLandmark(WalkupError):
-    """A landmark required by an operation is absent or below the visibility threshold."""
+    """A required landmark is absent or unusable; ``index`` is None when no single one is at fault."""
 
-    def __init__(self, index: int, detail: str = ""):
-        msg = f"landmark {index} missing"
-        if detail:
-            msg += f" ({detail})"
+    def __init__(self, index: Optional[int] = None, detail: str = ""):
+        if index is None:
+            msg = detail or "landmarks missing"
+        else:
+            msg = f"landmark {index} missing" + (f" ({detail})" if detail else "")
         super().__init__(msg)
         self.index = index
 

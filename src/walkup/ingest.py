@@ -9,6 +9,10 @@ Two on-disk formats are supported:
 * CSV — header ``t,body_0_x,body_0_y,body_0_z,body_0_v,...,rh_20_v``; an
   absent pose leaves all of its cells empty. CSV carries no metadata, so
   fps is taken from the ``fps`` argument or inferred from the timestamps.
+
+A file is read as UTF-8 one line at a time, never whole. Its lines end at
+``\n``, ``\r\n`` or ``\r``, and the line numbers in errors count those
+breaks. A stream is iterated line by line the same way, on its own newlines.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import IO, Optional, Union
+from typing import IO, Iterable, Optional, Union
 
 import numpy as np
 
@@ -87,22 +91,18 @@ def parse_frames(
     not increase; EmptySequence when no frame lines are present;
     UnreadableInput when the file cannot be read.
     """
-    if isinstance(source, (str, Path)):
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise UnreadableInput(f"cannot read {source}: {exc}") from exc
-    else:
-        try:
-            text = source.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise UnreadableInput(str(exc)) from exc
-
-    if format is FileFormat.JSONL:
-        seq = _parse_jsonl(text)
-    else:
-        seq = _parse_csv(text)
+    parse = _parse_jsonl if format is FileFormat.JSONL else _parse_csv
+    is_path = isinstance(source, (str, Path))
+    # lines are decoded as the parse reaches them, so a bad byte can surface
+    # mid-parse: it is an UnreadableInput wherever it sits
+    try:
+        if is_path:
+            with open(source, encoding="utf-8", newline="" if format is FileFormat.CSV else None) as fh:
+                seq = parse(fh)
+        else:
+            seq = parse(source)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UnreadableInput(f"cannot read {source}: {exc}" if is_path else str(exc)) from exc
 
     if fps is not None:
         seq = replace(seq, fps=fps)
@@ -173,13 +173,12 @@ def _stack(frames: list, fps: Optional[float], item=None, subject_id: str = "") 
     return LandmarkSequence(t, poses, present, fps, item, subject_id)
 
 
-def _parse_jsonl(text: str) -> LandmarkSequence:
-    lines = text.splitlines()
-    numbered = [(i + 1, ln) for i, ln in enumerate(lines) if ln.strip()]
-    if not numbered:
+def _parse_jsonl(lines: Iterable[str]) -> LandmarkSequence:
+    numbered = ((no, ln) for no, ln in enumerate(lines, 1) if ln.strip())
+    header_no, header_line = next(numbered, (0, None))
+    if header_line is None:
         raise EmptySequence("no content lines")
 
-    header_no, header_line = numbered[0]
     header = _decode(header_line, header_no)
     if not isinstance(header, dict) or "fps" not in header:
         raise SchemaError(header_no, 'header must be an object with an "fps" field')
@@ -196,7 +195,7 @@ def _parse_jsonl(text: str) -> LandmarkSequence:
     subject = str(header.get("subject", ""))
 
     frames = []
-    for line_no, raw in numbered[1:]:
+    for line_no, raw in numbered:
         obj = _decode(raw, line_no)
         if not isinstance(obj, dict):
             raise SchemaError(line_no, "frame must be a JSON object")
@@ -226,19 +225,18 @@ def _csv_columns() -> list[str]:
     return cols
 
 
-def _parse_csv(text: str) -> LandmarkSequence:
-    reader = csv.reader(io.StringIO(text))
-    rows = [(i + 1, row) for i, row in enumerate(reader) if row]
-    if not rows:
+def _parse_csv(lines: Iterable[str]) -> LandmarkSequence:
+    rows = ((no, row) for no, row in enumerate(csv.reader(lines), 1) if row)
+    header_no, header = next(rows, (0, None))
+    if header is None:
         raise EmptySequence("no content lines")
 
-    header_no, header = rows[0]
     expected = _csv_columns()
     if header != expected:
         raise SchemaError(header_no, "unexpected CSV header")
 
     frames = []
-    for line_no, row in rows[1:]:
+    for line_no, row in rows:
         if len(row) != len(expected):
             raise SchemaError(line_no, f"expected {len(expected)} cells, got {len(row)}")
         try:

@@ -79,9 +79,14 @@ def _series(
 ) -> SignalSeries:
     """Keep the frames that carry ``slot`` and give a defined value."""
     channel = _channel(side)
+    where = f"{item.value}/{channel.value}"
+    if not seq.present[slot].any():
+        raise MissingLandmark(detail=f"no frame carries {slot} for {where}")
     keep = seq.present[slot] & ~np.isnan(values)
     if not keep.any():
-        raise MissingLandmark(-1, f"no frame provides the landmarks for {item.value}/{channel.value}")
+        raise MissingLandmark(
+            detail=f"every {where} value is undefined (low visibility or degenerate geometry)"
+        )
     return SignalSeries(item, channel, values[keep], seq.timestamps[keep])
 
 
@@ -264,7 +269,7 @@ def tremor_signal(
 
     tracks = _landmark_tracks(seq, min_visibility)  # (n, m, 2)
     if tracks.shape[1] == 0:
-        raise MissingLandmark(-1, "no landmark visible across the whole sequence")
+        raise MissingLandmark(detail="no landmark visible across the whole sequence")
 
     nyquist = fs / 2.0
     cut = cfg.highpass_cutoff_hz / nyquist

@@ -4,10 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import walkup
+from tests.conftest import hand_sequence
 from walkup.cli import main
+from walkup.ingest import FileFormat, parse_frames, write_sequence
 
 
 def _run(capsys, *argv) -> tuple[int, str, str]:
@@ -107,6 +110,38 @@ def test_validate_unknown_item_option_is_usage_error(capsys, tmp_path):
     code, _, err = _run(capsys, "validate", "--in", str(path), "--item", "jumping_jacks")
     assert code == 2
     assert "unknown item 'jumping_jacks'" in err
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+def test_bad_byte_deep_in_file_is_io_error(capsys, tmp_path, tap_fixture, fmt, command):
+    """Lines are decoded as the parse reaches them; a bad byte there is still an I/O error."""
+    path = tmp_path / f"bad.{fmt}"
+    write_sequence(parse_frames(tap_fixture), path, FileFormat(fmt))
+    lines = path.read_bytes().split(b"\n")
+    assert len(lines) > 250
+    lines[199] = lines[199][:40] + b"\xff" + lines[199][40:]
+    path.write_bytes(b"\n".join(lines))
+    argv = [command, "--in", str(path), "--format", fmt, "--item", "finger_taps"]
+    if command == "analyze":
+        argv += ["--out", str(tmp_path / "out")]
+    code, _, err = _run(capsys, *argv)
+    assert code == 3
+    assert "can't decode byte 0xff" in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_analyze_degenerate_hand_names_no_landmark_index(capsys, tmp_path):
+    # every hand point at one spot: each angle is undefined, though no landmark is missing
+    hand = np.tile([0.5, 0.5, 0.0, 1.0], (21, 1))
+    path = tmp_path / "flat.jsonl"
+    write_sequence(hand_sequence([hand] * 90), path)
+    code, _, err = _run(capsys, "analyze", "--in", str(path), "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert err == (
+        "MissingLandmark: every finger_taps/right value is undefined"
+        " (low visibility or degenerate geometry)\n"
+    )
 
 
 def test_usage_error_exit_2(capsys):

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from walkup.ingest import (
     resample,
     serialize_csv,
     serialize_jsonl,
+    write_sequence,
 )
+from walkup.synth import MotionScenario, generate
 
 
 def _body_line(t: float) -> str:
@@ -70,6 +73,55 @@ def test_parse_header_only():
 def test_parse_unreadable_path(tmp_path):
     with pytest.raises(UnreadableInput):
         parse_frames(tmp_path / "does-not-exist.jsonl")
+
+
+def _two_frame_jsonl(frame_2: str, header: dict = None) -> list[str]:
+    header = header or {"fps": 25.0, "item": "leg_agility", "subject": "s1"}
+    return [json.dumps(header, ensure_ascii=False), _body_line(0.0), frame_2]
+
+
+def test_parse_jsonl_crlf_matches_lf(tmp_path):
+    lines = _two_frame_jsonl(_body_line(0.04))
+    lf, crlf = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl"
+    lf.write_bytes("\n".join(lines).encode() + b"\n")
+    crlf.write_bytes("\r\n".join(lines).encode() + b"\r\n")
+    a, b = parse_frames(lf), parse_frames(crlf)
+    assert same_landmarks(a, b) and len(b) == 2
+    assert (a.fps, a.item, a.subject_id) == (b.fps, b.item, b.subject_id)
+
+
+def test_parse_jsonl_crlf_reports_line_numbers(tmp_path):
+    path = tmp_path / "crlf.jsonl"
+    path.write_bytes("\r\n".join(_two_frame_jsonl(json.dumps({"t": 0.04}))).encode())
+    with pytest.raises(SchemaError) as exc:
+        parse_frames(path)
+    assert exc.value.line == 3
+    assert exc.value.reason == "frame has no pose"
+
+
+def test_parse_jsonl_line_separator_inside_header(tmp_path):
+    # U+2028 is no line break in a file; str.splitlines used to cut the header there
+    path = tmp_path / "u2028.jsonl"
+    lines = _two_frame_jsonl(_body_line(0.04), {"fps": 30, "subject": "a\u2028b"})
+    path.write_text("\n".join(lines), encoding="utf-8")
+    assert "\u2028" in path.read_text(encoding="utf-8")
+    seq = parse_frames(path)
+    assert seq.subject_id == "a\u2028b" and len(seq) == 2
+
+
+def test_parse_peak_memory_stays_below_three_times_file_size(tmp_path):
+    # the parse streams its input: it never holds the file's text, nor a list of its lines
+    path = tmp_path / "taps.jsonl"
+    write_sequence(generate(MotionScenario(item=UpdrsItem.FINGER_TAPS, duration_s=60.0, fps=60.0)), path)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        seq = parse_frames(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(seq) == 3600 and seq.present["left_hand"].all() and seq.present["right_hand"].all()
+    assert peak < 3 * size, f"parse peak {peak / size:.2f}x the file size"
 
 
 def test_parse_csv_zero_coordinates():
