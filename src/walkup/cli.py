@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -25,7 +24,8 @@ from .ingest import FileFormat, GapFill, parse_frames, write_sequence
 from .kinematics import Plane
 from .peaks import overlay_csv
 from .report import (
-    REPORT_SCHEMA, AnalysisConfig, analyze, atomic_write, build_signals, plot_svg, report_json,
+    REPORT_SCHEMA, AnalysisConfig, analyze, atomic_write, build_signals, file_digest, plot_svg,
+    report_json,
 )
 from .signals import signal_csv
 from .synth import DEFAULT_AMPLITUDE, MotionScenario, generate
@@ -154,12 +154,8 @@ def _cmd_signals(args) -> int:
 
 
 def _analyze_one(path: str, args, cfg: AnalysisConfig, out_dir: Path) -> None:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    seq = _load_sequence(path, args)
-    report = analyze(seq, cfg, digest=f"sha256:{digest.hexdigest()}")
+    digest = file_digest(path)
+    report = analyze(_load_sequence(path, args), cfg, digest=digest)
     stem = f"{report.subject_id or Path(path).stem}_{report.item.value}"
     sub = out_dir / stem if len(args.inputs) > 1 else out_dir
     sub.mkdir(parents=True, exist_ok=True)

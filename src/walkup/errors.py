@@ -1,8 +1,5 @@
 """Exception types shared across the package."""
 
-from typing import Optional
-
-
 class WalkupError(Exception):
     """Base class for all walkup errors."""
 
@@ -25,15 +22,7 @@ class EmptySequence(WalkupError):
 
 
 class MissingLandmark(WalkupError):
-    """A required landmark is absent or unusable; ``index`` is None when no single one is at fault."""
-
-    def __init__(self, index: Optional[int] = None, detail: str = ""):
-        if index is None:
-            msg = detail or "landmarks missing"
-        else:
-            msg = f"landmark {index} missing" + (f" ({detail})" if detail else "")
-        super().__init__(msg)
-        self.index = index
+    """A required landmark is absent or gives no usable value."""
 
 
 class SequenceTooShort(WalkupError):

@@ -12,7 +12,9 @@ Two on-disk formats are supported:
 
 A file is read as UTF-8 one line at a time, never whole. Its lines end at
 ``\n``, ``\r\n`` or ``\r``, and the line numbers in errors count those
-breaks. A stream is iterated line by line the same way, on its own newlines.
+breaks. A stream is iterated line by line with the newline mode it was opened
+with: ``io.StringIO(text, newline=None)`` or a file opened in text mode with the
+default ``newline`` breaks at all three, a plain ``io.StringIO(text)`` only at ``\n``.
 """
 
 from __future__ import annotations

@@ -126,6 +126,15 @@ def input_digest(data: bytes) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
+def file_digest(path) -> str:
+    """``input_digest`` of the file at ``path``, hashed in 1 MB reads."""
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            h.update(chunk)
+    return "sha256:" + h.hexdigest()
+
+
 def build_signals(seq: LandmarkSequence, config: AnalysisConfig = AnalysisConfig()) -> list[SignalSeries]:
     """The front half of the pipeline: clean, (optionally) resample, build signals."""
     if seq.item is None:

@@ -81,11 +81,11 @@ def _series(
     channel = _channel(side)
     where = f"{item.value}/{channel.value}"
     if not seq.present[slot].any():
-        raise MissingLandmark(detail=f"no frame carries {slot} for {where}")
+        raise MissingLandmark(f"no frame carries {slot} for {where}")
     keep = seq.present[slot] & ~np.isnan(values)
     if not keep.any():
         raise MissingLandmark(
-            detail=f"every {where} value is undefined (low visibility or degenerate geometry)"
+            f"every {where} value is undefined (low visibility or degenerate geometry)"
         )
     return SignalSeries(item, channel, values[keep], seq.timestamps[keep])
 
@@ -269,7 +269,7 @@ def tremor_signal(
 
     tracks = _landmark_tracks(seq, min_visibility)  # (n, m, 2)
     if tracks.shape[1] == 0:
-        raise MissingLandmark(detail="no landmark visible across the whole sequence")
+        raise MissingLandmark("no landmark visible across the whole sequence")
 
     nyquist = fs / 2.0
     cut = cfg.highpass_cutoff_hz / nyquist

@@ -131,6 +131,21 @@ def test_bad_byte_deep_in_file_is_io_error(capsys, tmp_path, tap_fixture, fmt, c
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+@pytest.mark.parametrize("schema_line, byte_line, code", [(5, 250, 1), (250, 5, 3)])
+def test_earlier_of_two_defects_decides_exit_code(capsys, tmp_path, tap_fixture, schema_line, byte_line, code):
+    """The parse stops at the first defect it reads: a bad line (exit 1) or a bad byte (exit 3)."""
+    lines = tap_fixture.read_bytes().split(b"\n")
+    assert len(lines) > 250
+    lines[schema_line - 1] = b"not json"
+    lines[byte_line - 1] = lines[byte_line - 1][:40] + b"\xff" + lines[byte_line - 1][40:]
+    path = tmp_path / "two_defects.jsonl"
+    path.write_bytes(b"\n".join(lines))
+    got, _, err = _run(capsys, "validate", "--in", str(path))
+    assert got == code
+    assert (f"line {schema_line}: invalid JSON" in err) == (code == 1)
+    assert ("can't decode byte 0xff" in err) == (code == 3)
+
+
 def test_analyze_degenerate_hand_names_no_landmark_index(capsys, tmp_path):
     # every hand point at one spot: each angle is undefined, though no landmark is missing
     hand = np.tile([0.5, 0.5, 0.0, 1.0], (21, 1))

@@ -109,6 +109,18 @@ def test_parse_jsonl_line_separator_inside_header(tmp_path):
     assert seq.subject_id == "a\u2028b" and len(seq) == 2
 
 
+def test_parse_stream_breaks_lines_on_its_own_newlines(tmp_path):
+    # a path opens with universal newlines; a stream is read as its creator opened it
+    text = "\r".join(_two_frame_jsonl(_body_line(0.04)))
+    path = tmp_path / "cr.jsonl"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert len(parse_frames(path)) == 2
+    assert len(parse_frames(io.StringIO(text, newline=None))) == 2
+    with pytest.raises(SchemaError) as exc:
+        parse_frames(io.StringIO(text))
+    assert exc.value.line == 1 and exc.value.reason.startswith("invalid JSON: Extra data")
+
+
 def test_parse_peak_memory_stays_below_three_times_file_size(tmp_path):
     # the parse streams its input: it never holds the file's text, nor a list of its lines
     path = tmp_path / "taps.jsonl"
