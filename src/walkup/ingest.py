@@ -15,6 +15,12 @@ A file is read as UTF-8 one line at a time, never whole. Its lines end at
 breaks. A stream is iterated line by line with the newline mode it was opened
 with: ``io.StringIO(text, newline=None)`` or a file opened in text mode with the
 default ``newline`` breaks at all three, a plain ``io.StringIO(text)`` only at ``\n``.
+
+JSONL frame lines are decoded by ``orjson``, about five times faster than
+``json``. A line it refuses (``1e999``, a lone surrogate, ``NaN``) goes to the
+stdlib ``_DECODER``, which accepts or rejects it as it would alone. The header
+is read by ``_DECODER`` only: ``orjson`` makes an integer above 64 bits a
+float, which would change a numeric ``subject``. Writing stays on ``json``.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from pathlib import Path
 from typing import IO, Iterable, Optional, Union
 
 import numpy as np
+import orjson
 
 from .core import BODY_POINT_COUNT, HAND_POINT_COUNT, SLOT_POINTS, LandmarkSequence, UpdrsItem
 from .errors import EmptySequence, SchemaError, UnreadableInput
@@ -144,6 +151,13 @@ def _decode(raw: str, line: int):
         raise SchemaError(line, str(exc)) from None
 
 
+def _decode_frame(raw: str, line: int):
+    try:
+        return orjson.loads(raw)
+    except orjson.JSONDecodeError:
+        return _decode(raw, line)
+
+
 def _stack(frames: list, fps: Optional[float], item=None, subject_id: str = "") -> LandmarkSequence:
     """Stack parsed ``(line, t, {slot: points})`` frames into one array per slot.
 
@@ -198,7 +212,7 @@ def _parse_jsonl(lines: Iterable[str]) -> LandmarkSequence:
 
     frames = []
     for line_no, raw in numbered:
-        obj = _decode(raw, line_no)
+        obj = _decode_frame(raw, line_no)
         if not isinstance(obj, dict):
             raise SchemaError(line_no, "frame must be a JSON object")
         if "t" not in obj:

@@ -179,6 +179,21 @@ def test_analyze_single_channel_report(capsys, tmp_path, tap_fixture):
     assert "<polyline" in svg and "<circle" in svg and "<line" in svg
 
 
+def test_analyze_keeps_integer_subject_text(capsys, tmp_path, tap_fixture):
+    # the header is read by the stdlib decoder, which keeps an integer above
+    # 64 bits exact where orjson would round it to a float
+    lines = tap_fixture.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["subject"] = 123456789012345678901234567890
+    lines[0] = json.dumps(header)
+    fixture = tmp_path / "big_subject.jsonl"
+    fixture.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    code, _, _ = _run(capsys, "analyze", "--in", str(fixture), "--out", str(out))
+    assert code == 0
+    assert json.loads((out / "report.json").read_text())["subject"] == "123456789012345678901234567890"
+
+
 def test_analyze_nan_fingertip_fails_without_report(capsys, tmp_path, tap_fixture):
     bad = tmp_path / "nan_tip.jsonl"
     lines = tap_fixture.read_text().splitlines()

@@ -4,6 +4,7 @@ import math
 import tracemalloc
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from tests.conftest import body_pose, hand_pose, same_landmarks, sequence
 from walkup.core import SLOT_POINTS, UpdrsItem
 from walkup.errors import EmptySequence, SchemaError, UnreadableInput, WalkupError
 from walkup.ingest import (
+    _DECODER,
     FileFormat,
     GapFill,
     IngestConfig,
@@ -173,7 +175,7 @@ def test_parse_jsonl_rejects_non_finite_constants(constant):
     with pytest.raises(SchemaError) as exc:
         parse_frames(io.StringIO(text))
     assert exc.value.line == 3
-    assert constant in exc.value.reason
+    assert exc.value.reason == f"non-finite number {constant}"
 
 
 def test_parse_jsonl_rejects_non_finite_fps():
@@ -200,14 +202,17 @@ def test_parse_jsonl_unknown_item_is_schema_error(item):
     assert "unknown item" in exc.value.reason
 
 
-@pytest.mark.parametrize("old, new", [("0.2", "1e999"), ("0.2", "-1e999"), ('"t": 0.1', '"t": 1e999')])
+@pytest.mark.parametrize(
+    "old, new",
+    [("0.2", "1e999"), ("0.2", "-1e999"), ('"t": 0.1', '"t": 1e999'), ('"t": 0.1', '"t": -1e999')],
+)
 def test_parse_jsonl_rejects_overflowing_literal(old, new):
     frame = _body_line(0.1).replace(old, new, 1)
     text = "\n".join([json.dumps({"fps": 30}), _body_line(0.0), frame])
     with pytest.raises(SchemaError) as exc:
         parse_frames(io.StringIO(text))
     assert exc.value.line == 3
-    assert "finite" in exc.value.reason
+    assert exc.value.reason == "non-finite number"
 
 
 @pytest.mark.parametrize(
@@ -353,6 +358,84 @@ def test_parse_rejects_or_returns_finite_increasing(case):
     assert (np.diff(seq.timestamps) > 0).all()
     for slot, pts in seq.poses.items():
         assert np.isfinite(pts[seq.present[slot]]).all()
+
+
+# ── frame decoding: orjson first, the stdlib decoder for what it refuses ─
+
+
+def _frame_text(new_frame: str) -> str:
+    return "\n".join([json.dumps({"fps": 30}), _body_line(0.0), new_frame])
+
+
+@pytest.mark.parametrize(
+    "old, new, reason",
+    [
+        ("0.2", "1" + "0" * 400, "body points must each be [x, y, z, visibility] numbers"),
+        ('"t": 0.1', '"t": 1' + "0" * 400, "t must be numeric"),
+    ],
+    ids=["coordinate", "t"],
+)
+def test_parse_jsonl_integer_beyond_float_range(old, new, reason):
+    with pytest.raises(SchemaError) as exc:
+        parse_frames(io.StringIO(_frame_text(_body_line(0.1).replace(old, new, 1))))
+    assert (exc.value.line, exc.value.reason) == (3, reason)
+
+
+def test_parse_jsonl_coordinate_above_64_bits_is_its_float():
+    big = 123456789012345678901234567890
+    seq = parse_frames(io.StringIO(_frame_text(_body_line(0.1).replace("0.2", str(big), 1))))
+    pose = np.array([[0.1, 0.2, 0.0, 1.0]] * 33)
+    changed = pose.copy()
+    changed[0, 1] = float(big)
+    assert same_landmarks(seq, sequence([0.0, 0.1], fps=30.0, body=[pose, changed]))
+
+
+def test_parse_jsonl_lone_surrogate_in_ignored_key():
+    frame = _body_line(0.1).replace('{"t"', '{"note": "\\ud800", "t"', 1)
+    plain = parse_frames(io.StringIO(_frame_text(_body_line(0.1))))
+    assert same_landmarks(parse_frames(io.StringIO(_frame_text(frame))), plain)
+
+
+_MUTATION_CHARS = '0123456789-+.eE[]{},:" \\utrfalsnNIiy'
+
+
+def _numbers_as_bits(value):
+    """``value`` with every int and float replaced by the bits of ``float(n)``."""
+    if isinstance(value, list):
+        return [_numbers_as_bits(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _numbers_as_bits(v) for k, v in value.items()}
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return ("number", float(value).hex())
+    return value
+
+
+@st.composite
+def mutated_frame_lines(draw):
+    slot = draw(st.sampled_from(list(SLOT_POINTS)))
+    pose = {"body": body_pose, "left_hand": hand_pose, "right_hand": hand_pose}[slot]
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    xy = draw(st.tuples(finite, finite))
+    t = draw(st.floats(min_value=0, max_value=1e6))
+    line = serialize_jsonl(sequence([t], **{slot: [pose({0: xy})]})).splitlines()[1]
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        at = draw(st.integers(min_value=0, max_value=len(line)))
+        cut = draw(st.integers(min_value=0, max_value=2))
+        put = draw(st.text(alphabet=_MUTATION_CHARS, max_size=3))
+        line = line[:at] + put + line[at + cut :]
+    return line
+
+
+@settings(max_examples=500, deadline=None)
+@given(mutated_frame_lines())
+def test_orjson_accepts_only_what_the_stdlib_decoder_accepts_alike(line):
+    # the stdlib decoder is the reference: a line orjson accepts must decode
+    # there too, to the same values once every number is a float
+    try:
+        fast = orjson.loads(line)
+    except orjson.JSONDecodeError:
+        return
+    assert _numbers_as_bits(fast) == _numbers_as_bits(_DECODER.decode(line))
 
 
 # ── resample ─────────────────────────────────────────────────────────
