@@ -10,10 +10,11 @@ a machine-readable reason rather than raising; a non-finite input value is a
 * entropy tolerances are ``r_factor * population std`` with Chebyshev
   template distance; approximate entropy includes self-matches, sample
   entropy excludes them and counts only templates that have an (m+1)
-  extension; neighbour counts come from a sorted diagonal sweep over the
-  templates, are exact integers and need memory linear in the series
-  length; both entropies read one count pass (length m and m+1 templates)
-  per (m, r) within an ``extract_values`` call;
+  extension; neighbour counts are exact integers, the popcounts of ANDed
+  bitsets of the time indices within r of each value, at a cost of about
+  n^2 / 64 word operations whatever the data and with memory linear in the
+  series length; both entropies read one count pass (length m and m+1
+  templates) per (m, r) within an ``extract_values`` call;
 * the DFT is the plain unnormalized sum X_k = sum_t x_t e^{-2*pi*i*k*t/n};
 * the ``linear_trend`` p-value is the regularized incomplete beta function,
   evaluated in-repo as a continued fraction.
@@ -27,7 +28,6 @@ from functools import cache, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import SignalSeries
 from .errors import EmptySeries, UnknownFeature, WalkupError
@@ -187,59 +187,88 @@ def partial_autocorrelation(x: np.ndarray, lag: int) -> Result:
 # ── entropies ────────────────────────────────────────────────────────
 
 
+# partner templates per column block of the entropy bitset tables, which hold
+# about n * (_BLOCK + m) / 64 words each, so memory stays linear in n
+_BLOCK = 4096
+# templates per row chunk of a block, so the rows a chunk gathers stay in cache
+_ROWS = 256
+
+
 def _check_finite(x: np.ndarray) -> None:
     if not np.isfinite(x).all():
         raise WalkupError("cannot extract features from non-finite values")
 
 
+def _windows(xs: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """[lo_k, hi_k): the sorted positions q with |xs[q] - xs[k]| <= r, for r >= 0.
+
+    A float difference is monotone in each operand, so the window is contiguous
+    and both ends are non-decreasing in k. The upper end is bisected on the
+    exact predicate, which a search for xs[k] + r could miss by a rounding."""
+    n = len(xs)
+    k = np.arange(n)
+    # xs[q] - xs[k] <= r holds at q = fit and fails at q = over (n is past the
+    # end); mid equals fit once the two are adjacent, so settled entries stay put
+    fit, over = k, np.full(n, n)
+    for _ in range(n.bit_length()):
+        mid = (fit + over) // 2
+        hit = xs[mid] - xs <= r
+        fit, over = np.where(hit, mid, fit), np.where(hit, over, mid)
+    # the relation is symmetric, so q <= k lies in k's window iff k < over[q]
+    return np.searchsorted(over, k, side="right"), over
+
+
+def _shifted(table: np.ndarray, rows: np.ndarray, k: int, words: int) -> np.ndarray:
+    """Bits k .. k + 64 * words - 1 of the given table rows, as rows of ``words`` words."""
+    s, b = divmod(k, 64)
+    out = table[rows, s : s + words]
+    if b:
+        out >>= np.uint64(b)
+        out |= table[rows, s + 1 : s + 1 + words] << np.uint64(64 - b)
+    return out
+
+
 def _entropy_counts(x: np.ndarray, m: int, r: float) -> tuple[np.ndarray, np.ndarray]:
     """(C_m, C_{m+1}): neighbour counts (self-matches included) of the n - m + 1
-    length-m and n - m length-(m+1) templates, from one sorted diagonal sweep."""
+    length-m and n - m length-(m+1) templates, counted as bitset popcounts."""
     x = np.asarray(x, dtype=float)
     _check_finite(x)
-    # column i: template i's m coordinates and its (m+1)-th value, NaN for the
-    # last template, which has no extension and so never matches at m + 1
-    rows = np.full((m + 1, len(x) - m + 1), np.nan)
-    rows[:m] = sliding_window_view(x, m).T
-    rows[m, :-1] = x[m:]
-    # sorted by the first row, ties by the next rows, so identical templates are adjacent
-    order = np.lexsort(rows[::-1])
-    s = rows[:, order]
-    # identical templates share one column, weighted by their number; 0.0 and
-    # -0.0 merge, as every distance to them is the same
-    new = np.concatenate(([True], (s[:, 1:] != s[:, :-1]).any(axis=0)))
-    group = np.cumsum(new) - 1
-    s, w = s[:, new], np.bincount(group)
-    # self-matches: each copy matches every copy in its column
-    c = w.copy() if r >= 0 else np.zeros_like(w)  # a negative or NaN r matches nothing
-    c1 = c.copy()
-    # the first row is sorted, and a float difference is monotone in each operand,
-    # so a column i within r of column i + d + 1 in it is within r of column i + d:
-    # the starts of pass d + 1 lie between the first and last start that hit in pass d
-    first, lo, hi = s[0], 0, s.shape[1]
-    for d in range(1, s.shape[1]):
-        hi = min(hi, s.shape[1] - d)
-        if hi <= lo:
-            break
-        hit = first[lo + d : hi + d] - first[lo:hi] <= r
-        start = hit.argmax()
-        if not hit[start]:
-            break
-        stop = len(hit) - hit[::-1].argmax()
-        hit = hit[start:stop]
-        lo, hi = lo + start, lo + stop
-        a, b = slice(lo, hi), slice(lo + d, hi + d)
-        for row in s[1:m]:
-            hit &= np.abs(row[b] - row[a]) <= r
-        # each matched pair counts at both ends, weighted by the other end's copies
-        c[b] += hit * w[a]
-        c[a] += hit * w[b]
-        hit &= np.abs(s[m, b] - s[m, a]) <= r
-        c1[b] += hit * w[a]
-        c1[a] += hit * w[b]
-    counts = np.empty((2, len(order)), dtype=np.intp)
-    counts[:, order] = c[group], c1[group]
-    return counts[0], counts[1, :-1]
+    n, nt = len(x), len(x) - m + 1
+    c = np.zeros(nt, dtype=np.intp)
+    c1 = np.zeros(nt - 1, dtype=np.intp)
+    if not r >= 0:  # a negative or NaN r matches nothing, not even a template itself
+        return c, c1
+    order = np.argsort(x)
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    lo, hi = _windows(x[order], r)
+    # template j matches template i at length m iff, for every k < m, time j + k
+    # lies in the window of the value at time i + k: the AND over k of those
+    # windows' time bitsets, shifted down by k, holds template i's partners
+    for j0 in range(0, nt, _BLOCK):
+        words = -(-min(_BLOCK, nt - j0) // 64)  # partners j0 .. j0 + 64 * words - 1
+        width = words + m // 64 + 1  # and the times a shift by up to m reads
+        t = np.arange(j0, min(j0 + 64 * width, n))
+        word, bit = (t - j0) >> 6, np.uint64(1) << ((t - j0) & 63).astype(np.uint64)
+        # row q: the bitset of the times whose value is within r of sorted value q;
+        # |a - b| <= r is symmetric, so time t enters at row lo[rank[t]] and leaves
+        # at row hi[rank[t]]
+        table = np.zeros((n + 1, width), dtype=np.uint64)
+        np.bitwise_xor.at(table, (lo[rank[t]], word), bit)
+        np.bitwise_xor.at(table, (hi[rank[t]], word), bit)
+        np.bitwise_xor.accumulate(table, axis=0, out=table)
+        for i0 in range(0, nt, _ROWS):
+            i1 = min(i0 + _ROWS, nt)
+            both = _shifted(table, rank[i0:i1], 0, words)
+            for k in range(1, m):
+                both &= _shifted(table, rank[i0 + k : i1 + k], k, words)
+            c[i0:i1] += np.bitwise_count(both).sum(axis=1, dtype=np.intp)
+            # the last template has no (m+1)-th value; a time past the end has no bit
+            ext = _shifted(table, rank[i0 + m : i1 + m], m, words)
+            both = both[: len(ext)]
+            both &= ext
+            c1[i0 : i0 + len(ext)] += np.bitwise_count(both).sum(axis=1, dtype=np.intp)
+    return c, c1
 
 
 def _pair_counts(c_m: np.ndarray, c_m1: np.ndarray) -> tuple[int, int]:

@@ -7,10 +7,11 @@ byte is a deterministic function of those. Writes are atomic (tmp + rename).
 
 from __future__ import annotations
 
+import enum
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -67,6 +68,10 @@ class AnalysisConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AnalysisConfig":
+        """The config a JSON object gives; a ``ValueError`` names any key whose
+        value has the wrong type or which no config field has."""
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {data!r}")
         known = {
             "min_visibility", "gap_fill", "resample_fps", "plane",
             "normalize_palm", "tremor", "peaks", "feature_set",
@@ -76,22 +81,25 @@ class AnalysisConfig:
             raise ValueError(f"unknown config key(s): {sorted(extra)}")
         kwargs: dict = {}
         if "min_visibility" in data:
-            kwargs["min_visibility"] = float(data["min_visibility"])
+            kwargs["min_visibility"] = _number("min_visibility", data["min_visibility"])
         if "gap_fill" in data:
-            kwargs["gap_fill"] = GapFill(data["gap_fill"])
+            kwargs["gap_fill"] = _choice("gap_fill", data["gap_fill"], GapFill)
         if "resample_fps" in data:
             v = data["resample_fps"]
-            kwargs["resample_fps"] = None if v is None else float(v)
+            kwargs["resample_fps"] = None if v is None else _number("resample_fps", v)
         if "plane" in data:
-            kwargs["plane"] = Plane(data["plane"])
+            kwargs["plane"] = _choice("plane", data["plane"], Plane)
         if "normalize_palm" in data:
-            kwargs["normalize_palm"] = bool(data["normalize_palm"])
+            v = data["normalize_palm"]
+            if not isinstance(v, bool):
+                raise ValueError(f"config key 'normalize_palm': expected true or false, got {v!r}")
+            kwargs["normalize_palm"] = v
         if "tremor" in data:
-            kwargs["tremor"] = TremorConfig(**data["tremor"])
+            kwargs["tremor"] = _section("tremor", data["tremor"], TremorConfig)
         if "peaks" in data:
-            kwargs["peaks"] = PeakConfig(**data["peaks"])
+            kwargs["peaks"] = _section("peaks", data["peaks"], PeakConfig)
         if "feature_set" in data:
-            kwargs["feature_set"] = str(data["feature_set"])
+            kwargs["feature_set"] = _feature_set(data["feature_set"])
         return cls(**kwargs)
 
     @classmethod
@@ -102,6 +110,39 @@ class AnalysisConfig:
     def config_hash(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def _number(key: str, value) -> float:
+    # a JSON true or false is a bool, which Python would also take as a number
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"config key {key!r}: expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"config key {key!r}: number out of range: {value}") from None
+
+
+def _choice(key: str, value, kind: type[enum.Enum]):
+    options = [e.value for e in kind]
+    if value not in options:
+        raise ValueError(f"config key {key!r}: expected one of {options}, got {value!r}")
+    return kind(value)
+
+
+def _section(key: str, value, kind: type):
+    """A nested config object whose fields are all numbers."""
+    if not isinstance(value, dict):
+        raise ValueError(f"config key {key!r}: expected an object, got {value!r}")
+    extra = set(value) - {f.name for f in fields(kind)}
+    if extra:
+        raise ValueError(f"unknown config key(s) in {key!r}: {sorted(extra)}")
+    return kind(**{k: _number(f"{key}.{k}", v) for k, v in value.items()})
+
+
+def _feature_set(value) -> str:
+    if value != "default":
+        raise ValueError(f"feature_set {value!r} is not defined; the one feature set is 'default'")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,6 +207,7 @@ def analyze(
 ) -> AnalysisReport:
     """Run the full pipeline: ``build_signals``, then detect peaks, compute
     cadence statistics and the feature set."""
+    _feature_set(config.feature_set)
     specs = default_specs()
     channels = []
     for series in build_signals(seq, config):

@@ -276,6 +276,28 @@ def test_config_file_round_trip(capsys, tmp_path, tap_fixture):
     assert report["config"]["peaks"]["min_prominence"] == 0.3
 
 
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ({"tremor": {"bogus": 1}}, "'bogus'"),
+        ({"tremor": "abc"}, "'tremor'"),
+        ({"min_visibility": [1]}, "'min_visibility'"),
+        ({"peaks": {"min_prominence": "x"}}, "'peaks.min_prominence'"),
+    ],
+    ids=["unknown_nested_key", "section_not_object", "number_is_list", "nested_number_is_string"],
+)
+def test_malformed_config_is_usage_error_naming_key(capsys, tmp_path, tap_fixture, config, key):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    code, _, err = _run(capsys, "analyze", "--in", str(tap_fixture), "--out", str(out),
+                        "--config", str(cfg_path))
+    assert code == 2
+    last = err.splitlines()[-1]  # after the fixture's own "wrote ..." line
+    assert last.startswith("error: ") and key in last
+    assert not out.exists()
+
+
 def test_signals_writes_per_channel_csvs(capsys, tmp_path, tap_fixture):
     out = tmp_path / "sig"
     code, _, _ = _run(capsys, "signals", "--in", str(tap_fixture), "--out", str(out))

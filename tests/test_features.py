@@ -152,7 +152,7 @@ def _tie_heavy_cases(rng):
         yield tail, float(rng.choice([0.0, 0.1]))
         # mostly constant 0/1: long runs of identical templates
         yield (rng.random(n) < 0.05).astype(float), float(rng.choice([0.0, 0.2, 1.0]))
-        # r equal to a first-coordinate difference (m <= 3), so that the sweep's stop lands on it
+        # r equal to a first-coordinate difference (m <= 3), so that a window end lands on it
         walk = rng.normal(size=n)
         i, j = rng.integers(0, n - 3, size=2)
         yield walk, float(abs(walk[i] - walk[j]))
@@ -194,8 +194,8 @@ def test_extract_runs_one_count_pass_per_entropy_setting(rng, monkeypatch):
 
 
 def test_entropy_counts_exact_on_mostly_constant_long_series(rng):
-    # 95% zeros: the sorted sweep alone would compare most template pairs. With
-    # 0 < r < 1 a 0/1 template matches exactly its identical copies.
+    # 95% zeros: most values share one window. With 0 < r < 1 a 0/1 template
+    # matches exactly its identical copies.
     x = (rng.random(18000) < 0.05).astype(float)
     r = 0.2 * float(np.std(x))
 
@@ -209,6 +209,40 @@ def test_entropy_counts_exact_on_mostly_constant_long_series(rng):
     # SampEn: the first n - m templates, each unordered pair of copies once
     a, b = (int((copies(t) - 1).sum()) // 2 for t in (t3, t2[:-1]))
     assert sample_entropy_counts(x, 2, r) == (a, b)
+
+
+def _assert_counts_exact(x, m, r):
+    c_m, c_m1 = features._entropy_counts(x, m, r)
+    assert list(c_m) == naive.apen_counts(x, m, r)
+    assert list(c_m1) == naive.apen_counts(x, m + 1, r)
+    assert sample_entropy_counts(x, m, r) == naive.sampen_counts(x, m, r)
+
+
+def test_entropy_counts_exact_on_lattice_ties_across_column_blocks(rng):
+    # values and r on a 0.1 lattice, so distances land exactly on r, and more
+    # partner templates than one column block holds
+    n = features._BLOCK + 100
+    x = np.round(np.cumsum(rng.choice([-0.1, 0.0, 0.1], size=n)) % 1.0, 1)
+    _assert_counts_exact(x, 2, 0.1)
+
+
+def test_entropy_counts_exact_when_shifts_cross_words(rng):
+    # m >= 64: a shift by k bits crosses k // 64 whole words; a periodic series
+    # with sparse 0.1 steps, so some templates match, some exactly at r = 0.1
+    cycle = np.round(rng.normal(size=37), 1)
+    step = rng.choice([-0.1, 0.0, 0.1], p=[0.01, 0.98, 0.01], size=8 * 37)
+    x = np.tile(cycle, 8) + step
+    for m in (63, 64, 65):
+        _assert_counts_exact(x, m, 0.1)
+        assert (features._entropy_counts(x, m, 0.1)[1] > 1).any()
+
+
+def test_entropy_counts_exact_on_jittered_rest(rng):
+    # 60% of the series dwells near one value without repeating it exactly
+    t = np.arange(3600) / 60.0
+    x = np.sin(2 * math.pi * 1.5 * t) + 0.05 * rng.normal(size=t.size)
+    x[:2160] = 0.3 + 1e-4 * rng.normal(size=2160)
+    _assert_counts_exact(x, 2, 0.2 * float(np.std(x)))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -47,6 +47,36 @@ def test_config_rejects_unknown_keys():
         AnalysisConfig.from_dict({"min_visability": 0.5})
 
 
+@pytest.mark.parametrize(
+    "data, key",
+    [
+        ({"normalize_palm": "false"}, "normalize_palm"),
+        ({"normalize_palm": 0}, "normalize_palm"),
+        ({"feature_set": "none"}, "feature_set"),
+        ({"gap_fill": ["drop"]}, "gap_fill"),
+        ({"resample_fps": True}, "resample_fps"),
+        ({"min_visibility": 10**400}, "min_visibility"),
+    ],
+    ids=["palm_string", "palm_number", "feature_set_none", "gap_fill_list", "fps_bool", "huge_int"],
+)
+def test_config_rejects_bad_values_naming_key(data, key):
+    # bool("false") is True and an unknown feature_set computed the default set,
+    # both quietly; float() of a huge integer raised OverflowError
+    with pytest.raises(ValueError, match=key):
+        AnalysisConfig.from_dict(data)
+
+
+def test_config_accepts_json_booleans():
+    assert AnalysisConfig.from_dict({"normalize_palm": False}) == AnalysisConfig()
+    assert AnalysisConfig.from_dict({"normalize_palm": True}).normalize_palm is True
+
+
+def test_analyze_rejects_undefined_feature_set():
+    sc = MotionScenario(item=UpdrsItem.FINGER_TAPS, duration_s=2.0, seed=8)
+    with pytest.raises(ValueError, match="feature_set 'none'"):
+        analyze(generate(sc), AnalysisConfig(feature_set="none"))
+
+
 def test_analyze_requires_item():
     with pytest.raises(ValueError):
         analyze(sequence([0.0], right_hand=[hand_pose()]))
