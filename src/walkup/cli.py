@@ -60,21 +60,23 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--in", dest="inputs", required=True, nargs=nargs, help="input file(s)")
         p.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
         p.add_argument("--item", help="item tag override (e.g. finger_taps)")
+
+    def add_analysis(p: argparse.ArgumentParser, multi_in: bool = False) -> None:
+        add_common(p, multi_in)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--plane", choices=["2d", "3d"], help="geometry plane override")
         p.add_argument("--normalize-palm", action="store_true", default=None,
                        help="divide hand-movement distances by palm length")
+        p.add_argument("--out", required=True, help="output directory")
 
     p_validate = sub.add_parser("validate", help="diagnose a landmark file")
     add_common(p_validate, multi_in=True)
 
     p_signals = sub.add_parser("signals", help="write per-channel signal CSVs")
-    add_common(p_signals)
-    p_signals.add_argument("--out", required=True, help="output directory")
+    add_analysis(p_signals)
 
     p_analyze = sub.add_parser("analyze", help="full analysis: report + overlays + plots")
-    add_common(p_analyze, multi_in=True)
-    p_analyze.add_argument("--out", required=True, help="output directory")
+    add_analysis(p_analyze, multi_in=True)
 
     p_features = sub.add_parser("features", help="extract features from a signal CSV (t,value)")
     p_features.add_argument("--in", dest="inputs", required=True)
@@ -107,9 +109,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve_config(args) -> AnalysisConfig:
     cfg = AnalysisConfig.load(args.config) if args.config else AnalysisConfig()
     overrides = {}
-    if getattr(args, "plane", None):
+    if args.plane:
         overrides["plane"] = Plane(args.plane)
-    if getattr(args, "normalize_palm", None):
+    if args.normalize_palm:
         overrides["normalize_palm"] = True
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)

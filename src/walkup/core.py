@@ -22,6 +22,8 @@ __all__ = [
     "Violation",
     "ValidationReport",
     "validate_sequence",
+    "fps_violation",
+    "frame_violations",
     "BODY_POINT_COUNT",
     "HAND_POINT_COUNT",
     "REQUIRED_POSE",
@@ -186,57 +188,58 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def add(self, code: str, message: str, frame: Optional[int] = None) -> None:
-        self.violations.append(Violation(code, message, frame))
-
     def __str__(self) -> str:
         if self.ok:
             return "ok"
         return "\n".join(str(v) for v in self.violations)
 
 
-_COMPONENTS = ("x", "y", "z", "visibility")
+def fps_violation(fps: float) -> Optional[Violation]:
+    """The ``bad_fps`` violation of a frame rate that is not finite and positive, else None."""
+    if np.isfinite(fps) and fps > 0:
+        return None
+    return Violation("bad_fps", f"fps must be positive, got {fps}" if np.isfinite(fps) else "fps must be finite")
+
+
+def frame_violations(seq: LandmarkSequence, first_only: bool = False) -> list[Violation]:
+    """The frame rules ``seq`` breaks, in frame order: timestamps are finite and
+    strictly increasing, and every landmark of a present slot is finite with
+    visibility in [0, 1]. ``first_only`` stops at the first violating frame."""
+    t = seq.timestamps
+    rises = np.append(True, t[1:] > t[:-1])
+    bad = ~(np.isfinite(t) & rises)
+    for slot, pts in seq.poses.items():
+        rows = np.flatnonzero(seq.present[slot])  # only present rows: absent ones are NaN
+        bad[rows[~_rows_ok(pts if len(rows) == len(t) else pts[rows])]] = True
+    found = []
+    for i in np.flatnonzero(bad)[: 1 if first_only else None].tolist():
+        if not np.isfinite(t[i]):
+            found.append(Violation("bad_timestamp", "non-finite number", i))
+        if not rises[i]:
+            found.append(Violation("non_monotone", "t must increase from frame to frame", i))
+        for slot, pts in seq.poses.items():
+            # each landmark as a row of one point
+            for j in np.flatnonzero(seq.present[slot][i] & ~_rows_ok(pts[i, :, None])).tolist():
+                finite = np.isfinite(pts[i, j]).all()
+                issue = f"{slot}[{j}]: visibility {pts[i, j, 3]} outside [0, 1]" if finite else "non-finite number"
+                found.append(Violation("bad_landmark", issue, i))
+    return found
+
+
+def _rows_ok(block: np.ndarray) -> np.ndarray:
+    """Per row of ``(rows, points, 4)`` landmarks: all finite, visibility in [0, 1]."""
+    vis = block[:, :, 3]
+    return np.isfinite(block).all(axis=(1, 2)) & ((vis >= 0.0) & (vis <= 1.0)).all(axis=1)
 
 
 def validate_sequence(seq: LandmarkSequence) -> ValidationReport:
-    """Diagnose a sequence against the data-model invariants.
-
-    Returns a report rather than raising: an empty report means valid.
-    Checks timestamps (non-negative, strictly increasing), fps, landmark
-    finiteness and visibility range, and the item/pose requirement table.
-    """
-    report = ValidationReport()
+    """Diagnose a sequence against the rules ``parse_frames`` applies to every
+    file (``fps_violation``, ``frame_violations``; negative timestamps are
+    allowed) and the item/pose requirement table (``missing_pose``). Returns a
+    report rather than raising: an empty report means valid."""
     if not len(seq):
-        report.add("empty", "sequence contains no frames")
-        return report
-    if not (seq.fps > 0):
-        report.add("bad_fps", f"fps must be positive, got {seq.fps}")
-
-    # (frame, rank within the frame, code, message), reported in frame order
-    found = []
-    t = seq.timestamps
-    finite = np.isfinite(t)
-    for i in np.flatnonzero(~finite):
-        found.append((i, -2, "bad_timestamp", "non-finite timestamp"))
-    for i in np.flatnonzero(finite & (t < 0)):
-        found.append((i, -2, "bad_timestamp", f"negative timestamp {float(t[i])}"))
-    for i in np.flatnonzero(~(t[1:] > t[:-1])) + 1:
-        found.append((i, -1, "non_monotone", "non-increasing timestamps"))
-    rank = 0
-    for slot, pts in seq.poses.items():
-        bad = ~np.isfinite(pts)
-        vis = pts[:, :, 3]
-        flagged = seq.present[slot][:, None] & (bad.any(axis=2) | ~((vis >= 0.0) & (vis <= 1.0)))
-        for i, j in zip(*np.nonzero(flagged)):
-            if bad[i, j].any():
-                issue = f"non-finite {_COMPONENTS[int(np.argmax(bad[i, j]))]}"
-            else:
-                issue = f"visibility {float(vis[i, j])} outside [0, 1]"
-            found.append((i, rank + j, "bad_landmark", f"{slot}[{j}]: {issue}"))
-        rank += pts.shape[1]
-    for i, _, code, message in sorted(found, key=lambda f: f[:2]):
-        report.add(code, message, frame=int(i))
-
+        return ValidationReport([Violation("empty", "sequence contains no frames")])
+    found = [v for v in [fps_violation(seq.fps)] if v] + frame_violations(seq)
     if seq.item is not None:
         required = REQUIRED_POSE[seq.item]
         if required == "hand":
@@ -245,9 +248,6 @@ def validate_sequence(seq: LandmarkSequence) -> ValidationReport:
             has_pose = seq.present["body"]
         missing = int((~has_pose).sum())
         if missing:
-            report.add(
-                "missing_pose",
-                f"item requires {required} landmarks; missing in "
-                f"{missing} of {len(seq)} frames",
-            )
-    return report
+            message = f"item requires {required} landmarks; missing in {missing} of {len(seq)} frames"
+            found.append(Violation("missing_pose", message))
+    return ValidationReport(found)

@@ -38,6 +38,7 @@ import numpy as np
 import orjson
 
 from .core import BODY_POINT_COUNT, HAND_POINT_COUNT, SLOT_POINTS, LandmarkSequence, UpdrsItem
+from .core import fps_violation, frame_violations
 from .errors import EmptySequence, SchemaError, UnreadableInput
 
 __all__ = [
@@ -73,8 +74,8 @@ class IngestConfig:
     gap_fill: GapFill = GapFill.LINEAR_INTERP
 
     def __post_init__(self):
-        if self.resample_fps is not None and not self.resample_fps > 0:
-            raise ValueError("resample_fps must be positive")
+        if self.resample_fps is not None and not 0 < self.resample_fps < math.inf:
+            raise ValueError("resample_fps must be finite and positive")
         if not 0.0 <= self.min_visibility <= 1.0:
             raise ValueError("min_visibility must lie in [0, 1]")
 
@@ -94,11 +95,11 @@ def parse_frames(
     """Parse a landmark file into a LandmarkSequence, preserving source order.
 
     ``fps``/``item``/``subject_id`` override or supply metadata the file
-    itself lacks (always needed for CSV). Raises SchemaError with the
-    offending line number on malformed input, including a non-finite number
-    (an overflowing literal such as ``1e999`` too) and a timestamp that does
-    not increase; EmptySequence when no frame lines are present;
-    UnreadableInput when the file cannot be read.
+    itself lacks (a CSV's fps is otherwise inferred from its timestamps).
+    Raises SchemaError with the line number on malformed input and at the
+    first frame that breaks a rule of ``core.frame_violations`` (at the header
+    for one of ``core.fps_violation``); EmptySequence when no frame lines are
+    present; UnreadableInput when the file cannot be read.
     """
     parse = _parse_jsonl if format is FileFormat.JSONL else _parse_csv
     is_path = isinstance(source, (str, Path))
@@ -158,35 +159,24 @@ def _decode_frame(raw: str, line: int):
         return _decode(raw, line)
 
 
-def _stack(frames: list, fps: Optional[float], item=None, subject_id: str = "") -> LandmarkSequence:
-    """Stack parsed ``(line, t, {slot: points})`` frames into one array per slot.
-
-    Rejects a non-finite number and a timestamp that does not increase, with
-    the line. ``fps=None`` (CSV) infers it from the timestamps.
-    """
+def _stack(frames: list, fps: float, item=None, subject_id: str = "") -> LandmarkSequence:
+    """Stack parsed ``(line, t, {slot: points})`` frames into one array per
+    slot; the first frame that breaks a rule raises SchemaError at its line."""
     if not frames:
         raise EmptySequence("header present but no frames")
-    lines = [f[0] for f in frames]
     t = np.array([f[1] for f in frames], dtype=float)
-    bad = ~np.isfinite(t)
     poses, present = {}, {}
     for slot, count in SLOT_POINTS.items():
         idx = [i for i, f in enumerate(frames) if slot in f[2]]
         poses[slot] = np.full((len(t), count, 4), np.nan)
         present[slot] = np.zeros(len(t), dtype=bool)
         if idx:
-            stacked = np.array([frames[i][2][slot] for i in idx])
-            bad[idx] |= ~np.isfinite(stacked).all(axis=(1, 2))
-            poses[slot][idx] = stacked
+            poses[slot][idx] = np.array([frames[i][2][slot] for i in idx])
             present[slot][idx] = True
-    if bad.any():
-        raise SchemaError(lines[int(np.argmax(bad))], "non-finite number")
-    stuck = np.flatnonzero(~(t[1:] > t[:-1]))
-    if len(stuck):
-        raise SchemaError(lines[stuck[0] + 1], "t must increase from frame to frame")
-    if fps is None:
-        fps = 30.0 if len(t) < 2 else (len(t) - 1) / float(t[-1] - t[0])
-    return LandmarkSequence(t, poses, present, fps, item, subject_id)
+    seq = LandmarkSequence(t, poses, present, fps, item, subject_id)
+    if broken := frame_violations(seq, first_only=True):
+        raise SchemaError(frames[broken[0].frame][0], broken[0].message)
+    return seq
 
 
 def _parse_jsonl(lines: Iterable[str]) -> LandmarkSequence:
@@ -202,8 +192,8 @@ def _parse_jsonl(lines: Iterable[str]) -> LandmarkSequence:
         fps = float(header["fps"])
     except (TypeError, ValueError, OverflowError):
         raise SchemaError(header_no, "fps must be numeric") from None
-    if not math.isfinite(fps):
-        raise SchemaError(header_no, "fps must be finite")
+    if bad_fps := fps_violation(fps):
+        raise SchemaError(header_no, bad_fps.message)
     try:
         item = UpdrsItem.from_name(header["item"]) if header.get("item") else None
     except ValueError as exc:
@@ -276,7 +266,13 @@ def _parse_csv(lines: Iterable[str]) -> LandmarkSequence:
         if not poses:
             raise SchemaError(line_no, "frame has no pose")
         frames.append((line_no, t, poses))
-    return _stack(frames, None)
+    seq = _stack(frames, 30.0)  # the rate is inferred once the timestamps pass the rules
+    if len(seq) < 2:
+        return seq
+    fps = (len(seq) - 1) / seq.duration_s
+    if bad_fps := fps_violation(fps):
+        raise SchemaError(header_no, bad_fps.message)
+    return replace(seq, fps=fps)
 
 
 # ── serialization ────────────────────────────────────────────────────
@@ -370,10 +366,16 @@ def fill_gaps(seq: LandmarkSequence, cfg: IngestConfig) -> LandmarkSequence:
 
 # ── resampling ───────────────────────────────────────────────────────
 
+# resample_fps may be at most this multiple of a recording's own frame rate
+MAX_UPSAMPLE = 8
+
 
 def resample(seq: LandmarkSequence, cfg: IngestConfig) -> LandmarkSequence:
     """Resample onto a uniform grid t_k = k / resample_fps (time rebased to 0).
 
+    A ``resample_fps`` above ``MAX_UPSAMPLE`` times the sequence's own rate,
+    ``(n - 1) / duration``, raises ValueError: the grid would only repeat
+    interpolated frames, and without a bound its size has none.
     Coordinates are linearly interpolated between the bracketing frames.
     When a pose is missing on one side of a bracket, the gap_fill policy
     decides: LINEAR_INTERP bridges across the gap, HOLD_LAST holds the most
@@ -385,6 +387,10 @@ def resample(seq: LandmarkSequence, cfg: IngestConfig) -> LandmarkSequence:
         raise EmptySequence("cannot resample an empty sequence")
 
     fps = cfg.resample_fps
+    if len(seq) >= 2:
+        rate = (len(seq) - 1) / seq.duration_s
+        if fps > MAX_UPSAMPLE * rate:
+            raise ValueError(f"resample_fps {fps} exceeds {MAX_UPSAMPLE} times the recording's own {rate:.6g} fps")
     times = seq.timestamps
     t0 = times[0]
     n_out = int(math.floor((times[-1] - t0) * fps + 1e-9)) + 1

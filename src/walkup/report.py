@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -69,7 +70,8 @@ class AnalysisConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "AnalysisConfig":
         """The config a JSON object gives; a ``ValueError`` names any key whose
-        value has the wrong type or which no config field has."""
+        value has the wrong type, is a non-finite number, or which no config
+        field has."""
         if not isinstance(data, dict):
             raise ValueError(f"config must be a JSON object, got {data!r}")
         known = {
@@ -117,9 +119,12 @@ def _number(key: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"config key {key!r}: expected a number, got {value!r}")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:
-        raise ValueError(f"config key {key!r}: number out of range: {value}") from None
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"config key {key!r}: expected a finite number, got {value}")
+    return number
 
 
 def _choice(key: str, value, kind: type[enum.Enum]):

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +12,7 @@ import pytest
 import walkup
 from tests.conftest import hand_sequence
 from walkup.cli import main
+from walkup.core import LandmarkSequence
 from walkup.ingest import FileFormat, parse_frames, write_sequence
 
 
@@ -110,6 +113,87 @@ def test_validate_unknown_item_option_is_usage_error(capsys, tmp_path):
     code, _, err = _run(capsys, "validate", "--in", str(path), "--item", "jumping_jacks")
     assert code == 2
     assert "unknown item 'jumping_jacks'" in err
+
+
+def test_validate_takes_no_analysis_options(capsys, tap_fixture):
+    code, _, err = _run(capsys, "validate", "--in", str(tap_fixture), "--config", "x.json")
+    assert code == 2
+    assert "unrecognized arguments: --config x.json" in err
+
+
+def _edit(seq, frames=None, t=None, fps=None, point=None) -> LandmarkSequence:
+    """``seq`` cut to its first ``frames`` frames, with the timestamps in ``{frame: t}``,
+    a new ``fps``, or ``point = (slot, frame, landmark, component, value)`` set."""
+    n = frames or len(seq)
+    poses = {slot: pts[:n].copy() for slot, pts in seq.poses.items()}
+    if point:
+        slot, i, j, k, value = point
+        poses[slot][i, j, k] = value
+    times = seq.timestamps[:n].copy()
+    if t is not None:
+        times[list(t)] = list(t.values())
+    return LandmarkSequence(times, poses, {slot: m[:n] for slot, m in seq.present.items()},
+                            seq.fps if fps is None else fps, seq.item, seq.subject_id)
+
+
+# name: (formats, edit of the 10 s finger-tap fixture, line, reason); frame k is on line k + 2
+_VIOLATIONS = {
+    "fps_zero": (["jsonl"], dict(fps=0.0), 1, "fps must be positive, got 0.0"),
+    "fps_negative": (["jsonl"], dict(fps=-30.0), 1, "fps must be positive, got -30.0"),
+    # a CSV's fps is (n - 1) / duration, which overflows here
+    "fps_inferred": (["csv"], dict(frames=2, t={1: 5e-324}), 1, "fps must be finite"),
+    "non_finite": (["jsonl", "csv"], dict(point=("right_hand", 3, 4, 0, np.inf)), 5, "non-finite number"),
+    "non_finite_t": (["jsonl", "csv"], dict(t={3: np.inf}), 5, "non-finite number"),
+    "non_increasing": (["jsonl", "csv"], dict(t={3: 2 / 30}), 5, "t must increase from frame to frame"),
+    "visibility_high": (["jsonl", "csv"], dict(point=("right_hand", 3, 4, 3, 2.0)), 5,
+                        "right_hand[4]: visibility 2.0 outside [0, 1]"),
+    "visibility_negative": (["jsonl", "csv"], dict(point=("left_hand", 3, 0, 3, -0.5)), 5,
+                            "left_hand[0]: visibility -0.5 outside [0, 1]"),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+@pytest.mark.parametrize(
+    "fmt, edit, line, reason",
+    [
+        pytest.param(fmt, edit, line, reason, id=f"{name}-{fmt}")
+        for name, (formats, edit, line, reason) in _VIOLATIONS.items()
+        for fmt in formats
+    ],
+)
+def test_rule_violation_same_verdict_under_validate_and_analyze(
+    capsys, tmp_path, tap_fixture, command, fmt, edit, line, reason
+):
+    path = tmp_path / f"broken.{fmt}"
+    write_sequence(_edit(parse_frames(tap_fixture), **edit), path, FileFormat(fmt))
+    # an overflowing literal, which the JSON decoders pass on as inf
+    path.write_text(path.read_text().replace("Infinity", "1e999"))
+    argv = [command, "--in", str(path), "--format", fmt, "--item", "finger_taps"]
+    if command == "analyze":
+        argv += ["--out", str(tmp_path / "out")]
+    code, _, err = _run(capsys, *argv)
+    assert code == 1
+    assert f"SchemaError: line {line}: {reason}\n" in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("config", [None, {"resample_fps": 25}], ids=["plain", "resampled"])
+def test_negative_timestamps_are_valid_and_change_no_channel(capsys, tmp_path, tap_fixture, config):
+    seq = parse_frames(tap_fixture)
+    shifted = tmp_path / "shifted.jsonl"
+    write_sequence(dataclasses.replace(seq, timestamps=seq.timestamps - 0.5), shifted)
+    code, _, err = _run(capsys, "validate", "--in", str(shifted))
+    assert code == 0 and err.endswith(f"{shifted}: ok (300 frames)\n")
+    options = []
+    if config:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        options = ["--config", str(tmp_path / "cfg.json")]
+    channels = []
+    for path in (tap_fixture, shifted):
+        out = tmp_path / f"out_{path.stem}"
+        assert _run(capsys, "analyze", "--in", str(path), "--out", str(out), *options)[0] == 0
+        channels.append(json.loads((out / "report.json").read_text())["channels"])
+    assert channels[0] == channels[1]
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
@@ -283,8 +367,15 @@ def test_config_file_round_trip(capsys, tmp_path, tap_fixture):
         ({"tremor": "abc"}, "'tremor'"),
         ({"min_visibility": [1]}, "'min_visibility'"),
         ({"peaks": {"min_prominence": "x"}}, "'peaks.min_prominence'"),
+        ({"resample_fps": math.inf}, "'resample_fps'"),
+        ({"tremor": {"window_s": math.inf}}, "'tremor.window_s'"),
+        ({"peaks": {"min_separation_s": math.inf}}, "'peaks.min_separation_s'"),
+        ({"tremor": {"rms_threshold": math.nan}}, "'tremor.rms_threshold'"),
     ],
-    ids=["unknown_nested_key", "section_not_object", "number_is_list", "nested_number_is_string"],
+    ids=[
+        "unknown_nested_key", "section_not_object", "number_is_list", "nested_number_is_string",
+        "resample_fps_inf", "window_inf", "separation_inf", "rms_threshold_nan",
+    ],
 )
 def test_malformed_config_is_usage_error_naming_key(capsys, tmp_path, tap_fixture, config, key):
     cfg_path = tmp_path / "cfg.json"

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -52,7 +53,26 @@ def test_validate_well_formed_sequence():
 def test_validate_equal_timestamps():
     seq = sequence([0.0, 0.0], item=UpdrsItem.FINGER_TAPS, right_hand=[hand_pose(), hand_pose()])
     report = validate_sequence(seq)
-    assert any("non-increasing timestamps" in v.message for v in report.violations)
+    assert any(v.message == "t must increase from frame to frame" for v in report.violations)
+
+
+def test_validate_allows_negative_timestamps():
+    seq = sequence([-0.5, -0.2, 0.1], item=UpdrsItem.FINGER_TAPS, right_hand=[hand_pose()] * 3)
+    assert validate_sequence(seq).ok
+
+
+def test_validate_reports_every_violation_in_frame_order():
+    pts = hand_pose()
+    pts[4, 3] = -0.5
+    seq = sequence([0.0, 0.0, math.nan], fps=math.inf, right_hand=[hand_pose(), pts, hand_pose()])
+    found = [(v.code, v.frame, v.message) for v in validate_sequence(seq).violations]
+    assert found == [
+        ("bad_fps", None, "fps must be finite"),
+        ("non_monotone", 1, "t must increase from frame to frame"),
+        ("bad_landmark", 1, "right_hand[4]: visibility -0.5 outside [0, 1]"),
+        ("bad_timestamp", 2, "non-finite number"),
+        ("non_monotone", 2, "t must increase from frame to frame"),
+    ]
 
 
 def test_validate_item_pose_requirement():

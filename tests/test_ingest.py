@@ -236,6 +236,14 @@ def test_parse_timestamps_must_increase(times, bad_line, fmt):
     assert "increase" in exc.value.reason
 
 
+def test_parse_csv_two_equal_timestamps_before_inferring_fps():
+    # (n - 1) / duration would divide by zero
+    text = serialize_csv(sequence([0.5, 0.5], body=[body_pose()] * 2))
+    with pytest.raises(SchemaError) as exc:
+        parse_frames(io.StringIO(text), format=FileFormat.CSV)
+    assert (exc.value.line, exc.value.reason) == (3, "t must increase from frame to frame")
+
+
 @pytest.mark.parametrize("cell, value", [(1, "nan"), (2, "inf"), (0, "nan")])
 def test_parse_csv_rejects_non_finite_cells(cell, value):
     lines = serialize_csv(sequence([0.0, 0.1], fps=10.0, body=[body_pose()] * 2)).splitlines()
@@ -495,6 +503,15 @@ def test_resample_missing_pose_policies():
 def test_resample_requires_fps():
     with pytest.raises(ValueError):
         resample(_two_frame_seq(), IngestConfig())
+
+
+def test_resample_fps_bounded_by_the_recording_rate():
+    # two frames 1 s apart have a rate of 1 fps; the grid would hold 10001 frames
+    with pytest.raises(ValueError, match="resample_fps 10000.0 exceeds 8 times"):
+        resample(_two_frame_seq(), IngestConfig(resample_fps=1e4))
+    assert len(resample(_two_frame_seq(), IngestConfig(resample_fps=8.0))) == 9
+    with pytest.raises(ValueError, match="resample_fps must be finite"):
+        IngestConfig(resample_fps=math.inf)
 
 
 def test_resample_empty():
