@@ -81,7 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_features = sub.add_parser("features", help="extract features from a signal CSV (t,value)")
     p_features.add_argument("--in", dest="inputs", required=True)
     p_features.add_argument("--out", help="output directory (default: stdout CSV)")
-    p_features.add_argument("--spec", default="default", help="feature set name")
 
     p_synth = sub.add_parser("synth", help="generate a synthetic landmark JSONL file")
     p_synth.add_argument("--item", required=True)
@@ -206,9 +205,6 @@ def _read_signal_csv(path: str) -> np.ndarray:
 
 
 def _cmd_features(args) -> int:
-    if args.spec != "default":
-        _err(f"unknown feature set {args.spec!r} (only 'default' is shipped)")
-        return EXIT_USAGE
     values = _read_signal_csv(args.inputs)
     vector = extract_values(values, default_specs())
     csv_text = features_csv(vector)

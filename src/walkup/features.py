@@ -13,8 +13,10 @@ a machine-readable reason rather than raising; a non-finite input value is a
   extension; neighbour counts are exact integers, the popcounts of ANDed
   bitsets of the time indices within r of each value, at a cost of about
   n^2 / 64 word operations whatever the data and with memory linear in the
-  series length; both entropies read one count pass (length m and m+1
-  templates) per (m, r) within an ``extract_values`` call;
+  series length;
+* the specs of one series share one memo (``_memo``), so within an
+  ``extract_values`` call each ACF lag, each Durbin-Levinson order and each
+  entropy count pass (length m and m+1 templates, per (m, r)) is computed once;
 * the DFT is the plain unnormalized sum X_k = sum_t x_t e^{-2*pi*i*k*t/n};
 * the ``linear_trend`` p-value is the regularized incomplete beta function,
   evaluated in-repo as a continued fraction.
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, partial
+from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -41,7 +44,6 @@ __all__ = [
     "default_specs",
     "features_csv",
     "features_json_payload",
-    "FEATURE_NAMES",
     "approximate_entropy_counts",
     "sample_entropy_counts",
 ]
@@ -137,11 +139,11 @@ def _acf(x: np.ndarray, lag: int) -> Result:
     return _ok(float(np.dot(d[:-lag], d[lag:])) / ((n - lag) * var))
 
 
-def autocorrelation(x: np.ndarray, lag: int) -> Result:
-    return _acf(x, lag)
+def autocorrelation(x: np.ndarray, lag: int, memo: SimpleNamespace) -> Result:
+    return memo.acf(lag)
 
 
-def agg_autocorrelation(x: np.ndarray, f_agg: str, maxlag: int) -> Result:
+def agg_autocorrelation(x: np.ndarray, f_agg: str, maxlag: int, memo: SimpleNamespace) -> Result:
     """f_agg over [R(1) .. R(maxlag)], maxlag capped at n - 1."""
     n = len(x)
     if n < 2:
@@ -149,7 +151,7 @@ def agg_autocorrelation(x: np.ndarray, f_agg: str, maxlag: int) -> Result:
     if float(np.var(x)) == 0.0:
         return _undefined("zero variance")
     top = min(maxlag, n - 1)
-    vals = np.array([_acf(x, lag)[0] for lag in range(1, top + 1)])
+    vals = np.array([memo.acf(lag)[0] for lag in range(1, top + 1)])
     return _ok(_AGGREGATORS[f_agg](vals))
 
 
@@ -168,17 +170,14 @@ def _durbin_levinson(rho: np.ndarray) -> Optional[np.ndarray]:
     return phi
 
 
-def partial_autocorrelation(x: np.ndarray, lag: int) -> Result:
+def partial_autocorrelation(x: np.ndarray, lag: int, memo: SimpleNamespace) -> Result:
     """PACF at the given lag via the Durbin-Levinson recursion."""
-    n = len(x)
     if lag == 0:
         return _ok(1.0)
-    if n <= lag:
-        return _undefined("series shorter than lag")
-    if float(np.var(x)) == 0.0:
-        return _undefined("zero variance")
-    rho = np.array([_acf(x, k)[0] for k in range(1, lag + 1)])
-    phi = _durbin_levinson(rho)
+    _, reason = memo.acf(lag)  # series shorter than lag, or zero variance
+    if reason is not None:
+        return _undefined(reason)
+    phi = memo.levinson(lag)
     if phi is None:
         return _undefined("rank deficient")
     return _ok(phi[lag - 1, lag - 1])
@@ -287,14 +286,14 @@ def approximate_entropy_counts(x: np.ndarray, m: int, r: float) -> np.ndarray:
     return _entropy_counts(x, m, r)[0]
 
 
-def approximate_entropy(x: np.ndarray, m: int, r_factor: float, counts: Callable) -> Result:
+def approximate_entropy(x: np.ndarray, m: int, r_factor: float, memo: SimpleNamespace) -> Result:
     """ApEn = Phi_m(r) - Phi_{m+1}(r), r = r_factor * population std."""
     if len(x) < m + 2:
         return _undefined("series too short")
     sd = float(np.std(x))
     if sd == 0.0:
         return _undefined("zero std")
-    phi_m, phi_m1 = (float(np.mean(np.log(c / len(c)))) for c in counts(m, r_factor * sd))
+    phi_m, phi_m1 = (float(np.mean(np.log(c / len(c)))) for c in memo.counts(m, r_factor * sd))
     return _ok(phi_m - phi_m1)
 
 
@@ -307,14 +306,14 @@ def sample_entropy_counts(x: np.ndarray, m: int, r: float) -> tuple[int, int]:
     return _pair_counts(*_entropy_counts(x, m, r))
 
 
-def sample_entropy(x: np.ndarray, m: int, r_factor: float, counts: Callable) -> Result:
+def sample_entropy(x: np.ndarray, m: int, r_factor: float, memo: SimpleNamespace) -> Result:
     """SampEn = -ln(A / B) with self-matches excluded."""
     if len(x) < m + 2:
         return _undefined("series too short")
     sd = float(np.std(x))
     if sd == 0.0:
         return _undefined("zero std")
-    a, b = _pair_counts(*counts(m, r_factor * sd))
+    a, b = _pair_counts(*memo.counts(m, r_factor * sd))
     if b == 0 or a == 0:
         return _undefined("no matches")
     return _ok(-math.log(a / b))
@@ -368,14 +367,13 @@ def fft_aggregated(x: np.ndarray, attr: str) -> Result:
 # ── model-based family ───────────────────────────────────────────────
 
 
-def ar_coefficient(x: np.ndarray, k: int, p: int) -> Result:
+def ar_coefficient(x: np.ndarray, k: int, p: int, memo: SimpleNamespace) -> Result:
     """phi_k of an AR(p) fit by Yule-Walker, solved via Durbin-Levinson."""
     if len(x) <= p:
         return _undefined("series too short")
     if float(np.var(x)) == 0.0:
         return _undefined("zero variance")
-    rho = np.array([_acf(x, lag)[0] for lag in range(1, p + 1)])
-    phi = _durbin_levinson(rho)
+    phi = memo.levinson(p)
     if phi is None:
         return _undefined("rank deficient")
     return _ok(phi[p - 1, k - 1])
@@ -398,17 +396,15 @@ def _ols_qr(X: np.ndarray, y: np.ndarray):
     return beta, se, None
 
 
-_ADF_ATTRS = ("teststat", "usedlag", "pvalue")
+_ADF_ATTRS = ("teststat", "usedlag")
 
 
 def augmented_dickey_fuller(x: np.ndarray, attr: str, lag: int = 1) -> Result:
     """t-statistic of the level coefficient in the ADF regression.
 
     dx_t = alpha + beta * x_{t-1} + sum_{i=1..lag} gamma_i * dx_{t-i} + eps.
-    p-values need response-surface tables and are not supported.
+    There is no p-value attr: it would need response-surface tables.
     """
-    if attr == "pvalue":
-        return _undefined("unsupported attr")
     if attr == "usedlag":
         return _ok(float(lag))
     n = len(x)
@@ -594,14 +590,9 @@ def cid_ce(x: np.ndarray, normalize: bool) -> Result:
 
 
 def _cast_bool(v) -> bool:
-    if isinstance(v, bool):
-        return v
-    if isinstance(v, str):
-        if v.lower() in ("true", "1"):
-            return True
-        if v.lower() in ("false", "0"):
-            return False
-    raise ValueError(f"not a boolean: {v!r}")
+    if not isinstance(v, bool):
+        raise ValueError(f"not a boolean: {v!r}")
+    return v
 
 
 def _cast_choice(options: Sequence[str]):
@@ -690,7 +681,17 @@ _REGISTRY: dict[str, tuple[Callable, tuple[tuple[str, Callable, object], ...]]] 
     "cid_ce": (cid_ce, (("normalize", _cast_bool, True),)),
 }
 
-FEATURE_NAMES = tuple(sorted(_REGISTRY))
+# the features that read the series memo
+_MEMO_READERS = {autocorrelation, agg_autocorrelation, partial_autocorrelation, ar_coefficient, approximate_entropy, sample_entropy}
+
+
+def _memo(x: np.ndarray) -> SimpleNamespace:
+    """The work that the specs of one series share, each piece computed once: ``acf(lag)``;
+    ``levinson(p)``, the order-p Durbin-Levinson solve on acf(1..p), one per order so that
+    each keeps its own rank-deficient stop; ``counts(m, r)``, one entropy count pass."""
+    acf = cache(partial(_acf, x))
+    levinson = cache(lambda p: _durbin_levinson(np.array([acf(lag)[0] for lag in range(1, p + 1)])))
+    return SimpleNamespace(acf=acf, levinson=levinson, counts=cache(partial(_entropy_counts, x)))
 
 
 def _format_value(v) -> str:
@@ -735,13 +736,13 @@ class FeatureSpec:
         parts = [self.name] + [f"{k}={_format_value(v)}" for k, v in self.params]
         return "__".join(parts)
 
-    def compute(self, x: np.ndarray, counts: Optional[Callable] = None) -> Result:
-        """Evaluate on x, which must be finite; the entropies read ``counts(m, r)``,
-        by default a count pass on x."""
+    def compute(self, x: np.ndarray, memo: Optional[SimpleNamespace] = None) -> Result:
+        """Evaluate on x, which must be finite; the ACF family and the entropies
+        read ``memo``, by default a new memo of x."""
         _check_finite(x)
         func, _ = _REGISTRY[self.name]
-        if func in (approximate_entropy, sample_entropy):
-            return func(x, counts=counts or partial(_entropy_counts, x), **dict(self.params))
+        if func in _MEMO_READERS:
+            return func(x, memo=memo or _memo(x), **dict(self.params))
         return func(x, **dict(self.params))
 
 
@@ -813,11 +814,10 @@ def extract_values(x, specs: Sequence[FeatureSpec]) -> FeatureVector:
     ids = [s.feature_id for s in specs]
     if len(set(ids)) != len(ids):
         raise UnknownFeature("duplicate feature specs requested")
-    # ApEn and SampEn at one (m, r) read one count pass
-    counts = cache(partial(_entropy_counts, x))
+    memo = _memo(x)
     entries = []
     for spec in specs:
-        value, reason = spec.compute(x, counts)
+        value, reason = spec.compute(x, memo)
         entries.append(FeatureEntry(spec.feature_id, value, reason))
     entries.sort(key=lambda e: e.feature_id)
     return FeatureVector(tuple(entries))

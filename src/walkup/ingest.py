@@ -8,7 +8,7 @@ Two on-disk formats are supported:
   "right_hand": [[x,y,z,v]*21]?}``.
 * CSV — header ``t,body_0_x,body_0_y,body_0_z,body_0_v,...,rh_20_v``; an
   absent pose leaves all of its cells empty. CSV carries no metadata, so
-  fps is taken from the ``fps`` argument or inferred from the timestamps.
+  fps is inferred from the timestamps.
 
 A file is read as UTF-8 one line at a time, never whole. Its lines end at
 ``\n``, ``\r\n`` or ``\r``, and the line numbers in errors count those
@@ -88,14 +88,13 @@ PathOrStream = Union[str, Path, IO[str]]
 def parse_frames(
     source: PathOrStream,
     format: FileFormat = FileFormat.JSONL,
-    fps: Optional[float] = None,
     item: Optional[UpdrsItem] = None,
     subject_id: Optional[str] = None,
 ) -> LandmarkSequence:
     """Parse a landmark file into a LandmarkSequence, preserving source order.
 
-    ``fps``/``item``/``subject_id`` override or supply metadata the file
-    itself lacks (a CSV's fps is otherwise inferred from its timestamps).
+    ``item``/``subject_id`` override or supply metadata the file itself
+    lacks. A CSV's fps is inferred from its timestamps.
     Raises SchemaError with the line number on malformed input and at the
     first frame that breaks a rule of ``core.frame_violations`` (at the header
     for one of ``core.fps_violation``); EmptySequence when no frame lines are
@@ -114,8 +113,6 @@ def parse_frames(
     except (OSError, UnicodeDecodeError) as exc:
         raise UnreadableInput(f"cannot read {source}: {exc}" if is_path else str(exc)) from exc
 
-    if fps is not None:
-        seq = replace(seq, fps=fps)
     if item is not None:
         seq = replace(seq, item=item)
     if subject_id is not None:

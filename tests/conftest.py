@@ -1,4 +1,4 @@
-"""Shared builders for pose arrays, landmark sequences and signal series."""
+"""Shared builders for pose arrays, landmark sequences and signal series, and feature checks."""
 
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ from walkup.core import (
     SignalSeries,
     UpdrsItem,
 )
+from walkup.features import extract_values
 
 # keep property tests reproducible run-to-run
 settings.register_profile("deterministic", derandomize=True, deadline=None)
@@ -77,6 +78,26 @@ def make_series(values, timestamps=None, item: UpdrsItem = UpdrsItem.FINGER_TAPS
     if timestamps is None:
         timestamps = np.arange(len(values), dtype=float)
     return SignalSeries(item, channel, values, np.asarray(timestamps, dtype=float))
+
+
+# series on which the feature engine branches: lags past the end and AR "series
+# too short" (n = 1-8), zero variance, and rho_1 = -1, where PACF lag 1 is -1.0
+# and PACF lags 2-5 and every AR spec are "rank deficient"
+FEATURE_EDGE_SERIES = (
+    *(np.arange(1.0, n + 1) ** 1.5 for n in range(1, 9)),
+    np.full(30, 2.5),
+    np.array([0.0, 1.0] * 20),
+)
+
+
+def assert_extract_matches_compute(x, specs) -> None:
+    """extract_values, which shares one memo across the specs, gives each spec's
+    own ``compute(x)``, bit for bit and reason for reason."""
+    entries = {e.feature_id: e for e in extract_values(x, specs).entries}
+    for spec in specs:
+        value, reason = spec.compute(x)
+        got = entries[spec.feature_id]
+        assert (got.reason, np.float64(got.value).tobytes()) == (reason, np.float64(value).tobytes()), spec.feature_id
 
 
 @pytest.fixture

@@ -226,8 +226,6 @@ def fft_aggregated(x, attr):
 
 
 def augmented_dickey_fuller(x, attr, lag=1):
-    if attr == "pvalue":
-        return None
     if attr == "usedlag":
         return float(lag)
     x = list(map(float, x))

@@ -11,7 +11,14 @@ import numpy as np
 import pytest
 
 from tests import naive_features as naive
-from tests.conftest import body_pose, hand_pose, same_landmarks, sequence
+from tests.conftest import (
+    FEATURE_EDGE_SERIES,
+    assert_extract_matches_compute,
+    body_pose,
+    hand_pose,
+    same_landmarks,
+    sequence,
+)
 from walkup import core
 from walkup.cli import main as cli_main
 from walkup.core import SLOT_POINTS, LandmarkSequence, Side, UpdrsItem
@@ -241,9 +248,12 @@ def test_criterion_3_feature_oracle_equivalence():
     t0 = time.perf_counter()
     worst = 0.0
     count_mismatches = 0
+    for x in FEATURE_EDGE_SERIES:
+        assert_extract_matches_compute(x, specs)
     for _ in range(200):
         n = int(rng.integers(3, 513))
         x = rng.normal(loc=rng.uniform(-2, 2), scale=rng.uniform(0.5, 3), size=n)
+        assert_extract_matches_compute(x, specs)  # the path analyze runs
         for spec in specs:
             got, reason = spec.compute(x)
             want = naive.NAIVE[spec.name](list(x), **dict(spec.params))
@@ -267,7 +277,8 @@ def test_criterion_3_feature_oracle_equivalence():
     ok = worst < 1e-9 and count_mismatches == 0 and elapsed < 60.0
     _report(
         "criterion 3 (feature oracle equivalence)", ok,
-        f"21 features x 200 series: max rel err {worst:.3e} (tol 1e-9), "
+        f"21 features x 200 series, {len(FEATURE_EDGE_SERIES)} edge series through extract_values: "
+        f"max rel err {worst:.3e} (tol 1e-9), "
         f"{count_mismatches} count mismatches, {elapsed:.1f}s",
     )
 

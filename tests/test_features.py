@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import betainc
 
 from tests import naive_features as naive
-from tests.conftest import make_series
+from tests.conftest import FEATURE_EDGE_SERIES, assert_extract_matches_compute, make_series
 from walkup import features
 from walkup.errors import EmptySeries, UnknownFeature, WalkupError
 from walkup.features import (
@@ -191,6 +191,27 @@ def test_extract_runs_one_count_pass_per_entropy_setting(rng, monkeypatch):
     x = rng.normal(size=200)
     extract_values(x, default_specs())
     assert passes == [(200, 2, 0.2 * float(np.std(x)))]  # read by ApEn and SampEn
+
+
+def test_extract_computes_each_acf_lag_and_levinson_order_once(rng, monkeypatch):
+    lags, orders = [], []
+
+    def counting_acf(x, lag):
+        lags.append(lag)
+        return acf(x, lag)
+
+    def counting_levinson(rho):
+        orders.append(len(rho))
+        return levinson(rho)
+
+    acf, levinson = features._acf, features._durbin_levinson
+    monkeypatch.setattr(features, "_acf", counting_acf)
+    monkeypatch.setattr(features, "_durbin_levinson", counting_levinson)
+    extract_values(rng.normal(size=200), default_specs())
+    # ACF lags 1-5 feed autocorrelation, agg_autocorrelation and the solves;
+    # PACF lag k reads order k, and AR(k, 4) shares order 4 with PACF lag 4
+    assert sorted(lags) == [1, 2, 3, 4, 5]
+    assert sorted(orders) == [1, 2, 3, 4, 5]
 
 
 def test_entropy_counts_exact_on_mostly_constant_long_series(rng):
@@ -396,8 +417,8 @@ def test_adf_separates_walk_from_noise(rng):
 def test_adf_usedlag_and_pvalue():
     x = list(range(30))
     assert one("augmented_dickey_fuller", x, attr="usedlag", lag=1) == (1.0, None)
-    value, reason = one("augmented_dickey_fuller", x, attr="pvalue")
-    assert math.isnan(value) and reason == "unsupported attr"
+    with pytest.raises(UnknownFeature, match="attr"):
+        FeatureSpec.make("augmented_dickey_fuller", attr="pvalue")
 
 
 def test_adf_rank_deficient_on_linear_ramp():
@@ -483,6 +504,9 @@ def test_unknown_feature_and_params_rejected():
         FeatureSpec.make("ar_coefficient", k=5, p=2)
     with pytest.raises(UnknownFeature):
         FeatureSpec.make("linear_trend", attr="curvature")
+    for flag in ("true", "1", 1, 0):
+        with pytest.raises(UnknownFeature, match="normalize"):
+            FeatureSpec.make("cid_ce", normalize=flag)
 
 
 @pytest.mark.parametrize("name", ["approximate_entropy", "sample_entropy"])
@@ -633,9 +657,17 @@ def _relative_close(got: float, want: float, tol: float = 1e-9) -> bool:
 
 def test_engine_matches_naive_oracle(rng):
     specs = default_specs()
+    series = list(FEATURE_EDGE_SERIES)
     for trial in range(40):
         n = int(rng.integers(3, 513))
-        x = rng.normal(loc=rng.uniform(-2, 2), scale=rng.uniform(0.5, 3), size=n)
+        series.append(rng.normal(loc=rng.uniform(-2, 2), scale=rng.uniform(0.5, 3), size=n))
+    for x in series:
+        n = len(x)
+        assert_extract_matches_compute(x, specs)  # the path analyze runs
+        if np.ptp(x) == 0.0:
+            # on a constant the oracle differs by convention: scipy's r is NaN where the
+            # engine's is 0, and its literal DFT leaves about 1e-15 in the empty bins
+            continue
         for spec in specs:
             got, reason = spec.compute(x)
             want = naive.NAIVE[spec.name](list(x), **dict(spec.params))

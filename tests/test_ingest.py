@@ -261,8 +261,15 @@ def test_csv_round_trip_coordinates(rng):
         bodies.append(body_pose({2: tuple(rng.uniform(0, 1, size=2))}))
         hands.append(hand_pose({5: tuple(rng.uniform(0, 1, size=2))}))
     seq = sequence(body=bodies, right_hand=hands)
-    back = parse_frames(io.StringIO(serialize_csv(seq)), format=FileFormat.CSV, fps=30.0)
+    back = parse_frames(io.StringIO(serialize_csv(seq)), format=FileFormat.CSV)
     assert same_landmarks(seq, back)
+
+
+def test_parse_frames_takes_no_fps_override():
+    # an override skipped the fps rule: fps=0.0 built a sequence flagged bad_fps
+    text = serialize_csv(sequence(body=[body_pose()] * 3))
+    with pytest.raises(TypeError):
+        parse_frames(io.StringIO(text), format=FileFormat.CSV, fps=0.0)
 
 
 # ── JSONL round trip ────────────────────────────────────────────────
