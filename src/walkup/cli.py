@@ -142,13 +142,18 @@ def _cmd_validate(args) -> int:
     return worst
 
 
+def _stem(path: str, subject_id: str, item: UpdrsItem) -> str:
+    """The prefix of one input's output files: its subject, else its file stem, then its item."""
+    return f"{subject_id or Path(path).stem}_{item.value}"
+
+
 def _cmd_signals(args) -> int:
     seq = _load_sequence(args.inputs, args)
     cfg = _resolve_config(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for series in build_signals(seq, cfg):
-        name = f"{seq.subject_id or 'anon'}_{seq.item.value}_{series.channel.value}.csv"
+        name = f"{_stem(args.inputs, seq.subject_id, seq.item)}_{series.channel.value}.csv"
         atomic_write(out_dir / name, signal_csv(series))
         _err(f"wrote {out_dir / name}")
     return EXIT_OK
@@ -157,7 +162,7 @@ def _cmd_signals(args) -> int:
 def _analyze_one(path: str, args, cfg: AnalysisConfig, out_dir: Path) -> None:
     digest = file_digest(path)
     report = analyze(_load_sequence(path, args), cfg, digest=digest)
-    stem = f"{report.subject_id or Path(path).stem}_{report.item.value}"
+    stem = _stem(path, report.subject_id, report.item)
     sub = out_dir / stem if len(args.inputs) > 1 else out_dir
     sub.mkdir(parents=True, exist_ok=True)
     atomic_write(sub / "report.json", report_json(report))

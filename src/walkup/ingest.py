@@ -319,46 +319,48 @@ def write_sequence(seq: LandmarkSequence, path: Union[str, Path], format: FileFo
 def fill_gaps(seq: LandmarkSequence, cfg: IngestConfig) -> LandmarkSequence:
     """Repair landmarks whose visibility falls below ``cfg.min_visibility``.
 
-    LINEAR_INTERP bridges each low-visibility landmark from its nearest
-    visible samples in time; HOLD_LAST forward-fills (backfilling a leading
-    gap); DROP leaves the landmark untouched so downstream consumers skip
-    it. Repaired landmarks get visibility == min_visibility so they count
-    as present afterwards. Landmarks never visible anywhere stay as-is.
+    The one owner of the missing-pose policy: a frame where a slot is absent
+    counts as one where every landmark of that slot is invisible (its NaN
+    visibility compares as not visible). LINEAR_INTERP bridges each such
+    landmark from its nearest visible samples in time; HOLD_LAST forward-fills
+    (backfilling a leading gap); DROP leaves the sequence untouched so
+    downstream consumers skip those landmarks and frames. Repaired landmarks
+    get visibility == min_visibility so they count as visible afterwards, and
+    are finite in every frame; a slot with any repair is present in every
+    frame. Landmarks never visible anywhere stay as-is.
     Returns ``seq`` itself when no landmark needs repair.
     """
     if cfg.gap_fill is GapFill.DROP or not len(seq):
         return seq
 
+    t = seq.timestamps
     repaired = {}
     for slot, pts in seq.poses.items():
-        present = seq.present[slot]
-        good_all = pts[present, :, 3] >= cfg.min_visibility
+        good_all = pts[:, :, 3] >= cfg.min_visibility
         # only landmarks visible in some frames and not in others need repair
         repair = np.flatnonzero(good_all.any(axis=0) & ~good_all.all(axis=0))
         if not len(repair):
             continue
-        # (frames, points, 4) copy over the frames that carry the pose
-        block = pts[present]
-        sub_t = seq.timestamps[present]
+        block = pts.copy()
         for j in repair:
             good = good_all[:, j]
             bad = ~good
             for axis in range(3):
                 col = block[:, j, axis]
                 if cfg.gap_fill is GapFill.LINEAR_INTERP:
-                    col[bad] = np.interp(sub_t[bad], sub_t[good], col[good])
+                    col[bad] = np.interp(t[bad], t[good], col[good])
                 else:  # HOLD_LAST
                     idx = np.where(good)[0]
                     pos = np.searchsorted(idx, np.where(bad)[0], side="right") - 1
                     pos = np.clip(pos, 0, len(idx) - 1)
                     col[bad] = col[idx[pos]]
             block[bad, j, 3] = cfg.min_visibility
-        repaired[slot] = pts.copy()
-        repaired[slot][present] = block
+        repaired[slot] = block
 
     if not repaired:
         return seq
-    return replace(seq, poses={**seq.poses, **repaired})
+    present = dict.fromkeys(repaired, np.ones(len(seq), dtype=bool))
+    return replace(seq, poses={**seq.poses, **repaired}, present={**seq.present, **present})
 
 
 # ── resampling ───────────────────────────────────────────────────────
@@ -374,9 +376,9 @@ def resample(seq: LandmarkSequence, cfg: IngestConfig) -> LandmarkSequence:
     ``(n - 1) / duration``, raises ValueError: the grid would only repeat
     interpolated frames, and without a bound its size has none.
     Coordinates are linearly interpolated between the bracketing frames.
-    When a pose is missing on one side of a bracket, the gap_fill policy
-    decides: LINEAR_INTERP bridges across the gap, HOLD_LAST holds the most
-    recent pose, DROP omits the pose at that grid point.
+    A grid point keeps a slot only where its bracketing frames carry that
+    slot; elsewhere the slot is absent there. Repairing absent frames is
+    ``fill_gaps``' job, so run it first (``build_signals`` does).
     """
     if cfg.resample_fps is None:
         raise ValueError("cfg.resample_fps must be set")
@@ -402,25 +404,11 @@ def resample(seq: LandmarkSequence, cfg: IngestConfig) -> LandmarkSequence:
     poses, present = {}, {}
     for slot, pts in seq.poses.items():
         has = seq.present[slot]
-        carriers = np.flatnonzero(has)
-        if not len(carriers):
+        if not has.any():
             continue
         between = has[j] & has[jn] & ~at_frame
         keep = (has[j] & at_frame) | between
         i0, i1 = j, np.where(between, jn, j)
-        if cfg.gap_fill is not GapFill.DROP:
-            # the other grid points take the nearest carriers of the pose at
-            # or before (prev) and at or after (nxt) them
-            n_prev = np.searchsorted(times[carriers], s + 1e-12, side="right")
-            n_next = np.searchsorted(times[carriers], s - 1e-12, side="left")
-            prev = carriers[np.maximum(n_prev - 1, 0)]
-            nxt = carriers[np.minimum(n_next, len(carriers) - 1)]
-            fill = ~keep
-            i0 = np.where(fill, np.where(n_prev > 0, prev, nxt), i0)
-            i1 = np.where(fill, i0, i1)
-            if cfg.gap_fill is GapFill.LINEAR_INTERP:
-                i1 = np.where(fill & (n_prev > 0) & (n_next < len(carriers)), nxt, i1)
-            keep = np.ones(n_out, dtype=bool)
         a, b = pts[i0], pts[i1]
         with np.errstate(divide="ignore", invalid="ignore"):  # rows with i1 == i0 take a
             w = ((s - times[i0]) / (times[i1] - times[i0]))[:, None, None]

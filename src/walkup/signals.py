@@ -8,18 +8,20 @@ Per frame:
 * leg agility        A5 = angle at the hip between hip->knee and hip->shoulder
 * foot taps          A6 = angle at the ankle between ankle->knee and ankle->foot tip
 
-Tremor (T4) is windowed: every present landmark's x(t), y(t) is high-pass
-filtered (zero-phase, second-order Butterworth run forward-backward) and the
-window is flagged 1 iff any landmark's filtered displacement RMS exceeds the
-threshold. The filter repeats the float operations of SciPy's
-``scipy.signal.butter(2, cut, btype="highpass")`` and
+Tremor (T4) is windowed: the x(t), y(t) of every landmark visible in all
+frames is high-pass filtered (zero-phase, second-order Butterworth run
+forward-backward) and the window is flagged 1 iff any landmark's filtered
+displacement RMS exceeds the threshold. The filter repeats the float
+operations of SciPy's ``scipy.signal.butter(2, cut, btype="highpass")`` and
 ``scipy.signal.filtfilt(b, a, x, axis=0)`` (Virtanen et al. 2020, Nature
 Methods 17:261), so it gives the same bits without importing ``scipy.signal``.
 
-Each signal is computed over all frames at once. Frames where the pose is
-absent, a required landmark is below the visibility threshold, or the
-geometry is degenerate give NaN and become gaps: the frame is skipped in
-that channel's series.
+Each signal is computed over all frames at once. The builders decide nothing
+about missing poses: ``ingest.fill_gaps`` repairs absent and low-visibility
+frames under the gap-fill policy before they get here. Frames still without
+the pose, with a required landmark below the visibility threshold, or with
+degenerate geometry give NaN and become gaps: the frame is skipped in that
+channel's series.
 """
 
 from __future__ import annotations
@@ -186,16 +188,11 @@ def foot_taps_signal(
 
 
 def _landmark_tracks(seq: LandmarkSequence, min_visibility: float) -> np.ndarray:
-    """Stack x/y tracks of every landmark visible in all frames, from the
-    slots present in all frames: (n_frames, n_tracks, 2)."""
-    tracks = [
-        pts[:, (pts[:, :, 3] >= min_visibility).all(axis=0), :2]
-        for slot, pts in seq.poses.items()
-        if seq.present[slot].all()
-    ]
-    if not tracks:
-        return np.empty((len(seq), 0, 2))
-    return np.concatenate(tracks, axis=1)
+    """Stack x/y tracks of every landmark visible in all frames:
+    (n_frames, n_tracks, 2). An absent slot's NaN visibility is not visible."""
+    return np.concatenate(
+        [pts[:, (pts[:, :, 3] >= min_visibility).all(axis=0), :2] for pts in seq.poses.values()], axis=1
+    )
 
 
 def _butter_highpass(cut: float) -> tuple[np.ndarray, np.ndarray]:
@@ -254,6 +251,8 @@ def tremor_signal(
     The whole sequence is filtered once (zero-phase high-pass), then RMS is
     evaluated over sliding windows of ``cfg.window_s`` seconds with the
     configured overlap; each value sits at its window-center timestamp.
+    The tracks are the landmarks visible at ``min_visibility`` in every
+    frame (MissingLandmark if none); a frame without their slot has none.
     """
     n = len(seq)
     times = seq.timestamps
@@ -329,7 +328,7 @@ def build_all(
         return [tremor_signal(seq, tremor_cfg, min_visibility)]
 
     out: list[SignalSeries] = []
-    if seq.item in (UpdrsItem.FINGER_TAPS, UpdrsItem.HAND_MOVEMENT, UpdrsItem.ALTERNATING_HANDS):
+    if core.REQUIRED_POSE[seq.item] == "hand":
         for side in (Side.LEFT, Side.RIGHT):
             if not seq.present[_hand(side)].any():
                 continue

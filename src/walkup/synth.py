@@ -265,7 +265,7 @@ def generate(scenario: MotionScenario) -> LandmarkSequence:
     rng = np.random.default_rng(scenario.seed)
     item = scenario.item
 
-    if item in (UpdrsItem.FINGER_TAPS, UpdrsItem.HAND_MOVEMENT, UpdrsItem.ALTERNATING_HANDS):
+    if core.REQUIRED_POSE[item] == "hand":
         if item is UpdrsItem.HAND_MOVEMENT:
             def make(w: float) -> np.ndarray:
                 return _hand_movement_hand(0.05 + w)

@@ -563,3 +563,79 @@ def test_report_malformed_input_is_validation_error(capsys, tmp_path, text, prob
     assert code == 1
     assert out == ""
     assert err.startswith(f"{path}: WalkupError: {problem}")
+
+
+# ── missing poses: fill_gaps repairs absent frames ───────────────────
+
+
+def _rewrite_frames(src: Path, dst: Path, edit) -> Path:
+    """Copy a JSONL recording, passing each frame object (line 2 on) and its
+    0-based index through ``edit``."""
+    lines = src.read_text().splitlines()
+    frames = [json.loads(line) for line in lines[1:]]
+    for i, frame in enumerate(frames):
+        edit(i, frame)
+    dst.write_text("\n".join([lines[0], *map(json.dumps, frames)]) + "\n")
+    return dst
+
+
+def _analyze_with(capsys, tmp_path, path: Path, gap_fill: str, name: str):
+    cfg_path = tmp_path / f"{name}.json"
+    cfg_path.write_text(json.dumps({"gap_fill": gap_fill}))
+    out = tmp_path / name
+    code, _, err = _run(capsys, "analyze", "--in", str(path), "--out", str(out), "--config", str(cfg_path))
+    report = out / "report.json"
+    return code, err, json.loads(report.read_text()) if report.exists() else None
+
+
+def test_analyze_tremor_survives_one_frame_without_body(capsys, tmp_path):
+    # line 51 (frame 49) carries a left hand instead of the body
+    clean = tmp_path / "clean.jsonl"
+    main(["synth", "--item", "tremor_at_rest", "--out", str(clean)])
+
+    def swap(i, frame):
+        if i == 49:
+            del frame["body"]
+            frame["left_hand"] = [[0.5, 0.5, 0.0, 1.0]] * 21
+
+    dropped = _rewrite_frames(clean, tmp_path / "dropped.jsonl", swap)
+    for gap_fill in ("linear_interp", "hold_last"):
+        code, err, report = _analyze_with(capsys, tmp_path, dropped, gap_fill, gap_fill)
+        assert code == 0, err
+        assert list(report["channels"]) == ["global"]
+    code, err, report = _analyze_with(capsys, tmp_path, dropped, "drop", "drop")
+    assert code == 1
+    assert "MissingLandmark: no landmark visible across the whole sequence" in err
+    assert report is None
+
+
+def test_analyze_repairs_a_dropped_hand_unless_drop(capsys, tmp_path, tap_fixture):
+    def drop_right(i, frame):
+        if 100 <= i < 110:
+            del frame["right_hand"]
+
+    dropped = _rewrite_frames(tap_fixture, tmp_path / "dropped.jsonl", drop_right)
+    lengths = {}
+    for gap_fill in ("linear_interp", "hold_last", "drop"):
+        code, err, report = _analyze_with(capsys, tmp_path, dropped, gap_fill, gap_fill)
+        assert code == 0, err
+        assert report["channels"]["left"]["signal"]["length"] == 300
+        lengths[gap_fill] = report["channels"]["right"]["signal"]["length"]
+    assert lengths == {"linear_interp": 300, "hold_last": 300, "drop": 290}
+
+
+def test_signals_names_files_like_analyze(capsys, tmp_path, tap_fixture):
+    # no subject in the header: both commands fall back to the file stem
+    lines = tap_fixture.read_text().splitlines()
+    header = json.loads(lines[0])
+    del header["subject"]
+    visit = tmp_path / "visit.jsonl"
+    visit.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+    code, _, _ = _run(capsys, "signals", "--in", str(visit), "--out", str(tmp_path / "sig"))
+    assert code == 0
+    code, _, _ = _run(capsys, "analyze", "--in", str(visit), "--out", str(tmp_path / "out"))
+    assert code == 0
+    signal_csvs = sorted(p.name for p in (tmp_path / "sig").iterdir())
+    assert signal_csvs == ["visit_finger_taps_left.csv", "visit_finger_taps_right.csv"]
+    for name in signal_csvs:
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "sig" / name).read_bytes()

@@ -491,20 +491,38 @@ def test_resample_single_frame_at_zero():
 
 
 def test_resample_missing_pose_policies():
-    # hand present only on the first and last frame
+    # hand present only on the first and last frame; fill_gaps repairs the
+    # middle one before resampling, as build_signals does
     h0 = hand_pose({0: (0.0, 0.0)})
     h2 = hand_pose({0: (1.0, 0.0)})
     seq = sequence([0.0, 1.0, 2.0], fps=1.0, body=[body_pose()] * 3, right_hand=[h0, None, h2])
 
-    bridged = resample(seq, IngestConfig(resample_fps=1.0, gap_fill=GapFill.LINEAR_INTERP))
+    def clean(gap_fill):
+        cfg = IngestConfig(resample_fps=1.0, gap_fill=gap_fill)
+        return resample(fill_gaps(seq, cfg), cfg)
+
+    bridged = clean(GapFill.LINEAR_INTERP)
     assert bridged.poses["right_hand"][1, 0, 0] == pytest.approx(0.5)
 
-    held = resample(seq, IngestConfig(resample_fps=1.0, gap_fill=GapFill.HOLD_LAST))
+    held = clean(GapFill.HOLD_LAST)
     assert held.poses["right_hand"][1, 0, 0] == pytest.approx(0.0)
 
-    dropped = resample(seq, IngestConfig(resample_fps=1.0, gap_fill=GapFill.DROP))
+    dropped = clean(GapFill.DROP)
     assert not dropped.present["right_hand"][1]
     assert dropped.present["body"][1]
+
+
+@pytest.mark.parametrize("gap_fill", list(GapFill))
+def test_resample_leaves_an_absent_bracket_absent(gap_fill):
+    # without fill_gaps, a grid point between a carrier and an absent frame
+    # has no hand, whatever the policy
+    hands = [hand_pose(), None, hand_pose()]
+    seq = sequence([0.0, 1.0, 2.0], fps=1.0, body=[body_pose()] * 3, right_hand=hands)
+    out = resample(seq, IngestConfig(resample_fps=2.0, gap_fill=gap_fill))
+    assert out.timestamps.tolist() == [0.0, 0.5, 1.0, 1.5, 2.0]
+    assert out.present["right_hand"].tolist() == [True, False, False, False, True]
+    assert np.isnan(out.poses["right_hand"][1:4]).all()
+    assert out.present["body"].all()
 
 
 def test_resample_requires_fps():
@@ -569,6 +587,24 @@ def test_fill_gaps_never_visible_left_alone():
     seq = _vis_seq([0.1, 0.2, 0.1], [5.0, 6.0, 7.0])
     out = fill_gaps(seq, IngestConfig(min_visibility=0.5, gap_fill=GapFill.LINEAR_INTERP))
     assert out.poses["right_hand"][:, 4, 0].tolist() == [5.0, 6.0, 7.0]
+
+
+@pytest.mark.parametrize("gap_fill, x", [(GapFill.LINEAR_INTERP, 0.5), (GapFill.HOLD_LAST, 0.0)])
+def test_fill_gaps_repairs_a_frame_without_the_slot(gap_fill, x):
+    hands = [hand_pose({4: (0.0, 0.5)}), None, hand_pose({4: (1.0, 0.5)})]
+    seq = sequence([0.0, 1.0, 2.0], fps=1.0, body=[body_pose()] * 3, right_hand=hands)
+    out = fill_gaps(seq, IngestConfig(min_visibility=0.5, gap_fill=gap_fill))
+    assert out.present["right_hand"].all()
+    assert np.isfinite(out.poses["right_hand"]).all()
+    assert out.poses["right_hand"][1, 4, 0] == pytest.approx(x)
+    assert (out.poses["right_hand"][1, :, 3] == 0.5).all()  # marked just-visible
+    assert np.shares_memory(out.poses["body"], seq.poses["body"])  # nothing to repair: not copied
+
+
+def test_fill_gaps_drop_leaves_an_absent_frame_absent():
+    hands = [hand_pose(), None, hand_pose()]
+    seq = sequence([0.0, 1.0, 2.0], fps=1.0, right_hand=hands)
+    assert fill_gaps(seq, IngestConfig(gap_fill=GapFill.DROP)) is seq
 
 
 @pytest.mark.parametrize("gap_fill", [GapFill.LINEAR_INTERP, GapFill.HOLD_LAST])
