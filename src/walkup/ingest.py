@@ -21,6 +21,14 @@ JSONL frame lines are decoded by ``orjson``, about five times faster than
 stdlib ``_DECODER``, which accepts or rejects it as it would alone. The header
 is read by ``_DECODER`` only: ``orjson`` makes an integer above 64 bits a
 float, which would change a numeric ``subject``. Writing stays on ``json``.
+
+A number is a JSON number: a string such as ``"0.5"``, ``true`` or ``false`` in
+``fps``, ``t`` or a coordinate is a SchemaError, and a ``null`` coordinate is
+NaN, which the frame rules reject. A frame's decoded points go straight into
+one flat float array per present slot (a length check per point, then one
+``np.fromiter`` over the chained points), and ``_stack`` joins each slot's
+arrays once. Only a line that may hold a string or a boolean gets a per-value
+type check; ``_parse_jsonl`` says how it tells.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable, Optional, Union
 
@@ -120,16 +129,34 @@ def parse_frames(
     return seq
 
 
-def _pose_array(rows, count: int, line: int, what: str) -> np.ndarray:
+# exact classes: a JSON true or false decodes to bool, which is an int subclass
+_NUMBER_OR_NULL = frozenset({int, float, type(None)})
+
+
+def _number(value, line: int, message: str) -> float:
+    """``value`` as a float if JSON decoded it from a number, else SchemaError."""
+    if value.__class__ is float or value.__class__ is int:
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise SchemaError(line, message)
+
+
+def _pose_values(rows, count: int, line: int, what: str, strict: bool) -> np.ndarray:
+    """The ``4 * count`` numbers of one slot's points, x, y, z, visibility per
+    point. ``strict`` checks the type of each value, which a line needs only
+    when it may hold a string or a boolean; a null is NaN, which the frame
+    rules reject as non-finite."""
     if not isinstance(rows, list) or len(rows) != count:
         raise SchemaError(line, f"{what} must list exactly {count} points")
     try:
-        pts = np.asarray(rows, dtype=float)
+        typed = not strict or all(v.__class__ in _NUMBER_OR_NULL for v in chain.from_iterable(rows))
+        if typed and set(map(len, rows)) == {4}:
+            return np.fromiter(chain.from_iterable(rows), float, 4 * count)
     except (TypeError, ValueError, OverflowError):
-        pts = None
-    if pts is None or pts.shape != (count, 4):
-        raise SchemaError(line, f"{what} points must each be [x, y, z, visibility] numbers")
-    return pts
+        pass
+    raise SchemaError(line, f"{what} points must each be [x, y, z, visibility] numbers")
 
 
 def _reject_constant(name: str):
@@ -156,28 +183,37 @@ def _decode_frame(raw: str, line: int):
         return _decode(raw, line)
 
 
-def _stack(frames: list, fps: float, item=None, subject_id: str = "") -> LandmarkSequence:
-    """Stack parsed ``(line, t, {slot: points})`` frames into one array per
+def _stack(frames: list, slots: dict, fps: float, item=None, subject_id: str = "") -> LandmarkSequence:
+    """Stack parsed frames, ``(line, t)`` each, and per slot the ``(frame
+    index, flat points)`` of every frame that carries it, into one array per
     slot; the first frame that breaks a rule raises SchemaError at its line."""
     if not frames:
         raise EmptySequence("header present but no frames")
-    t = np.array([f[1] for f in frames], dtype=float)
+    lines, times = zip(*frames)
+    n = len(frames)
     poses, present = {}, {}
-    for slot, count in SLOT_POINTS.items():
-        idx = [i for i, f in enumerate(frames) if slot in f[2]]
-        poses[slot] = np.full((len(t), count, 4), np.nan)
-        present[slot] = np.zeros(len(t), dtype=bool)
-        if idx:
-            poses[slot][idx] = np.array([frames[i][2][slot] for i in idx])
-            present[slot][idx] = True
-    seq = LandmarkSequence(t, poses, present, fps, item, subject_id)
+    for slot, carried in slots.items():
+        if not carried:
+            continue  # LandmarkSequence fills a slot absent from every frame
+        idx, flats = zip(*carried)
+        block = np.concatenate(flats).reshape(len(idx), SLOT_POINTS[slot], 4)
+        if len(idx) == n:
+            poses[slot], present[slot] = block, np.ones(n, dtype=bool)
+            continue
+        idx = list(idx)
+        poses[slot] = np.full((n, *block.shape[1:]), np.nan)
+        poses[slot][idx] = block
+        present[slot] = np.zeros(n, dtype=bool)
+        present[slot][idx] = True
+    seq = LandmarkSequence(np.array(times, dtype=float), poses, present, fps, item, subject_id)
     if broken := frame_violations(seq, first_only=True):
-        raise SchemaError(frames[broken[0].frame][0], broken[0].message)
+        raise SchemaError(lines[broken[0].frame], broken[0].message)
     return seq
 
 
 def _parse_jsonl(lines: Iterable[str]) -> LandmarkSequence:
-    numbered = ((no, ln) for no, ln in enumerate(lines, 1) if ln.strip())
+    # isspace, unlike strip, copies no line
+    numbered = ((no, ln) for no, ln in enumerate(lines, 1) if ln and not ln.isspace())
     header_no, header_line = next(numbered, (0, None))
     if header_line is None:
         raise EmptySequence("no content lines")
@@ -185,10 +221,7 @@ def _parse_jsonl(lines: Iterable[str]) -> LandmarkSequence:
     header = _decode(header_line, header_no)
     if not isinstance(header, dict) or "fps" not in header:
         raise SchemaError(header_no, 'header must be an object with an "fps" field')
-    try:
-        fps = float(header["fps"])
-    except (TypeError, ValueError, OverflowError):
-        raise SchemaError(header_no, "fps must be numeric") from None
+    fps = _number(header["fps"], header_no, "fps must be numeric")
     if bad_fps := fps_violation(fps):
         raise SchemaError(header_no, bad_fps.message)
     try:
@@ -197,26 +230,28 @@ def _parse_jsonl(lines: Iterable[str]) -> LandmarkSequence:
         raise SchemaError(header_no, str(exc)) from None
     subject = str(header.get("subject", ""))
 
-    frames = []
+    frames, slots = [], {slot: [] for slot in SLOT_POINTS}
     for line_no, raw in numbered:
         obj = _decode_frame(raw, line_no)
         if not isinstance(obj, dict):
             raise SchemaError(line_no, "frame must be a JSON object")
         if "t" not in obj:
             raise SchemaError(line_no, 'frame missing "t" field')
-        try:
-            t = float(obj["t"])
-        except (TypeError, ValueError, OverflowError):
-            raise SchemaError(line_no, "t must be numeric") from None
-        poses = {
-            slot: _pose_array(obj[slot], count, line_no, slot)
-            for slot, count in SLOT_POINTS.items()
-            if obj.get(slot) is not None
-        }
-        if not poses:
+        t = _number(obj["t"], line_no, "t must be numeric")
+        # Each key brings two quotes, and no known key holds a u or an s. A
+        # line with no other quote and no u or s (so no true, false or null)
+        # holds no string or boolean: its points need no per-value type check.
+        strict = raw.count('"') != 2 * len(obj) or "u" in raw or "s" in raw
+        carried = False
+        for slot, count in SLOT_POINTS.items():
+            rows = obj.get(slot)
+            if rows is not None:
+                slots[slot].append((len(frames), _pose_values(rows, count, line_no, slot, strict)))
+                carried = True
+        if not carried:
             raise SchemaError(line_no, "frame has no pose")
-        frames.append((line_no, t, poses))
-    return _stack(frames, fps, item, subject)
+        frames.append((line_no, t))
+    return _stack(frames, slots, fps, item, subject)
 
 
 def _csv_columns() -> list[str]:
@@ -238,7 +273,7 @@ def _parse_csv(lines: Iterable[str]) -> LandmarkSequence:
     if header != expected:
         raise SchemaError(header_no, "unexpected CSV header")
 
-    frames = []
+    frames, slots = [], {slot: [] for slot in SLOT_POINTS}
     for line_no, row in rows:
         if len(row) != len(expected):
             raise SchemaError(line_no, f"expected {len(expected)} cells, got {len(row)}")
@@ -248,7 +283,7 @@ def _parse_csv(lines: Iterable[str]) -> LandmarkSequence:
             raise SchemaError(line_no, "t must be numeric") from None
 
         offset = 1
-        poses = {}
+        carried = False
         for slot, count in SLOT_POINTS.items():
             cells = row[offset : offset + 4 * count]
             offset += 4 * count
@@ -257,13 +292,14 @@ def _parse_csv(lines: Iterable[str]) -> LandmarkSequence:
                     raise SchemaError(line_no, f"{slot} pose is partially filled")
                 continue
             try:
-                poses[slot] = np.asarray(cells, dtype=float).reshape(count, 4)
+                slots[slot].append((len(frames), np.asarray(cells, dtype=float)))
             except ValueError:
                 raise SchemaError(line_no, f"{slot} pose has a non-numeric cell") from None
-        if not poses:
+            carried = True
+        if not carried:
             raise SchemaError(line_no, "frame has no pose")
-        frames.append((line_no, t, poses))
-    seq = _stack(frames, 30.0)  # the rate is inferred once the timestamps pass the rules
+        frames.append((line_no, t))
+    seq = _stack(frames, slots, 30.0)  # the rate is inferred once the timestamps pass the rules
     if len(seq) < 2:
         return seq
     fps = (len(seq) - 1) / seq.duration_s
@@ -327,7 +363,9 @@ def fill_gaps(seq: LandmarkSequence, cfg: IngestConfig) -> LandmarkSequence:
     downstream consumers skip those landmarks and frames. Repaired landmarks
     get visibility == min_visibility so they count as visible afterwards, and
     are finite in every frame; a slot with any repair is present in every
-    frame. Landmarks never visible anywhere stay as-is.
+    frame. A landmark never visible stays as it is, save in the frames where
+    its slot was absent: there it takes finite coordinates from the frames
+    that carry the slot under the same policy, at visibility 0.
     Returns ``seq`` itself when no landmark needs repair.
     """
     if cfg.gap_fill is GapFill.DROP or not len(seq):
@@ -342,8 +380,11 @@ def fill_gaps(seq: LandmarkSequence, cfg: IngestConfig) -> LandmarkSequence:
         if not len(repair):
             continue
         block = pts.copy()
-        for j in repair:
-            good = good_all[:, j]
+        targets = [(j, good_all[:, j], cfg.min_visibility) for j in repair]
+        carried = seq.present[slot]
+        if not carried.all():  # visibility 0 stays below every threshold
+            targets += [(j, carried, 0.0) for j in np.flatnonzero(~good_all.any(axis=0))]
+        for j, good, visibility in targets:
             bad = ~good
             for axis in range(3):
                 col = block[:, j, axis]
@@ -354,7 +395,7 @@ def fill_gaps(seq: LandmarkSequence, cfg: IngestConfig) -> LandmarkSequence:
                     pos = np.searchsorted(idx, np.where(bad)[0], side="right") - 1
                     pos = np.clip(pos, 0, len(idx) - 1)
                     col[bad] = col[idx[pos]]
-            block[bad, j, 3] = cfg.min_visibility
+            block[bad, j, 3] = visibility
         repaired[slot] = block
 
     if not repaired:

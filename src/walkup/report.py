@@ -302,13 +302,16 @@ def plot_svg(series: SignalSeries, peaks: np.ndarray, troughs: np.ndarray) -> st
     tspan = (t1 - t0) or 1.0
     vspan = (v1 - v0) or 1.0
 
-    def sx(x: float) -> float:
+    # pixel positions of floats or of whole arrays, which numpy computes
+    # with the same operations in the same order, so to the same bits
+    def sx(x):
         return _PAD + (x - t0) / tspan * (_W - 2 * _PAD)
 
-    def sy(y: float) -> float:
+    def sy(y):
         return _H - _PAD - (y - v0) / vspan * (_H - 2 * _PAD)
 
-    pts = " ".join(f"{sx(float(a)):.3f},{sy(float(b)):.3f}" for a, b in zip(t, v))
+    xs, ys = sx(t).tolist(), sy(v).tolist()
+    pts = " ".join(map("{:.3f},{:.3f}".format, xs, ys))
     mean_y = sy(float(v.mean()))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W:.0f}" height="{_H:.0f}" '
@@ -319,9 +322,6 @@ def plot_svg(series: SignalSeries, peaks: np.ndarray, troughs: np.ndarray) -> st
         f'stroke="#cc0000" stroke-width="1"/>',
     ]
     for idx in list(peaks) + list(troughs):
-        parts.append(
-            f'<circle cx="{sx(float(t[idx])):.3f}" cy="{sy(float(v[idx])):.3f}" '
-            f'r="3" fill="#cc0000"/>'
-        )
+        parts.append(f'<circle cx="{xs[idx]:.3f}" cy="{ys[idx]:.3f}" r="3" fill="#cc0000"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

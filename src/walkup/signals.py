@@ -348,7 +348,4 @@ def build_all(
 
 def signal_csv(series: SignalSeries) -> str:
     """Per-channel CSV export: one t,value row per sample."""
-    lines = ["t,value"]
-    for t, v in zip(series.timestamps, series.values):
-        lines.append(f"{float(t)!r},{float(v)!r}")
-    return "\n".join(lines) + "\n"
+    return "t,value\n" + "".join(map("{!r},{!r}\n".format, series.timestamps.tolist(), series.values.tolist()))

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tests import reference_parse
 from tests.conftest import body_pose, hand_pose, same_landmarks, sequence
-from walkup.core import SLOT_POINTS, UpdrsItem
+from walkup.core import SLOT_POINTS, UpdrsItem, validate_sequence
 from walkup.errors import EmptySequence, SchemaError, UnreadableInput, WalkupError
 from walkup.ingest import (
     _DECODER,
@@ -186,11 +187,12 @@ def test_parse_jsonl_rejects_non_finite_fps():
 
 @pytest.mark.parametrize("fps", ["1e999", "-1e999", '"inf"', '"nan"'])
 def test_parse_jsonl_rejects_overflowing_fps(fps):
-    # inf used to parse, and serialize_jsonl then wrote a header it could not read back
+    # inf used to parse, and serialize_jsonl then wrote a header it could not read back;
+    # a JSON string is no number, whatever it spells
     with pytest.raises(SchemaError) as exc:
         parse_frames(io.StringIO("\n".join(['{"fps": %s}' % fps, _body_line(0.0)])))
     assert exc.value.line == 1
-    assert exc.value.reason == "fps must be finite"
+    assert exc.value.reason == ("fps must be numeric" if fps.startswith('"') else "fps must be finite")
 
 
 @pytest.mark.parametrize("item", ['"jumping_jacks"', "5", "[1]"])
@@ -453,6 +455,83 @@ def test_orjson_accepts_only_what_the_stdlib_decoder_accepts_alike(line):
     assert _numbers_as_bits(fast) == _numbers_as_bits(_DECODER.decode(line))
 
 
+# ── per-slot conversion against the per-frame reference ─────────────
+
+
+def _parse_outcome(parse, text: str):
+    """The sequence's bytes, or the error's type, line and reason."""
+    try:
+        seq = parse(text)
+    except WalkupError as exc:
+        return type(exc), getattr(exc, "line", None), getattr(exc, "reason", str(exc))
+    arrays = [seq.timestamps] + [a for slot in SLOT_POINTS for a in (seq.poses[slot], seq.present[slot])]
+    return seq.fps, [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+def _assert_parity(text: str):
+    outcome = _parse_outcome(lambda s: parse_frames(io.StringIO(s)), text)
+    assert outcome == _parse_outcome(reference_parse.parse_jsonl, text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_frame_lines())
+def test_slot_conversion_matches_per_frame_reference_on_mutated_lines(line):
+    _assert_parity("\n".join(['{"fps": 30}', _body_line(-1.0), line]) + "\n")
+
+
+@settings(max_examples=200, deadline=None)
+@given(landmark_texts().filter(lambda case: case[0] is FileFormat.JSONL))
+def test_slot_conversion_matches_per_frame_reference_on_landmark_texts(case):
+    _assert_parity(case[1])
+
+
+_POINTS = "points must each be [x, y, z, visibility] numbers"
+
+
+@pytest.mark.parametrize(
+    "point, reason",
+    [
+        ("[0.1, 0.2, 0.0]", _POINTS),
+        ("[0.1, 0.2, 0.0, 1.0, 1.0]", _POINTS),
+        ('"1234"', _POINTS),
+        ('{"a": 1, "b": 2, "c": 3, "d": 4}', _POINTS),
+        ("[0.1, 0.2, 0.0, [1.0]]", _POINTS),
+        ("[0.1, null, 0.0, 1.0]", "non-finite number"),
+        ("[0.1, 1" + "0" * 400 + ", 0.0, 1.0]", _POINTS),
+        ('[0.1, "0.2", 0.0, 1.0]', _POINTS),
+        ("[0.1, true, 0.0, 1.0]", _POINTS),
+        ("[0.1, false, 0.0, 1.0]", _POINTS),
+    ],
+    ids=["three", "five", "string", "object", "nested", "null", "huge", "numeric_string", "true", "false"],
+)
+@pytest.mark.parametrize("slot", ["body", "right_hand"])
+def test_parse_jsonl_malformed_point(point, reason, slot):
+    count = SLOT_POINTS[slot]
+    points = ["[0.1, 0.2, 0.0, 1.0]"] * count
+    points[count // 2] = point
+    frame = '{"t": 0.1, "%s": [%s]}' % (slot, ", ".join(points))
+    text = _frame_text(frame)
+    with pytest.raises(SchemaError) as exc:
+        parse_frames(io.StringIO(text))
+    assert (exc.value.line, exc.value.reason) == (3, reason if reason != _POINTS else f"{slot} {_POINTS}")
+    _assert_parity(text)
+
+
+@pytest.mark.parametrize("header, frame, line, reason", [
+    ('{"fps": true}', _body_line(0.1), 1, "fps must be numeric"),
+    ('{"fps": "30"}', _body_line(0.1), 1, "fps must be numeric"),
+    ('{"fps": 30}', _body_line(0.1).replace('"t": 0.1', '"t": "0.5"'), 3, "t must be numeric"),
+    ('{"fps": 30}', _body_line(0.1).replace('"t": 0.1', '"t": true'), 3, "t must be numeric"),
+], ids=["fps_true", "fps_string", "t_string", "t_true"])
+def test_parse_jsonl_strings_and_booleans_are_not_numbers(header, frame, line, reason):
+    # each used to parse as the number it spells, true as 1
+    text = "\n".join([header, _body_line(0.0), frame])
+    with pytest.raises(SchemaError) as exc:
+        parse_frames(io.StringIO(text))
+    assert (exc.value.line, exc.value.reason) == (line, reason)
+    _assert_parity(text)
+
+
 # ── resample ─────────────────────────────────────────────────────────
 
 
@@ -613,6 +692,22 @@ def test_fill_gaps_returns_clean_sequence_itself(gap_fill):
     for vis in ([1.0, 0.5, 1.0], [0.1, 0.2, 0.1]):
         seq = _vis_seq(vis, [0.0, 99.0, 1.0])
         assert fill_gaps(seq, IngestConfig(min_visibility=0.5, gap_fill=gap_fill)) is seq
+
+
+@pytest.mark.parametrize("gap_fill, x", [(GapFill.LINEAR_INTERP, 0.4), (GapFill.HOLD_LAST, 0.2)])
+def test_fill_gaps_keeps_a_never_visible_landmark_finite_where_its_slot_was_absent(gap_fill, x):
+    # landmark 7 is never visible and the body is absent from the middle
+    # frame; the repaired slot is present there, so landmark 7 must be finite
+    bodies = [body_pose({0: (0.0, 0.5), 7: (0.2, 0.5)}), None, body_pose({0: (1.0, 0.5), 7: (0.6, 0.5)})]
+    for pts in bodies[::2]:
+        pts[7, 3] = 0.1
+    seq = sequence([0.0, 1.0, 2.0], fps=1.0, item=UpdrsItem.LEG_AGILITY, body=bodies)
+    out = fill_gaps(seq, IngestConfig(min_visibility=0.5, gap_fill=gap_fill))
+    assert out.present["body"].all()
+    assert validate_sequence(out).ok, str(validate_sequence(out))
+    assert out.poses["body"][1, 7].tolist() == pytest.approx([x, 0.5, 0.0, 0.0])  # visibility 0: still invisible
+    assert np.array_equal(out.poses["body"][::2], seq.poses["body"][::2])
+    assert same_landmarks(parse_frames(io.StringIO(serialize_jsonl(out))), out)
 
 
 def test_ingest_config_validation():

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -13,9 +14,9 @@ from tests.conftest import hand_pose, sequence
 from walkup.core import UpdrsItem
 from walkup.ingest import GapFill
 from walkup.kinematics import Plane
-from walkup.peaks import PeakConfig
+from walkup.peaks import PeakConfig, overlay_csv
 from walkup.report import AnalysisConfig, analyze, atomic_write, plot_svg, report_json
-from walkup.signals import TremorConfig
+from walkup.signals import TremorConfig, signal_csv
 from walkup.synth import MotionScenario, generate
 
 
@@ -134,6 +135,43 @@ def test_plot_svg_elements_and_determinism():
     assert svg1 == svg2
     assert svg1.count("<circle") == len(ch.peaks) + len(ch.troughs)
     assert "<polyline" in svg1 and "<line" in svg1
+
+
+@pytest.mark.parametrize(
+    "channel, digests",
+    [
+        (
+            "fixture",
+            (
+                "d8264a41d83621f1d0b31e2756e441088a4017e8291c226cd76175032360ead6",
+                "dd1607a935149dc24de79474eed2f04a7d46943e730109f53b368d8e53a437f3",
+                "fccb9006577c350453a9b85b090f2cead784023b5fbf751633ec6d3f697503b3",
+            ),
+        ),
+        (
+            "constant",  # vspan = 1.0 in plot_svg
+            (
+                "58f67df891ab8af189d298e8e83c60dac7bdfbe99f8d93e354b36b2a1db0adc5",
+                "8da6e4b16e3e4db177048cafb229dcb5b181af534b1f20983536e986da8ed7e1",
+                "0e3fdfe47db9dce8870a9c5127080f842343e95dce7067a982c91a7506488e6f",
+            ),
+        ),
+    ],
+)
+def test_export_bytes_are_pinned(channel, digests):
+    # SHA-256 of signal_csv, overlay_csv and plot_svg as first written, one
+    # Python format call per value; vectorized formatting must keep every byte
+    if channel == "fixture":
+        seq = generate(MotionScenario(item=UpdrsItem.FINGER_TAPS, duration_s=3.0, seed=8))
+    else:
+        seq = sequence(item=UpdrsItem.FINGER_TAPS, right_hand=[hand_pose()] * 90)
+    ch = analyze(seq, AnalysisConfig()).channels[0]
+    texts = (
+        signal_csv(ch.series),
+        overlay_csv(ch.series, ch.peaks, ch.troughs),
+        plot_svg(ch.series, ch.peaks, ch.troughs),
+    )
+    assert tuple(hashlib.sha256(text.encode()).hexdigest() for text in texts) == digests
 
 
 def test_atomic_write_concurrent_writers(tmp_path):
