@@ -20,7 +20,7 @@ import numpy as np
 from .core import UpdrsItem, validate_sequence
 from .errors import UnreadableInput, WalkupError
 from .features import default_specs, extract_values, features_csv, features_json_payload
-from .ingest import FileFormat, GapFill, parse_frames, write_sequence
+from .ingest import FileFormat, GapFill, csv_number, parse_frames, write_sequence
 from .kinematics import Plane
 from .peaks import overlay_csv
 from .report import (
@@ -159,11 +159,23 @@ def _cmd_signals(args) -> int:
     return EXIT_OK
 
 
-def _analyze_one(path: str, args, cfg: AnalysisConfig, out_dir: Path) -> None:
+def _analyze_one(path: str, args, cfg: AnalysisConfig, out_dir: Path, taken: dict[str, str]) -> None:
+    """Analyze one input into ``out_dir``, or of several into its own directory
+    there; ``taken`` maps each directory name used so far to its input."""
     digest = file_digest(path)
     report = analyze(_load_sequence(path, args), cfg, digest=digest)
     stem = _stem(path, report.subject_id, report.item)
-    sub = out_dir / stem if len(args.inputs) > 1 else out_dir
+    sub = out_dir
+    if len(args.inputs) > 1:
+        # a natural stem ends in an item name, so "<stem>-<k>" is never one
+        name, k = stem, 1
+        while name in taken:
+            k += 1
+            name = f"{stem}-{k}"
+        if k > 1:
+            _err(f"{path}: {out_dir / stem} holds {taken[stem]}, so this input goes to {out_dir / name}")
+        taken[name] = path
+        sub = out_dir / name
     sub.mkdir(parents=True, exist_ok=True)
     atomic_write(sub / "report.json", report_json(report))
     for ch in report.channels:
@@ -178,15 +190,13 @@ def _cmd_analyze(args) -> int:
     cfg = _resolve_config(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if len(args.inputs) == 1:
-        _analyze_one(args.inputs[0], args, cfg, out_dir)
-        return EXIT_OK
     # inputs run one after another in the order given; every failure is
     # reported and the worst code wins
     worst = EXIT_OK
+    taken: dict[str, str] = {}
     for path in args.inputs:
         try:
-            _analyze_one(path, args, cfg, out_dir)
+            _analyze_one(path, args, cfg, out_dir, taken)
         except Exception as exc:
             _err(f"{path}: {type(exc).__name__}: {exc}")
             worst = max(worst, _exit_code(exc))
@@ -201,7 +211,7 @@ def _read_signal_csv(path: str) -> np.ndarray:
     values = []
     for line, row in enumerate(rows[1:], start=2):
         try:
-            values.append(float(row[1]))
+            values.append(csv_number(row[1]))
         except (IndexError, ValueError):
             raise WalkupError(f"{path}: line {line}: expected a t,value row of numbers") from None
         if not np.isfinite(values[-1]):

@@ -38,7 +38,7 @@ class EmptySeries(WalkupError):
 
 
 class UnknownFeature(WalkupError):
-    """Feature name or parameter not in the supported catalogue."""
+    """One extraction requested the same feature spec twice."""
 
 
 class UnsupportedItem(WalkupError):

@@ -1,9 +1,11 @@
 """Deterministic time-series feature extraction.
 
 Implements the 21-feature catalogue as pure functions of a value vector.
-Every feature that is mathematically undefined on its input yields NaN with
-a machine-readable reason rather than raising; a non-finite input value is a
-``WalkupError``. Conventions used throughout:
+``default_specs()`` is the one spec list: 43 entries that give every
+parameter, so ``FeatureSpec.make`` only packs them. Every feature that is
+mathematically undefined on its input yields NaN with a machine-readable
+reason rather than raising; a non-finite input value is a ``WalkupError``.
+Conventions used throughout:
 
 * population (biased) variance wherever sigma^2 normalizes an
   autocorrelation; the bias-adjusted estimator only inside kurtosis;
@@ -321,7 +323,6 @@ def sample_entropy(x: np.ndarray, m: int, r_factor: float, memo: SimpleNamespace
 
 # ── spectral family ──────────────────────────────────────────────────
 
-_FFT_COEFF_ATTRS = ("real", "imag", "abs", "angle")
 _FFT_AGG_ATTRS = ("centroid", "variance", "skew", "kurtosis")
 
 
@@ -396,10 +397,7 @@ def _ols_qr(X: np.ndarray, y: np.ndarray):
     return beta, se, None
 
 
-_ADF_ATTRS = ("teststat", "usedlag")
-
-
-def augmented_dickey_fuller(x: np.ndarray, attr: str, lag: int = 1) -> Result:
+def augmented_dickey_fuller(x: np.ndarray, attr: str, lag: int) -> Result:
     """t-statistic of the level coefficient in the ADF regression.
 
     dx_t = alpha + beta * x_{t-1} + sum_{i=1..lag} gamma_i * dx_{t-i} + eps.
@@ -586,99 +584,18 @@ def cid_ce(x: np.ndarray, normalize: bool) -> Result:
     return _ok(math.sqrt(float(d @ d)))
 
 
-# ── registry, specs, extraction ──────────────────────────────────────
+# ── specs, extraction ────────────────────────────────────────────────
 
-
-def _cast_bool(v) -> bool:
-    if not isinstance(v, bool):
-        raise ValueError(f"not a boolean: {v!r}")
-    return v
-
-
-def _cast_choice(options: Sequence[str]):
-    def cast(v) -> str:
-        if v not in options:
-            raise ValueError(f"expected one of {options}, got {v!r}")
-        return v
-
-    return cast
-
-
-def _cast_unit(v) -> float:
-    f = float(v)
-    if not 0.0 <= f <= 1.0:
-        raise ValueError(f"expected a fraction in [0, 1], got {v!r}")
-    return f
-
-
-def _cast_nonneg_float(v) -> float:
-    f = float(v)
-    if not 0.0 <= f < math.inf:
-        raise ValueError(f"expected a finite non-negative number, got {v!r}")
-    return f
-
-
-def _cast_nonneg_int(v) -> int:
-    i = int(v)
-    if i < 0:
-        raise ValueError(f"expected a non-negative integer, got {v!r}")
-    return i
-
-
-def _cast_pos_int(v) -> int:
-    i = int(v)
-    if i < 1:
-        raise ValueError(f"expected a positive integer, got {v!r}")
-    return i
-
-
-# name -> (callable, ordered (param, caster, default) triples); the order
-# fixes the canonical feature_id grammar `name__k=v__k=v`.
-_REGISTRY: dict[str, tuple[Callable, tuple[tuple[str, Callable, object], ...]]] = {
-    "abs_energy": (abs_energy, ()),
-    "absolute_sum_of_changes": (absolute_sum_of_changes, ()),
-    "mean_abs_change": (mean_abs_change, ()),
-    "root_mean_square": (root_mean_square, ()),
-    "variance": (variance, ()),
-    "variation_coefficient": (variation_coefficient, ()),
-    "kurtosis": (kurtosis, ()),
-    "quantile": (quantile, (("q", _cast_unit, 0.5),)),
-    "autocorrelation": (autocorrelation, (("lag", _cast_nonneg_int, 1),)),
-    "agg_autocorrelation": (
-        agg_autocorrelation,
-        (("f_agg", _cast_choice(tuple(_AGGREGATORS)), "mean"), ("maxlag", _cast_pos_int, 2)),
-    ),
-    "partial_autocorrelation": (partial_autocorrelation, (("lag", _cast_nonneg_int, 1),)),
-    "approximate_entropy": (
-        approximate_entropy,
-        (("m", _cast_pos_int, 2), ("r_factor", _cast_nonneg_float, 0.2)),
-    ),
-    "sample_entropy": (
-        sample_entropy,
-        (("m", _cast_pos_int, 2), ("r_factor", _cast_nonneg_float, 0.2)),
-    ),
-    "fft_coefficient": (
-        fft_coefficient,
-        (("coeff", _cast_nonneg_int, 5), ("attr", _cast_choice(_FFT_COEFF_ATTRS), "abs")),
-    ),
-    "fft_aggregated": (fft_aggregated, (("attr", _cast_choice(_FFT_AGG_ATTRS), "centroid"),)),
-    "ar_coefficient": (ar_coefficient, (("k", _cast_pos_int, 1), ("p", _cast_pos_int, 4))),
-    "augmented_dickey_fuller": (
-        augmented_dickey_fuller,
-        (("attr", _cast_choice(_ADF_ATTRS), "teststat"), ("lag", _cast_pos_int, 1)),
-    ),
-    "linear_trend": (linear_trend, (("attr", _cast_choice(_TREND_ATTRS), "slope"),)),
-    "benford_correlation": (benford_correlation, ()),
-    "change_quantiles": (
-        change_quantiles,
-        (
-            ("ql", _cast_unit, 0.1),
-            ("qh", _cast_unit, 0.9),
-            ("isabs", _cast_bool, True),
-            ("f_agg", _cast_choice(tuple(_AGGREGATORS)), "mean"),
-        ),
-    ),
-    "cid_ce": (cid_ce, (("normalize", _cast_bool, True),)),
+# name -> calculator; a spec's params are the calculator's keyword arguments
+_REGISTRY: dict[str, Callable] = {
+    f.__name__: f
+    for f in (
+        abs_energy, absolute_sum_of_changes, mean_abs_change, root_mean_square, variance,
+        variation_coefficient, kurtosis, quantile, autocorrelation, agg_autocorrelation,
+        partial_autocorrelation, approximate_entropy, sample_entropy, fft_coefficient,
+        fft_aggregated, ar_coefficient, augmented_dickey_fuller, linear_trend,
+        benford_correlation, change_quantiles, cid_ce,
+    )
 }
 
 # the features that read the series memo
@@ -702,34 +619,16 @@ def _format_value(v) -> str:
 
 @dataclass(frozen=True)
 class FeatureSpec:
-    """One feature request: canonical name plus fully resolved parameters."""
+    """One feature request: a calculator's name and its keyword arguments, in feature_id order."""
 
     name: str
     params: tuple[tuple[str, object], ...] = ()
 
     @classmethod
     def make(cls, name: str, **params) -> "FeatureSpec":
-        """Build a spec, applying defaults and validating parameter values."""
-        if name not in _REGISTRY:
-            raise UnknownFeature(f"unknown feature {name!r}")
-        _, schema = _REGISTRY[name]
-        known = {p for p, _, _ in schema}
-        extra = set(params) - known
-        if extra:
-            raise UnknownFeature(f"{name}: unknown parameter(s) {sorted(extra)}")
-        resolved = []
-        for pname, caster, default in schema:
-            raw = params.get(pname, default)
-            try:
-                resolved.append((pname, caster(raw)))
-            except (TypeError, ValueError) as exc:
-                raise UnknownFeature(f"{name}: bad {pname}: {exc}") from exc
-        spec = cls(name, tuple(resolved))
-        if name == "ar_coefficient":
-            kv = dict(spec.params)
-            if kv["k"] > kv["p"]:
-                raise UnknownFeature("ar_coefficient: k must not exceed p")
-        return spec
+        """A spec of ``name`` with ``params`` in the order given, which is their
+        order in the feature_id; every parameter is passed, none is checked."""
+        return cls(name, tuple(params.items()))
 
     @property
     def feature_id(self) -> str:
@@ -740,7 +639,7 @@ class FeatureSpec:
         """Evaluate on x, which must be finite; the ACF family and the entropies
         read ``memo``, by default a new memo of x."""
         _check_finite(x)
-        func, _ = _REGISTRY[self.name]
+        func = _REGISTRY[self.name]
         if func in _MEMO_READERS:
             return func(x, memo=memo or _memo(x), **dict(self.params))
         return func(x, **dict(self.params))
@@ -771,7 +670,8 @@ class FeatureVector:
 
 
 def default_specs() -> list[FeatureSpec]:
-    """The documented default extraction set (one spec list fits all signals)."""
+    """The 43-entry feature set, the one spec list the pipeline uses; each spec
+    passes every parameter of its calculator, in feature_id order."""
     specs: list[FeatureSpec] = []
     for name in (
         "abs_energy",

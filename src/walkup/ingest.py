@@ -2,13 +2,15 @@
 
 Two on-disk formats are supported:
 
-* JSONL — header line ``{"fps": <f>, "item": "<name>"?, "subject": "<id>"?}``
+* JSONL — header line ``{"fps": <f>, "item": "<name>"?, "subject": "<id>" | <int>?}``
   followed by one frame per line:
   ``{"t": <s>, "body": [[x,y,z,v]*33]?, "left_hand": [[x,y,z,v]*21]?,
   "right_hand": [[x,y,z,v]*21]?}``.
 * CSV — header ``t,body_0_x,body_0_y,body_0_z,body_0_v,...,rh_20_v``; an
   absent pose leaves all of its cells empty. CSV carries no metadata, so
-  fps is inferred from the timestamps.
+  fps is inferred from the timestamps. A cell is a number in ASCII syntax
+  (``csv_number``): an underscore, whitespace or non-ASCII digit, which
+  ``float`` forgives, is a SchemaError.
 
 A file is read as UTF-8 one line at a time, never whole. Its lines end at
 ``\n``, ``\r\n`` or ``\r``, and the line numbers in errors count those
@@ -228,7 +230,10 @@ def _parse_jsonl(lines: Iterable[str]) -> LandmarkSequence:
         item = UpdrsItem.from_name(header["item"]) if header.get("item") else None
     except ValueError as exc:
         raise SchemaError(header_no, str(exc)) from None
-    subject = str(header.get("subject", ""))
+    subject = header.get("subject", "")
+    # it names output files: a null, boolean, float, list or object is no subject
+    if subject.__class__ not in (str, int):
+        raise SchemaError(header_no, "subject must be a string or an integer")
 
     frames, slots = [], {slot: [] for slot in SLOT_POINTS}
     for line_no, raw in numbered:
@@ -251,7 +256,7 @@ def _parse_jsonl(lines: Iterable[str]) -> LandmarkSequence:
         if not carried:
             raise SchemaError(line_no, "frame has no pose")
         frames.append((line_no, t))
-    return _stack(frames, slots, fps, item, subject)
+    return _stack(frames, slots, fps, item, str(subject))
 
 
 def _csv_columns() -> list[str]:
@@ -261,6 +266,23 @@ def _csv_columns() -> list[str]:
             for axis in ("x", "y", "z", "v"):
                 cols.append(f"{prefix}_{i}_{axis}")
     return cols
+
+
+# what float() forgives in a number besides non-ASCII characters (such as the
+# digit '١'): an underscore and ASCII whitespace
+_LOOSE = "_ \t\n\r\v\f"
+
+
+def _loose(text: str) -> bool:
+    return not text.isascii() or any(c in text for c in _LOOSE)
+
+
+def csv_number(text: str) -> float:
+    """``float(text)`` under ASCII number syntax: a non-ASCII character, an
+    underscore or whitespace is a ValueError too."""
+    if _loose(text):
+        raise ValueError(f"not an ASCII number: {text!r}")
+    return float(text)
 
 
 def _parse_csv(lines: Iterable[str]) -> LandmarkSequence:
@@ -277,8 +299,10 @@ def _parse_csv(lines: Iterable[str]) -> LandmarkSequence:
     for line_no, row in rows:
         if len(row) != len(expected):
             raise SchemaError(line_no, f"expected {len(expected)} cells, got {len(row)}")
+        # one screen per row: only a row with a loose character checks each cell
+        loose = _loose("".join(row))
         try:
-            t = float(row[0])
+            t = csv_number(row[0]) if loose else float(row[0])
         except ValueError:
             raise SchemaError(line_no, "t must be numeric") from None
 
@@ -292,7 +316,8 @@ def _parse_csv(lines: Iterable[str]) -> LandmarkSequence:
                     raise SchemaError(line_no, f"{slot} pose is partially filled")
                 continue
             try:
-                slots[slot].append((len(frames), np.asarray(cells, dtype=float)))
+                flat = np.asarray(list(map(csv_number, cells)) if loose else cells, dtype=float)
+                slots[slot].append((len(frames), flat))
             except ValueError:
                 raise SchemaError(line_no, f"{slot} pose has a non-numeric cell") from None
             carried = True

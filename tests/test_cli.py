@@ -238,7 +238,7 @@ def test_analyze_degenerate_hand_names_no_landmark_index(capsys, tmp_path):
     code, _, err = _run(capsys, "analyze", "--in", str(path), "--out", str(tmp_path / "out"))
     assert code == 1
     assert err == (
-        "MissingLandmark: every finger_taps/right value is undefined"
+        f"{path}: MissingLandmark: every finger_taps/right value is undefined"
         " (low visibility or degenerate geometry)\n"
     )
 
@@ -318,7 +318,11 @@ def test_features_non_finite_value_is_validation_error(capsys, tmp_path):
     assert "line 3: non-finite" in err and stdout == ""
 
 
-@pytest.mark.parametrize("row", ["0.1", "0.1,abc", "0.1,"], ids=["one_cell", "text", "empty"])
+@pytest.mark.parametrize(
+    "row",
+    ["0.1", "0.1,abc", "0.1,", "0.1,1_0", "0.1, 2.0", "0.1,\u0661\u0662"],
+    ids=["one_cell", "text", "empty", "underscore", "space", "arabic_digits"],
+)
 def test_features_malformed_row_is_validation_error(capsys, tmp_path, row):
     sig = tmp_path / "sig.csv"
     sig.write_text(f"t,value\n0.0,1.0\n{row}\n0.2,2.0\n")
@@ -478,6 +482,22 @@ def test_analyze_batch_reports_every_failure(capsys, tmp_path):
     assert (out / "synth-1_finger_taps" / "report.json").exists()
     assert (out / "synth-3_leg_agility" / "report.json").exists()
     assert not (out / "synth-2_hand_movement").exists()
+
+
+def test_analyze_batch_keeps_a_repeated_stem_apart(capsys, tmp_path, tap_fixture):
+    # both inputs are subject synth-3, item finger_taps, so the second needs a directory of its own
+    copy = tmp_path / "copy.jsonl"
+    copy.write_bytes(tap_fixture.read_bytes())
+    out = tmp_path / "out"
+    code, _, err = _run(capsys, "analyze", "--in", str(tap_fixture), str(copy), "--out", str(out))
+    assert code == 0
+    first, second = out / "synth-3_finger_taps", out / "synth-3_finger_taps-2"
+    assert sorted(p.name for p in out.iterdir()) == [first.name, second.name]
+    files = sorted(p.name for p in first.iterdir())
+    assert len(files) == 7 and files == sorted(p.name for p in second.iterdir())
+    for name in files:
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+    assert f"{copy}: {first} holds {tap_fixture}, so this input goes to {second}\n" in err
 
 
 def test_analyze_batch_worst_exit_code_wins(capsys, tmp_path, tap_fixture):

@@ -204,6 +204,15 @@ def test_parse_jsonl_unknown_item_is_schema_error(item):
     assert "unknown item" in exc.value.reason
 
 
+@pytest.mark.parametrize("subject", ["null", "true", "1.5", "[1, 2]", "{}"])
+def test_parse_jsonl_subject_must_be_string_or_integer(subject):
+    # as text ("None", "[1, 2]", ...) each would name output files
+    text = "\n".join(['{"fps": 30, "subject": %s}' % subject, _body_line(0.0)])
+    with pytest.raises(SchemaError) as exc:
+        parse_frames(io.StringIO(text))
+    assert (exc.value.line, exc.value.reason) == (1, "subject must be a string or an integer")
+
+
 @pytest.mark.parametrize(
     "old, new",
     [("0.2", "1e999"), ("0.2", "-1e999"), ('"t": 0.1', '"t": 1e999'), ('"t": 0.1', '"t": -1e999')],
@@ -255,6 +264,28 @@ def test_parse_csv_rejects_non_finite_cells(cell, value):
         parse_frames(io.StringIO("\n".join([*lines[:2], ",".join(cells)])), format=FileFormat.CSV)
     assert exc.value.line == 3
     assert "finite" in exc.value.reason
+
+
+# right_hand's cells follow t, body's 132 and left_hand's 84
+@pytest.mark.parametrize("cell, text, reason", [
+    (0, " 0.0_3 ", "t must be numeric"),
+    (0, "0_1", "t must be numeric"),
+    (0, "\u0661", "t must be numeric"),
+    (1, " 1_0 ", "body pose has a non-numeric cell"),
+    (2, "0.5\t", "body pose has a non-numeric cell"),
+    (1, "\u0661\u0662", "body pose has a non-numeric cell"),
+    (217, "0_5", "right_hand pose has a non-numeric cell"),
+], ids=["t_spaced_underscore", "t_underscore", "t_arabic_digit", "x_spaced_underscore",
+        "y_tab", "x_arabic_digits", "right_hand_underscore"])
+def test_parse_csv_numbers_use_ascii_syntax(cell, text, reason):
+    # float() reads each of these: " 0.0_3 " as 0.03, " 1_0 " as 10.0, "\u0661\u0662" as 12.0
+    seq = sequence([0.0, 0.1], fps=10.0, body=[body_pose()] * 2, right_hand=[hand_pose()] * 2)
+    lines = serialize_csv(seq).splitlines()
+    cells = lines[2].split(",")
+    cells[cell] = text
+    with pytest.raises(SchemaError) as exc:
+        parse_frames(io.StringIO("\n".join([*lines[:2], ",".join(cells)])), format=FileFormat.CSV)
+    assert (exc.value.line, exc.value.reason) == (3, reason)
 
 
 def test_csv_round_trip_coordinates(rng):
