@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: validate, signals, analyze, features, synth, report.
+Subcommands: validate, analyze, features, synth, report.
 Exit codes: 0 success, 1 validation failure, 2 usage error, 3 I/O error.
 All diagnostics go to stderr; outputs are files (or stdout for `report`).
 """
@@ -20,12 +20,11 @@ import numpy as np
 from .core import UpdrsItem, validate_sequence
 from .errors import UnreadableInput, WalkupError
 from .features import default_specs, extract_values, features_csv, features_json_payload
-from .ingest import FileFormat, GapFill, csv_number, parse_frames, write_sequence
+from .ingest import FileFormat, csv_number, parse_frames, write_sequence
 from .kinematics import Plane
 from .peaks import overlay_csv
 from .report import (
-    REPORT_SCHEMA, AnalysisConfig, analyze, atomic_write, build_signals, file_digest, plot_svg,
-    report_json,
+    REPORT_SCHEMA, AnalysisConfig, analyze, atomic_write, file_digest, plot_svg, report_json,
 )
 from .signals import signal_csv
 from .synth import DEFAULT_AMPLITUDE, MotionScenario, generate
@@ -38,6 +37,11 @@ EXIT_IO = 3
 
 def _err(msg: str) -> None:
     print(msg, file=sys.stderr)
+
+
+# the stderr prefix of a failure that ends a command, by exit code; a
+# validation failure is prefixed with its type
+_PREFIXES = {EXIT_IO: "I/O error", EXIT_USAGE: "error"}
 
 
 def _exit_code(exc: BaseException) -> int:
@@ -55,28 +59,21 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="walkup", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, multi_in: bool = False) -> None:
-        nargs = "+" if multi_in else None
-        p.add_argument("--in", dest="inputs", required=True, nargs=nargs, help="input file(s)")
+    def add_inputs(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--in", dest="inputs", required=True, nargs="+", help="input file(s)")
         p.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
         p.add_argument("--item", help="item tag override (e.g. finger_taps)")
 
-    def add_analysis(p: argparse.ArgumentParser, multi_in: bool = False) -> None:
-        add_common(p, multi_in)
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--plane", choices=["2d", "3d"], help="geometry plane override")
-        p.add_argument("--normalize-palm", action="store_true", default=None,
-                       help="divide hand-movement distances by palm length")
-        p.add_argument("--out", required=True, help="output directory")
-
     p_validate = sub.add_parser("validate", help="diagnose a landmark file")
-    add_common(p_validate, multi_in=True)
-
-    p_signals = sub.add_parser("signals", help="write per-channel signal CSVs")
-    add_analysis(p_signals)
+    add_inputs(p_validate)
 
     p_analyze = sub.add_parser("analyze", help="full analysis: report + overlays + plots")
-    add_analysis(p_analyze, multi_in=True)
+    add_inputs(p_analyze)
+    p_analyze.add_argument("--config", help="JSON config file")
+    p_analyze.add_argument("--plane", choices=["2d", "3d"], help="geometry plane override")
+    p_analyze.add_argument("--normalize-palm", action="store_true", default=None,
+                           help="divide hand-movement distances by palm length")
+    p_analyze.add_argument("--out", required=True, help="output directory")
 
     p_features = sub.add_parser("features", help="extract features from a signal CSV (t,value)")
     p_features.add_argument("--in", dest="inputs", required=True)
@@ -142,29 +139,13 @@ def _cmd_validate(args) -> int:
     return worst
 
 
-def _stem(path: str, subject_id: str, item: UpdrsItem) -> str:
-    """The prefix of one input's output files: its subject, else its file stem, then its item."""
-    return f"{subject_id or Path(path).stem}_{item.value}"
-
-
-def _cmd_signals(args) -> int:
-    seq = _load_sequence(args.inputs, args)
-    cfg = _resolve_config(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for series in build_signals(seq, cfg):
-        name = f"{_stem(args.inputs, seq.subject_id, seq.item)}_{series.channel.value}.csv"
-        atomic_write(out_dir / name, signal_csv(series))
-        _err(f"wrote {out_dir / name}")
-    return EXIT_OK
-
-
 def _analyze_one(path: str, args, cfg: AnalysisConfig, out_dir: Path, taken: dict[str, str]) -> None:
     """Analyze one input into ``out_dir``, or of several into its own directory
     there; ``taken`` maps each directory name used so far to its input."""
     digest = file_digest(path)
     report = analyze(_load_sequence(path, args), cfg, digest=digest)
-    stem = _stem(path, report.subject_id, report.item)
+    # the prefix of the output files: the subject, else the file stem, then the item
+    stem = f"{report.subject_id or Path(path).stem}_{report.item.value}"
     sub = out_dir
     if len(args.inputs) > 1:
         # a natural stem ends in an item name, so "<stem>-<k>" is never one
@@ -204,18 +185,26 @@ def _cmd_analyze(args) -> int:
 
 
 def _read_signal_csv(path: str) -> np.ndarray:
+    """The values of a t,value CSV: each row two numbers, t finite and strictly increasing."""
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
-    if not rows or rows[0][:2] != ["t", "value"]:
+    if not rows or rows[0] != ["t", "value"]:
         raise WalkupError(f"{path}: expected a t,value CSV")
     values = []
+    last_t = -np.inf
     for line, row in enumerate(rows[1:], start=2):
         try:
-            values.append(csv_number(row[1]))
-        except (IndexError, ValueError):
+            t, value = map(csv_number, row)
+        except ValueError:  # a bad number, or not two cells
             raise WalkupError(f"{path}: line {line}: expected a t,value row of numbers") from None
-        if not np.isfinite(values[-1]):
+        if not np.isfinite(value):
             raise WalkupError(f"{path}: line {line}: non-finite value")
+        if not np.isfinite(t):
+            raise WalkupError(f"{path}: line {line}: non-finite t")
+        if t <= last_t:
+            raise WalkupError(f"{path}: line {line}: t {t!r} is not above the previous {last_t!r}")
+        last_t = t
+        values.append(value)
     return np.array(values, dtype=float)
 
 
@@ -324,7 +313,6 @@ def _cmd_report(args) -> int:
 
 _COMMANDS = {
     "validate": _cmd_validate,
-    "signals": _cmd_signals,
     "analyze": _cmd_analyze,
     "features": _cmd_features,
     "synth": _cmd_synth,
@@ -340,15 +328,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except (UnreadableInput, OSError) as exc:
-        _err(f"I/O error: {exc}")
-        return EXIT_IO
-    except WalkupError as exc:
-        _err(f"{type(exc).__name__}: {exc}")
-        return EXIT_VALIDATION
-    except ValueError as exc:
-        _err(f"error: {exc}")
-        return EXIT_USAGE
+    except Exception as exc:
+        code = _exit_code(exc)
+        _err(f"{_PREFIXES.get(code, type(exc).__name__)}: {exc}")
+        return code
 
 
 def entry() -> None:

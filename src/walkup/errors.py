@@ -38,8 +38,5 @@ class EmptySeries(WalkupError):
 
 
 class UnknownFeature(WalkupError):
-    """One extraction requested the same feature spec twice."""
-
-
-class UnsupportedItem(WalkupError):
-    """No generator exists for the requested item."""
+    """A feature spec names no calculator or an attr its calculator lacks, or
+    one extraction requested the same spec twice."""

@@ -60,6 +60,12 @@ _AGGREGATORS: dict[str, Callable[[np.ndarray], float]] = {
 }
 
 
+def _unknown_attr(name: str, attr) -> UnknownFeature:
+    """The error for an attr that calculator ``name`` lacks; each calculator
+    checks its attr before the series length, so any series rejects it."""
+    return UnknownFeature(f"{name} has no attr {attr!r}")
+
+
 def _ok(value: float) -> Result:
     return float(value), None
 
@@ -327,6 +333,8 @@ _FFT_AGG_ATTRS = ("centroid", "variance", "skew", "kurtosis")
 
 
 def fft_coefficient(x: np.ndarray, coeff: int, attr: str) -> Result:
+    if attr not in ("real", "imag", "abs", "angle"):
+        raise _unknown_attr("fft_coefficient", attr)
     if len(x) < 2:
         return _undefined("series too short")
     if coeff >= len(x):
@@ -343,6 +351,8 @@ def fft_coefficient(x: np.ndarray, coeff: int, attr: str) -> Result:
 
 def fft_aggregated(x: np.ndarray, attr: str) -> Result:
     """Moments of the one-sided magnitude spectrum over bin index."""
+    if attr not in _FFT_AGG_ATTRS:
+        raise _unknown_attr("fft_aggregated", attr)
     if len(x) < 2:
         return _undefined("series too short")
     mag = np.abs(np.fft.rfft(x))
@@ -403,6 +413,8 @@ def augmented_dickey_fuller(x: np.ndarray, attr: str, lag: int) -> Result:
     dx_t = alpha + beta * x_{t-1} + sum_{i=1..lag} gamma_i * dx_{t-i} + eps.
     There is no p-value attr: it would need response-surface tables.
     """
+    if attr not in ("teststat", "usedlag"):
+        raise _unknown_attr("augmented_dickey_fuller", attr)
     if attr == "usedlag":
         return _ok(float(lag))
     n = len(x)
@@ -481,7 +493,14 @@ def linear_trend(x: np.ndarray, attr: str) -> Result:
 
     The two-sided p-value comes from the regularized incomplete beta
     function: p = I_{df/(df+t^2)}(df/2, 1/2) with df = n - 2.
+
+    On a constant series ``rvalue`` is 0.0 (then ``pvalue`` 1.0), where scipy's
+    ``linregress`` gives NaN. A constant has no linear association with time,
+    so 0.0 states a fact rather than an undefined value. A tremor-flag channel
+    that never fires is such a series, and its reports carry this 0.0.
     """
+    if attr not in _TREND_ATTRS:
+        raise _unknown_attr("linear_trend", attr)
     n = len(x)
     if n < 2:
         return _undefined("series too short")
@@ -627,7 +646,10 @@ class FeatureSpec:
     @classmethod
     def make(cls, name: str, **params) -> "FeatureSpec":
         """A spec of ``name`` with ``params`` in the order given, which is their
-        order in the feature_id; every parameter is passed, none is checked."""
+        order in the feature_id; every parameter is passed, and only the name is
+        checked here (a calculator raises ``UnknownFeature`` for an attr it lacks)."""
+        if name not in _REGISTRY:
+            raise UnknownFeature(f"no feature is named {name!r}")
         return cls(name, tuple(params.items()))
 
     @property

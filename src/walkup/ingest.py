@@ -444,7 +444,7 @@ def resample(seq: LandmarkSequence, cfg: IngestConfig) -> LandmarkSequence:
     Coordinates are linearly interpolated between the bracketing frames.
     A grid point keeps a slot only where its bracketing frames carry that
     slot; elsewhere the slot is absent there. Repairing absent frames is
-    ``fill_gaps``' job, so run it first (``build_signals`` does).
+    ``fill_gaps``' job, so run it first (``report.analyze`` does).
     """
     if cfg.resample_fps is None:
         raise ValueError("cfg.resample_fps must be set")

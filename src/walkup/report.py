@@ -12,9 +12,9 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -27,8 +27,7 @@ from .peaks import CadenceStats, PeakConfig, cadence_stats, detect_peaks
 from .signals import TremorConfig, build_all
 
 __all__ = [
-    "AnalysisConfig", "ChannelResult", "AnalysisReport", "build_signals", "analyze", "report_json",
-    "plot_svg",
+    "AnalysisConfig", "ChannelResult", "AnalysisReport", "analyze", "report_json", "plot_svg",
 ]
 
 REPORT_SCHEMA = "walkup-report/1"
@@ -48,24 +47,10 @@ class AnalysisConfig:
     feature_set: str = "default"
 
     def to_dict(self) -> dict:
-        return {
-            "min_visibility": self.min_visibility,
-            "gap_fill": self.gap_fill.value,
-            "resample_fps": self.resample_fps,
-            "plane": self.plane.value,
-            "normalize_palm": self.normalize_palm,
-            "tremor": {
-                "highpass_cutoff_hz": self.tremor.highpass_cutoff_hz,
-                "rms_threshold": self.tremor.rms_threshold,
-                "window_s": self.tremor.window_s,
-                "overlap": self.tremor.overlap,
-            },
-            "peaks": {
-                "min_prominence": self.peaks.min_prominence,
-                "min_separation_s": self.peaks.min_separation_s,
-            },
-            "feature_set": self.feature_set,
-        }
+        """The config as JSON data: enums by value, nested configs as objects."""
+        return asdict(self, dict_factory=lambda items: {
+            k: v.value if isinstance(v, enum.Enum) else v for k, v in items
+        })
 
     @classmethod
     def from_dict(cls, data: dict) -> "AnalysisConfig":
@@ -74,35 +59,7 @@ class AnalysisConfig:
         field has."""
         if not isinstance(data, dict):
             raise ValueError(f"config must be a JSON object, got {data!r}")
-        known = {
-            "min_visibility", "gap_fill", "resample_fps", "plane",
-            "normalize_palm", "tremor", "peaks", "feature_set",
-        }
-        extra = set(data) - known
-        if extra:
-            raise ValueError(f"unknown config key(s): {sorted(extra)}")
-        kwargs: dict = {}
-        if "min_visibility" in data:
-            kwargs["min_visibility"] = _number("min_visibility", data["min_visibility"])
-        if "gap_fill" in data:
-            kwargs["gap_fill"] = _choice("gap_fill", data["gap_fill"], GapFill)
-        if "resample_fps" in data:
-            v = data["resample_fps"]
-            kwargs["resample_fps"] = None if v is None else _number("resample_fps", v)
-        if "plane" in data:
-            kwargs["plane"] = _choice("plane", data["plane"], Plane)
-        if "normalize_palm" in data:
-            v = data["normalize_palm"]
-            if not isinstance(v, bool):
-                raise ValueError(f"config key 'normalize_palm': expected true or false, got {v!r}")
-            kwargs["normalize_palm"] = v
-        if "tremor" in data:
-            kwargs["tremor"] = _section("tremor", data["tremor"], TremorConfig)
-        if "peaks" in data:
-            kwargs["peaks"] = _section("peaks", data["peaks"], PeakConfig)
-        if "feature_set" in data:
-            kwargs["feature_set"] = _feature_set(data["feature_set"])
-        return cls(**kwargs)
+        return _from_json(cls, data, "")
 
     @classmethod
     def load(cls, path) -> "AnalysisConfig":
@@ -127,21 +84,37 @@ def _number(key: str, value) -> float:
     return number
 
 
-def _choice(key: str, value, kind: type[enum.Enum]):
-    options = [e.value for e in kind]
-    if value not in options:
-        raise ValueError(f"config key {key!r}: expected one of {options}, got {value!r}")
-    return kind(value)
-
-
-def _section(key: str, value, kind: type):
-    """A nested config object whose fields are all numbers."""
-    if not isinstance(value, dict):
-        raise ValueError(f"config key {key!r}: expected an object, got {value!r}")
-    extra = set(value) - {f.name for f in fields(kind)}
+def _from_json(kind: type, data: dict, prefix: str):
+    """The config dataclass ``kind`` from a JSON object, each value checked
+    against its field's type; ``prefix`` is the dotted path of a nested object."""
+    hints = get_type_hints(kind)
+    names = [f.name for f in fields(kind)]
+    extra = set(data) - set(names)
     if extra:
-        raise ValueError(f"unknown config key(s) in {key!r}: {sorted(extra)}")
-    return kind(**{k: _number(f"{key}.{k}", v) for k, v in value.items()})
+        where = f" in {prefix[:-1]!r}" if prefix else ""
+        raise ValueError(f"unknown config key(s){where}: {sorted(extra)}")
+    return kind(**{k: _field_value(prefix + k, hints[k], data[k]) for k in names if k in data})
+
+
+def _field_value(key: str, hint, value):
+    if hint == Optional[float] and value is None:
+        return None
+    if hint in (float, Optional[float]):
+        return _number(key, value)
+    if hint is bool:
+        if not isinstance(value, bool):
+            raise ValueError(f"config key {key!r}: expected true or false, got {value!r}")
+        return value
+    if hint is str:
+        return _feature_set(value)
+    if issubclass(hint, enum.Enum):
+        options = [e.value for e in hint]
+        if value not in options:
+            raise ValueError(f"config key {key!r}: expected one of {options}, got {value!r}")
+        return hint(value)
+    if not isinstance(value, dict):  # a nested config
+        raise ValueError(f"config key {key!r}: expected an object, got {value!r}")
+    return _from_json(hint, value, f"{key}.")
 
 
 def _feature_set(value) -> str:
@@ -181,8 +154,14 @@ def file_digest(path) -> str:
     return "sha256:" + h.hexdigest()
 
 
-def build_signals(seq: LandmarkSequence, config: AnalysisConfig = AnalysisConfig()) -> list[SignalSeries]:
-    """The front half of the pipeline: clean, (optionally) resample, build signals."""
+def analyze(
+    seq: LandmarkSequence,
+    config: AnalysisConfig = AnalysisConfig(),
+    digest: str = "",
+) -> AnalysisReport:
+    """Run the full pipeline: clean, (optionally) resample, build signals,
+    then detect peaks, compute cadence statistics and the feature set."""
+    _feature_set(config.feature_set)
     if seq.item is None:
         raise ValueError("sequence has no item tag; pass --item or tag the file")
     ingest_cfg = IngestConfig(
@@ -194,28 +173,12 @@ def build_signals(seq: LandmarkSequence, config: AnalysisConfig = AnalysisConfig
     if config.resample_fps is not None:
         seq = resample(seq, ingest_cfg)
 
-    # Repaired landmarks carry visibility == min_visibility, so the same
-    # threshold admits them while leaving unrepairable ones as gaps.
-    return build_all(
-        seq,
-        tremor_cfg=config.tremor,
-        min_visibility=config.min_visibility,
-        plane=config.plane,
-        normalize_palm=config.normalize_palm,
-    )
-
-
-def analyze(
-    seq: LandmarkSequence,
-    config: AnalysisConfig = AnalysisConfig(),
-    digest: str = "",
-) -> AnalysisReport:
-    """Run the full pipeline: ``build_signals``, then detect peaks, compute
-    cadence statistics and the feature set."""
-    _feature_set(config.feature_set)
     specs = default_specs()
     channels = []
-    for series in build_signals(seq, config):
+    # Repaired landmarks carry visibility == min_visibility, so the same
+    # threshold admits them while leaving unrepairable ones as gaps.
+    for series in build_all(seq, tremor_cfg=config.tremor, min_visibility=config.min_visibility,
+                            plane=config.plane, normalize_palm=config.normalize_palm):
         if len(series) >= 3:
             pk, tr = detect_peaks(series, config.peaks)
         else:
@@ -233,17 +196,6 @@ def analyze(
     )
 
 
-def _cadence_dict(c: CadenceStats) -> dict:
-    return {
-        "peak_count": c.peak_count,
-        "signal_mean": c.signal_mean,
-        "mean_amplitude": c.mean_amplitude,
-        "mean_interval_s": c.mean_interval_s,
-        "interval_slope_s_per_cycle": c.interval_slope_s_per_cycle,
-        "amplitude_slope": c.amplitude_slope,
-    }
-
-
 def report_json(report: AnalysisReport) -> str:
     """Canonical JSON rendering (sorted keys, NaN-free, newline-terminated)."""
     channels = {}
@@ -256,7 +208,7 @@ def report_json(report: AnalysisReport) -> str:
                 "min": float(v.min()),
                 "max": float(v.max()),
             },
-            "cadence": _cadence_dict(ch.cadence),
+            "cadence": asdict(ch.cadence),
             "features": features_json_payload(ch.features),
         }
     payload = {

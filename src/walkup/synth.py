@@ -22,7 +22,6 @@ import numpy as np
 
 from . import core
 from .core import LandmarkSequence, UpdrsItem
-from .errors import UnsupportedItem
 
 __all__ = ["MotionScenario", "generate", "DEFAULT_AMPLITUDE"]
 
@@ -279,10 +278,8 @@ def generate(scenario: MotionScenario) -> LandmarkSequence:
         poses = {"body": np.array([_leg_agility_body(float(w)) for w in _wave(scenario, times)])}
     elif item is UpdrsItem.FOOT_TAPS:
         poses = {"body": np.array([_foot_taps_body(float(w)) for w in _wave(scenario, times)])}
-    elif item is UpdrsItem.TREMOR_AT_REST:
+    else:  # tremor at rest, the one item left
         poses = {"body": np.array([_tremor_body(scenario, float(t)) for t in times])}
-    else:  # pragma: no cover - all six items have generators
-        raise UnsupportedItem(item.value)
 
     if scenario.noise_std > 0.0:
         # one draw in frame-major order: frame, then slot, then point

@@ -331,6 +331,43 @@ def test_features_malformed_row_is_validation_error(capsys, tmp_path, row):
     assert "line 3: expected a t,value row of numbers" in err and stdout == ""
 
 
+@pytest.mark.parametrize(
+    "text, code, prefix",
+    [(None, 3, "I/O error: "), ("t,value\n0.0,nan\n", 1, "WalkupError: ")],
+    ids=["missing", "non_finite"],
+)
+def test_command_failure_prefix_follows_exit_code(capsys, tmp_path, text, code, prefix):
+    # a usage error's "error: " is checked by test_malformed_config_is_usage_error_naming_key
+    sig = tmp_path / "sig.csv"
+    if text is not None:
+        sig.write_text(text)
+    got, stdout, err = _run(capsys, "features", "--in", str(sig))
+    assert (got, stdout) == (code, "")
+    assert err.startswith(prefix) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "row, reason",
+    [
+        ("abc,1.0", "expected a t,value row of numbers"),
+        ("0_1,1.0", "expected a t,value row of numbers"),
+        ("0.1,2.0,extra", "expected a t,value row of numbers"),
+        ("nan,1.0", "non-finite t"),
+        ("inf,1.0", "non-finite t"),
+        ("-0.05,3.0", "t -0.05 is not above the previous 0.0"),
+        ("0.0,3.0", "t 0.0 is not above the previous 0.0"),
+    ],
+    ids=["text", "underscore", "three_cells", "nan", "inf", "backwards", "repeated"],
+)
+def test_features_bad_t_is_validation_error(capsys, tmp_path, row, reason):
+    # the t column was never read, so each of these gave a feature table
+    sig = tmp_path / "sig.csv"
+    sig.write_text(f"t,value\n0.0,1.0\n{row}\n0.2,2.0\n")
+    code, stdout, err = _run(capsys, "features", "--in", str(sig))
+    assert code == 1
+    assert f"line 3: {reason}" in err and stdout == ""
+
+
 def test_analyze_byte_determinism(capsys, tmp_path, tap_fixture):
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     assert _run(capsys, "analyze", "--in", str(tap_fixture), "--out", str(out1))[0] == 0
@@ -393,34 +430,17 @@ def test_malformed_config_is_usage_error_naming_key(capsys, tmp_path, tap_fixtur
     assert not out.exists()
 
 
-def test_signals_writes_per_channel_csvs(capsys, tmp_path, tap_fixture):
-    out = tmp_path / "sig"
-    code, _, _ = _run(capsys, "signals", "--in", str(tap_fixture), "--out", str(out))
-    assert code == 0
-    names = sorted(p.name for p in out.iterdir())
-    assert names == [
-        "synth-3_finger_taps_left.csv",
-        "synth-3_finger_taps_right.csv",
-    ]
-    lines = (out / names[0]).read_text().splitlines()
-    assert lines[0] == "t,value"
-    assert len(lines) == 301
-
-
-def test_signals_stops_before_features(capsys, tmp_path, tap_fixture, monkeypatch):
-    def no_features(*args, **kwargs):
-        raise AssertionError("walkup signals must not extract features")
-
-    monkeypatch.setattr("walkup.report.extract", no_features)
-    out = tmp_path / "sig"
-    code, _, _ = _run(capsys, "signals", "--in", str(tap_fixture), "--out", str(out))
-    assert code == 0
-    assert len(list(out.iterdir())) == 2
+def test_signals_command_is_gone(capsys, tmp_path, tap_fixture):
+    # its files were a subset of analyze's
+    code, _, err = _run(capsys, "signals", "--in", str(tap_fixture), "--out", str(tmp_path / "sig"))
+    assert code == 2
+    assert "invalid choice: 'signals'" in err
+    assert not (tmp_path / "sig").exists()
 
 
 def test_features_row_count_matches_default_set(capsys, tmp_path, tap_fixture):
     out = tmp_path / "sig"
-    _run(capsys, "signals", "--in", str(tap_fixture), "--out", str(out))
+    assert _run(capsys, "analyze", "--in", str(tap_fixture), "--out", str(out))[0] == 0
     code, stdout, _ = _run(
         capsys, "features", "--in", str(out / "synth-3_finger_taps_right.csv")
     )
@@ -432,7 +452,7 @@ def test_features_row_count_matches_default_set(capsys, tmp_path, tap_fixture):
 
 def test_features_unknown_spec_usage_error(capsys, tmp_path, tap_fixture):
     out = tmp_path / "sig"
-    _run(capsys, "signals", "--in", str(tap_fixture), "--out", str(out))
+    assert _run(capsys, "analyze", "--in", str(tap_fixture), "--out", str(out))[0] == 0
     code, _, err = _run(
         capsys, "features", "--in", str(out / "synth-3_finger_taps_right.csv"),
         "--spec", "everything",
@@ -644,18 +664,14 @@ def test_analyze_repairs_a_dropped_hand_unless_drop(capsys, tmp_path, tap_fixtur
     assert lengths == {"linear_interp": 300, "hold_last": 300, "drop": 290}
 
 
-def test_signals_names_files_like_analyze(capsys, tmp_path, tap_fixture):
-    # no subject in the header: both commands fall back to the file stem
+def test_analyze_names_files_by_stem_without_subject(capsys, tmp_path, tap_fixture):
+    # no subject in the header: the file stem stands in for it
     lines = tap_fixture.read_text().splitlines()
     header = json.loads(lines[0])
     del header["subject"]
     visit = tmp_path / "visit.jsonl"
     visit.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
-    code, _, _ = _run(capsys, "signals", "--in", str(visit), "--out", str(tmp_path / "sig"))
-    assert code == 0
     code, _, _ = _run(capsys, "analyze", "--in", str(visit), "--out", str(tmp_path / "out"))
     assert code == 0
-    signal_csvs = sorted(p.name for p in (tmp_path / "sig").iterdir())
+    signal_csvs = sorted(p.name for p in (tmp_path / "out").glob("*.csv") if not p.name.endswith("_peaks.csv"))
     assert signal_csvs == ["visit_finger_taps_left.csv", "visit_finger_taps_right.csv"]
-    for name in signal_csvs:
-        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "sig" / name).read_bytes()

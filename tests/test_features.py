@@ -541,6 +541,27 @@ def test_extract_duplicate_specs_rejected():
         extract_values([1.0, 2.0], [FeatureSpec.make("abs_energy"), FeatureSpec.make("abs_energy")])
 
 
+@pytest.mark.parametrize(
+    "name, params, match",
+    [
+        ("nope", {}, "no feature is named 'nope'"),
+        ("fft_coefficient", {"coeff": 5, "attr": "ABS"}, "fft_coefficient has no attr 'ABS'"),
+        ("fft_aggregated", {"attr": "skewness"}, "fft_aggregated has no attr 'skewness'"),
+        ("linear_trend", {"attr": "p_value"}, "linear_trend has no attr 'p_value'"),
+        ("augmented_dickey_fuller", {"attr": "pvalue", "lag": 1}, "augmented_dickey_fuller has no attr 'pvalue'"),
+    ],
+    ids=["name", "fft_coefficient", "fft_aggregated", "linear_trend", "adf"],
+)
+@pytest.mark.parametrize("n", [50, 1])
+def test_unknown_feature_name_or_attr_raises(name, params, match, n):
+    # each gave another attr's value (the phase, the kurtosis, stderr, teststat)
+    # without a reason, and the name a bare KeyError at compute; a 1-sample
+    # series must raise too, not give "series too short"
+    x = np.random.default_rng(0).normal(size=n)
+    with pytest.raises(UnknownFeature, match=match):
+        FeatureSpec.make(name, **params).compute(x)
+
+
 def test_nan_always_carries_reason():
     vec = extract(make_series([3.0, 3.0, 3.0, 3.0, 3.0]))
     for entry in vec.entries:
@@ -650,7 +671,10 @@ def test_engine_matches_naive_oracle(rng):
         assert_extract_matches_compute(x, specs)  # the path analyze runs
         if np.ptp(x) == 0.0:
             # on a constant the oracle differs by convention: scipy's r is NaN where the
-            # engine's is 0, and its literal DFT leaves about 1e-15 in the empty bins
+            # engine's is 0 (see linear_trend), and its literal DFT leaves about 1e-15
+            # in the empty bins
+            if n >= 2:
+                assert FeatureSpec.make("linear_trend", attr="rvalue").compute(x) == (0.0, None)
             continue
         for spec in specs:
             got, reason = spec.compute(x)

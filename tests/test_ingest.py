@@ -602,7 +602,7 @@ def test_resample_single_frame_at_zero():
 
 def test_resample_missing_pose_policies():
     # hand present only on the first and last frame; fill_gaps repairs the
-    # middle one before resampling, as build_signals does
+    # middle one before resampling, as analyze does
     h0 = hand_pose({0: (0.0, 0.0)})
     h2 = hand_pose({0: (1.0, 0.0)})
     seq = sequence([0.0, 1.0, 2.0], fps=1.0, body=[body_pose()] * 3, right_hand=[h0, None, h2])
