@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .core import (
     Channel,
     LandmarkSequence,
-    Side,
     SignalSeries,
     UpdrsItem,
     validate_sequence,
@@ -21,7 +20,6 @@ __all__ = [
     "__version__",
     "LandmarkSequence",
     "UpdrsItem",
-    "Side",
     "Channel",
     "SignalSeries",
     "validate_sequence",

@@ -186,8 +186,11 @@ def _cmd_analyze(args) -> int:
 
 def _read_signal_csv(path: str) -> np.ndarray:
     """The values of a t,value CSV: each row two numbers, t finite and strictly increasing."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise UnreadableInput(f"cannot read {path}: {exc}") from exc
     if not rows or rows[0] != ["t", "value"]:
         raise WalkupError(f"{path}: expected a t,value CSV")
     values = []

@@ -17,7 +17,6 @@ __all__ = [
     "LandmarkSequence",
     "UpdrsItem",
     "Channel",
-    "Side",
     "SignalSeries",
     "Violation",
     "ValidationReport",
@@ -74,11 +73,6 @@ class UpdrsItem(enum.Enum):
         except ValueError:
             valid = ", ".join(item.value for item in cls)
             raise ValueError(f"unknown item {name!r}; expected one of: {valid}") from None
-
-
-class Side(enum.Enum):
-    LEFT = "left"
-    RIGHT = "right"
 
 
 class Channel(enum.Enum):

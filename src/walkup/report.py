@@ -46,6 +46,13 @@ class AnalysisConfig:
     peaks: PeakConfig = field(default_factory=PeakConfig)
     feature_set: str = "default"
 
+    def __post_init__(self):
+        self.ingest  # a bad ingest value fails here, not once per input
+
+    @property
+    def ingest(self) -> IngestConfig:
+        return IngestConfig(self.resample_fps, self.min_visibility, self.gap_fill)
+
     def to_dict(self) -> dict:
         """The config as JSON data: enums by value, nested configs as objects."""
         return asdict(self, dict_factory=lambda items: {
@@ -164,11 +171,7 @@ def analyze(
     _feature_set(config.feature_set)
     if seq.item is None:
         raise ValueError("sequence has no item tag; pass --item or tag the file")
-    ingest_cfg = IngestConfig(
-        resample_fps=config.resample_fps,
-        min_visibility=config.min_visibility,
-        gap_fill=config.gap_fill,
-    )
+    ingest_cfg = config.ingest
     seq = fill_gaps(seq, ingest_cfg)
     if config.resample_fps is not None:
         seq = resample(seq, ingest_cfg)

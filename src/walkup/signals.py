@@ -1,6 +1,6 @@
 """The six per-item motion signals built from landmark sequences.
 
-Per frame:
+``side_signal`` builds the five per-side signals, per frame:
 
 * finger taps        A1 = angle(index_tip - wrist, thumb_tip - wrist)
 * hand movement      D2 = mean distance of tips 8/12/16/20 to the wrist
@@ -8,11 +8,15 @@ Per frame:
 * leg agility        A5 = angle at the hip between hip->knee and hip->shoulder
 * foot taps          A6 = angle at the ankle between ankle->knee and ankle->foot tip
 
-Tremor (T4) is windowed: the x(t), y(t) of every landmark visible in all
-frames is high-pass filtered (zero-phase, second-order Butterworth run
-forward-backward) and the window is flagged 1 iff any landmark's filtered
-displacement RMS exceeds the threshold. The filter repeats the float
-operations of SciPy's ``scipy.signal.butter(2, cut, btype="highpass")`` and
+The three angle items differ only in their slot and landmarks, which the
+``_ANGLES`` table names per side.
+
+Tremor (T4), built by ``tremor_signal``, is windowed: the x(t), y(t) of
+every landmark visible in all frames is high-pass filtered (zero-phase,
+second-order Butterworth run forward-backward) and the window is flagged 1
+iff any landmark's filtered displacement RMS exceeds the threshold. The
+filter repeats the float operations of SciPy's
+``scipy.signal.butter(2, cut, btype="highpass")`` and
 ``scipy.signal.filtfilt(b, a, x, axis=0)`` (Virtanen et al. 2020, Nature
 Methods 17:261), so it gives the same bits without importing ``scipy.signal``.
 
@@ -31,18 +35,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .core import Channel, LandmarkSequence, Side, SignalSeries, UpdrsItem
+from .core import Channel, LandmarkSequence, SignalSeries, UpdrsItem
 from .errors import MissingLandmark, SequenceTooShort
 from .kinematics import Plane, angle_between, angle_to_horizontal, distance, vector_between
 
 __all__ = [
     "TremorConfig",
-    "finger_taps_signal",
-    "hand_movement_signal",
-    "alternating_hands_signal",
+    "side_signal",
     "tremor_signal",
-    "leg_agility_signal",
-    "foot_taps_signal",
     "build_all",
     "signal_csv",
 ]
@@ -68,19 +68,64 @@ class TremorConfig:
             raise ValueError("overlap must lie in [0, 1)")
 
 
-def _channel(side: Side) -> Channel:
-    return Channel.LEFT if side is Side.LEFT else Channel.RIGHT
+_HAND = {Channel.LEFT: "left_hand", Channel.RIGHT: "right_hand"}
+
+# The angle items: per side, the slot, then the vertex and the two ray ends.
+_ANGLES = {
+    UpdrsItem.FINGER_TAPS: {
+        Channel.LEFT: ("left_hand", core.HAND_WRIST, core.INDEX_TIP, core.THUMB_TIP),
+        Channel.RIGHT: ("right_hand", core.HAND_WRIST, core.INDEX_TIP, core.THUMB_TIP),
+    },
+    UpdrsItem.LEG_AGILITY: {
+        Channel.LEFT: ("body", core.LEFT_HIP, core.LEFT_KNEE, core.LEFT_SHOULDER),
+        Channel.RIGHT: ("body", core.RIGHT_HIP, core.RIGHT_KNEE, core.RIGHT_SHOULDER),
+    },
+    UpdrsItem.FOOT_TAPS: {
+        Channel.LEFT: ("body", core.LEFT_ANKLE, core.LEFT_KNEE, core.LEFT_FOOT_TIP),
+        Channel.RIGHT: ("body", core.RIGHT_ANKLE, core.RIGHT_KNEE, core.RIGHT_FOOT_TIP),
+    },
+}
 
 
-def _hand(side: Side) -> str:
-    return "left_hand" if side is Side.LEFT else "right_hand"
-
-
-def _series(
-    seq: LandmarkSequence, item: UpdrsItem, side: Side, slot: str, values: np.ndarray
+def side_signal(
+    seq: LandmarkSequence,
+    channel: Channel,
+    min_visibility: float = 0.0,
+    plane: Plane = Plane.IMAGE_2D,
+    normalize_palm: bool = False,
 ) -> SignalSeries:
-    """Keep the frames that carry ``slot`` and give a defined value."""
-    channel = _channel(side)
+    """The tagged item's signal on one side, over the frames that carry its
+    slot and give a defined value. ``normalize_palm`` divides the hand-movement
+    distance by the palm length; the other items ignore it."""
+    item = seq.item
+    if item is None:
+        raise ValueError("sequence has no item tag")
+    if item is UpdrsItem.TREMOR_AT_REST:
+        raise ValueError("tremor_at_rest has one global signal; build it with tremor_signal")
+    if channel not in _HAND:
+        raise ValueError(f"{item.value} has a left and a right signal, not {channel.value}")
+    if item in _ANGLES:
+        slot, vertex, ray_a, ray_b = _ANGLES[item][channel]
+        pts = seq.poses[slot]
+        u = vector_between(pts, ray_a, vertex, plane, min_visibility)
+        v = vector_between(pts, ray_b, vertex, plane, min_visibility)
+        values = angle_between(u, v)
+    elif item is UpdrsItem.HAND_MOVEMENT:
+        slot = _HAND[channel]
+        pts = seq.poses[slot]
+        tips = (core.INDEX_TIP, core.MIDDLE_TIP, core.RING_TIP, core.PINKY_TIP)
+        values = sum(distance(pts, t, core.HAND_WRIST, plane, min_visibility) for t in tips) / 4.0
+        if normalize_palm:
+            palm = distance(pts, core.MIDDLE_MCP, core.HAND_WRIST, plane, min_visibility)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                values = np.where(palm <= 1e-12, np.nan, values / palm)
+    else:  # alternating hands
+        slot = _HAND[channel]
+        pts = seq.poses[slot]
+        values = angle_to_horizontal(
+            vector_between(pts, core.THUMB_TIP, core.PINKY_TIP, plane, min_visibility)
+        )
+
     where = f"{item.value}/{channel.value}"
     if not seq.present[slot].any():
         raise MissingLandmark(f"no frame carries {slot} for {where}")
@@ -90,98 +135,6 @@ def _series(
             f"every {where} value is undefined (low visibility or degenerate geometry)"
         )
     return SignalSeries(item, channel, values[keep], seq.timestamps[keep])
-
-
-def _angle_signal(
-    seq: LandmarkSequence,
-    item: UpdrsItem,
-    side: Side,
-    slot: str,
-    vertex: int,
-    ray_a: int,
-    ray_b: int,
-    min_visibility: float,
-    plane: Plane,
-) -> SignalSeries:
-    pts = seq.poses[slot]
-    u = vector_between(pts, ray_a, vertex, plane, min_visibility)
-    v = vector_between(pts, ray_b, vertex, plane, min_visibility)
-    return _series(seq, item, side, slot, angle_between(u, v))
-
-
-def finger_taps_signal(
-    seq: LandmarkSequence,
-    side: Side,
-    min_visibility: float = 0.0,
-    plane: Plane = Plane.IMAGE_2D,
-) -> SignalSeries:
-    """Hand-openness angle per frame, in degrees."""
-    return _angle_signal(
-        seq, UpdrsItem.FINGER_TAPS, side, _hand(side),
-        core.HAND_WRIST, core.INDEX_TIP, core.THUMB_TIP, min_visibility, plane,
-    )
-
-
-def hand_movement_signal(
-    seq: LandmarkSequence,
-    side: Side,
-    min_visibility: float = 0.0,
-    plane: Plane = Plane.IMAGE_2D,
-    normalize_palm: bool = False,
-) -> SignalSeries:
-    """Mean fingertip-to-wrist distance per frame (optionally / palm length)."""
-    pts = seq.poses[_hand(side)]
-    tips = (core.INDEX_TIP, core.MIDDLE_TIP, core.RING_TIP, core.PINKY_TIP)
-    d = sum(distance(pts, t, core.HAND_WRIST, plane, min_visibility) for t in tips) / 4.0
-    if normalize_palm:
-        palm = distance(pts, core.MIDDLE_MCP, core.HAND_WRIST, plane, min_visibility)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d = np.where(palm <= 1e-12, np.nan, d / palm)
-    return _series(seq, UpdrsItem.HAND_MOVEMENT, side, _hand(side), d)
-
-
-def alternating_hands_signal(
-    seq: LandmarkSequence,
-    side: Side,
-    min_visibility: float = 0.0,
-    plane: Plane = Plane.IMAGE_2D,
-) -> SignalSeries:
-    """Hand orientation against the image horizontal, in [0, 90] degrees."""
-    pts = seq.poses[_hand(side)]
-    u = vector_between(pts, core.THUMB_TIP, core.PINKY_TIP, plane, min_visibility)
-    return _series(seq, UpdrsItem.ALTERNATING_HANDS, side, _hand(side), angle_to_horizontal(u))
-
-
-def leg_agility_signal(
-    seq: LandmarkSequence,
-    side: Side,
-    min_visibility: float = 0.0,
-    plane: Plane = Plane.IMAGE_2D,
-) -> SignalSeries:
-    """Angle at the hip between the thigh and the torso, in degrees."""
-    if side is Side.RIGHT:
-        vertex, knee, shoulder = core.RIGHT_HIP, core.RIGHT_KNEE, core.RIGHT_SHOULDER
-    else:
-        vertex, knee, shoulder = core.LEFT_HIP, core.LEFT_KNEE, core.LEFT_SHOULDER
-    return _angle_signal(
-        seq, UpdrsItem.LEG_AGILITY, side, "body", vertex, knee, shoulder, min_visibility, plane
-    )
-
-
-def foot_taps_signal(
-    seq: LandmarkSequence,
-    side: Side,
-    min_visibility: float = 0.0,
-    plane: Plane = Plane.IMAGE_2D,
-) -> SignalSeries:
-    """Angle at the ankle between the shin and the foot, in degrees."""
-    if side is Side.RIGHT:
-        vertex, knee, tip = core.RIGHT_ANKLE, core.RIGHT_KNEE, core.RIGHT_FOOT_TIP
-    else:
-        vertex, knee, tip = core.LEFT_ANKLE, core.LEFT_KNEE, core.LEFT_FOOT_TIP
-    return _angle_signal(
-        seq, UpdrsItem.FOOT_TAPS, side, "body", vertex, knee, tip, min_visibility, plane
-    )
 
 
 # ── tremor ───────────────────────────────────────────────────────────
@@ -321,29 +274,14 @@ def build_all(
     Bilateral items yield Left and Right series; hand items skip a side
     whose hand never appears; tremor yields a single Global series.
     """
-    if seq.item is None:
-        raise ValueError("sequence has no item tag")
-
     if seq.item is UpdrsItem.TREMOR_AT_REST:
         return [tremor_signal(seq, tremor_cfg, min_visibility)]
-
-    out: list[SignalSeries] = []
-    if core.REQUIRED_POSE[seq.item] == "hand":
-        for side in (Side.LEFT, Side.RIGHT):
-            if not seq.present[_hand(side)].any():
-                continue
-            if seq.item is UpdrsItem.FINGER_TAPS:
-                out.append(finger_taps_signal(seq, side, min_visibility, plane))
-            elif seq.item is UpdrsItem.HAND_MOVEMENT:
-                out.append(hand_movement_signal(seq, side, min_visibility, plane, normalize_palm))
-            else:
-                out.append(alternating_hands_signal(seq, side, min_visibility, plane))
-        return out
-
-    builder = leg_agility_signal if seq.item is UpdrsItem.LEG_AGILITY else foot_taps_signal
-    for side in (Side.LEFT, Side.RIGHT):
-        out.append(builder(seq, side, min_visibility, plane))
-    return out
+    hand_item = core.REQUIRED_POSE.get(seq.item) == "hand"
+    return [
+        side_signal(seq, channel, min_visibility, plane, normalize_palm)
+        for channel in (Channel.LEFT, Channel.RIGHT)
+        if not hand_item or seq.present[_HAND[channel]].any()
+    ]
 
 
 def signal_csv(series: SignalSeries) -> str:

@@ -21,7 +21,7 @@ from tests.conftest import (
 )
 from walkup import core
 from walkup.cli import main as cli_main
-from walkup.core import SLOT_POINTS, LandmarkSequence, Side, UpdrsItem
+from walkup.core import SLOT_POINTS, Channel, LandmarkSequence, UpdrsItem
 from walkup.features import (
     FeatureSpec,
     approximate_entropy_counts,
@@ -30,14 +30,7 @@ from walkup.features import (
 )
 from walkup.ingest import parse_frames, serialize_jsonl
 from walkup.peaks import PeakConfig, cadence_stats, detect_peaks
-from walkup.signals import (
-    alternating_hands_signal,
-    build_all,
-    finger_taps_signal,
-    foot_taps_signal,
-    hand_movement_signal,
-    leg_agility_signal,
-)
+from walkup.signals import build_all, side_signal
 from walkup.synth import MotionScenario, generate
 
 
@@ -99,24 +92,23 @@ def test_criterion_1_signal_formula_fidelity():
     worst = 0.0
 
     hands = [_random_pose(rng, 21) for _ in range(n)]
-    seq = sequence(right_hand=hands)
-    for builder, oracle in (
-        (finger_taps_signal, _oracle_finger_taps),
-        (hand_movement_signal, _oracle_hand_movement),
-        (alternating_hands_signal, _oracle_alternating),
+    for item, oracle in (
+        (UpdrsItem.FINGER_TAPS, _oracle_finger_taps),
+        (UpdrsItem.HAND_MOVEMENT, _oracle_hand_movement),
+        (UpdrsItem.ALTERNATING_HANDS, _oracle_alternating),
     ):
-        series = builder(seq, Side.RIGHT)
+        series = side_signal(sequence(item=item, right_hand=hands), Channel.RIGHT)
         assert len(series) == n
         expected = np.array([oracle(h.tolist()) for h in hands])
         worst = max(worst, float(np.abs(series.values - expected).max()))
 
     bodies = [_random_pose(rng, 33) for _ in range(n)]
-    bseq = sequence(body=bodies)
-    for builder, oracle in ((leg_agility_signal, _oracle_leg), (foot_taps_signal, _oracle_foot)):
-        for side, side_name in ((Side.LEFT, "left"), (Side.RIGHT, "right")):
-            series = builder(bseq, side)
+    for item, oracle in ((UpdrsItem.LEG_AGILITY, _oracle_leg), (UpdrsItem.FOOT_TAPS, _oracle_foot)):
+        bseq = sequence(item=item, body=bodies)
+        for channel in (Channel.LEFT, Channel.RIGHT):
+            series = side_signal(bseq, channel)
             assert len(series) == n
-            expected = np.array([oracle(b.tolist(), side_name) for b in bodies])
+            expected = np.array([oracle(b.tolist(), channel.value) for b in bodies])
             worst = max(worst, float(np.abs(series.values - expected).max()))
 
     elapsed = time.perf_counter() - t0
@@ -154,12 +146,12 @@ def _angled_hand(rng):
     return hand_pose(over)
 
 
-def _one_frame_hand_series(builder, pts):
-    return builder(sequence([0.0], right_hand=[pts]), Side.RIGHT).values[0]
+def _one_frame_hand_series(item, pts):
+    return side_signal(sequence([0.0], item=item, right_hand=[pts]), Channel.RIGHT).values[0]
 
 
-def _one_frame_body_series(builder, pts):
-    return builder(sequence([0.0], body=[pts]), Side.RIGHT).values[0]
+def _one_frame_body_series(item, pts):
+    return side_signal(sequence([0.0], item=item, body=[pts]), Channel.RIGHT).values[0]
 
 
 def _angled_body(rng, vertex, ray_a, ray_b, max_angle):
@@ -190,39 +182,39 @@ def test_criterion_2_geometric_invariances():
 
         # rotation included for the three pure-angle signals
         hand = _angled_hand(rng)
-        base = _one_frame_hand_series(finger_taps_signal, hand)
+        base = _one_frame_hand_series(UpdrsItem.FINGER_TAPS, hand)
         moved = _one_frame_hand_series(
-            finger_taps_signal, _apply(hand, scale, theta, tx, ty, rotate=True)
+            UpdrsItem.FINGER_TAPS, _apply(hand, scale, theta, tx, ty, rotate=True)
         )
         worst_angle = max(worst_angle, abs(moved - base))
 
         body = _angled_body(rng, core.RIGHT_HIP, core.RIGHT_KNEE, core.RIGHT_SHOULDER, 179.0)
-        base = _one_frame_body_series(leg_agility_signal, body)
+        base = _one_frame_body_series(UpdrsItem.LEG_AGILITY, body)
         moved = _one_frame_body_series(
-            leg_agility_signal, _apply(body, scale, theta, tx, ty, rotate=True)
+            UpdrsItem.LEG_AGILITY, _apply(body, scale, theta, tx, ty, rotate=True)
         )
         worst_angle = max(worst_angle, abs(moved - base))
 
         body = _angled_body(rng, core.RIGHT_ANKLE, core.RIGHT_KNEE, core.RIGHT_FOOT_TIP, 179.0)
-        base = _one_frame_body_series(foot_taps_signal, body)
+        base = _one_frame_body_series(UpdrsItem.FOOT_TAPS, body)
         moved = _one_frame_body_series(
-            foot_taps_signal, _apply(body, scale, theta, tx, ty, rotate=True)
+            UpdrsItem.FOOT_TAPS, _apply(body, scale, theta, tx, ty, rotate=True)
         )
         worst_angle = max(worst_angle, abs(moved - base))
 
         # orientation signal: translation + positive scale only
         hand = _angled_hand(rng)
-        base = _one_frame_hand_series(alternating_hands_signal, hand)
+        base = _one_frame_hand_series(UpdrsItem.ALTERNATING_HANDS, hand)
         moved = _one_frame_hand_series(
-            alternating_hands_signal, _apply(hand, scale, 0.0, tx, ty, rotate=False)
+            UpdrsItem.ALTERNATING_HANDS, _apply(hand, scale, 0.0, tx, ty, rotate=False)
         )
         worst_a3 = max(worst_a3, abs(moved - base))
 
         # distance signal homogeneity
         hand = _random_pose(rng, 21)
-        base = _one_frame_hand_series(hand_movement_signal, hand)
+        base = _one_frame_hand_series(UpdrsItem.HAND_MOVEMENT, hand)
         moved = _one_frame_hand_series(
-            hand_movement_signal, _apply(hand, scale, 0.0, tx, ty, rotate=False)
+            UpdrsItem.HAND_MOVEMENT, _apply(hand, scale, 0.0, tx, ty, rotate=False)
         )
         worst_d2 = max(worst_d2, abs(moved - scale * base) / max(1.0, scale * base))
 

@@ -331,6 +331,14 @@ def test_features_malformed_row_is_validation_error(capsys, tmp_path, row):
     assert "line 3: expected a t,value row of numbers" in err and stdout == ""
 
 
+def test_features_non_utf8_csv_is_io_error(capsys, tmp_path):
+    sig = tmp_path / "sig.csv"
+    sig.write_bytes(b"t,value\n0.0,1\xff\n")
+    code, stdout, err = _run(capsys, "features", "--in", str(sig))
+    assert (code, stdout) == (3, "")
+    assert err.startswith(f"I/O error: cannot read {sig}: ") and "can't decode byte 0xff" in err
+
+
 @pytest.mark.parametrize(
     "text, code, prefix",
     [(None, 3, "I/O error: "), ("t,value\n0.0,nan\n", 1, "WalkupError: ")],
@@ -427,6 +435,25 @@ def test_malformed_config_is_usage_error_naming_key(capsys, tmp_path, tap_fixtur
     assert code == 2
     last = err.splitlines()[-1]  # after the fixture's own "wrote ..." line
     assert last.startswith("error: ") and key in last
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"min_visibility": 2}, "min_visibility must lie in [0, 1]"),
+        ({"resample_fps": -1}, "resample_fps must be finite and positive"),
+    ],
+    ids=["min_visibility", "resample_fps"],
+)
+def test_bad_ingest_config_fails_once_at_load(capsys, tmp_path, tap_fixture, config, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    capsys.readouterr()  # the fixture's own "wrote ..." line
+    code, _, err = _run(capsys, "analyze", "--in", str(tap_fixture), str(tap_fixture),
+                        "--out", str(out), "--config", str(cfg_path))
+    assert (code, err) == (2, f"error: {message}\n")
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -7,25 +8,24 @@ from scipy.signal import butter, filtfilt
 
 from tests.conftest import body_pose, body_sequence, hand_pose, hand_sequence, sequence
 from walkup import core
-from walkup.core import Channel, LandmarkSequence, Side, UpdrsItem
+from walkup.core import Channel, LandmarkSequence, UpdrsItem
 from walkup.errors import MissingLandmark, SequenceTooShort
+from walkup.kinematics import Plane
+from walkup.report import AnalysisConfig, analyze
 from walkup.signals import (
     TremorConfig,
     _butter_highpass,
     _filtfilt,
-    alternating_hands_signal,
     build_all,
-    finger_taps_signal,
-    foot_taps_signal,
-    hand_movement_signal,
-    leg_agility_signal,
+    side_signal,
+    signal_csv,
     tremor_signal,
 )
-from walkup.synth import MotionScenario, generate
+from walkup.synth import DEFAULT_AMPLITUDE, MotionScenario, generate
 
 
-def _hand_seq(overrides: dict[int, tuple]) -> "LandmarkSequence":
-    return hand_sequence([hand_pose(overrides)])
+def _hand_seq(overrides: dict[int, tuple], item: UpdrsItem = UpdrsItem.FINGER_TAPS) -> "LandmarkSequence":
+    return hand_sequence([hand_pose(overrides)], item=item)
 
 
 # ── finger taps (hand openness angle) ────────────────────────────────
@@ -33,14 +33,14 @@ def _hand_seq(overrides: dict[int, tuple]) -> "LandmarkSequence":
 
 def test_finger_taps_coincident_tips_zero():
     seq = _hand_seq({0: (0.5, 0.5), 4: (0.6, 0.6), 8: (0.6, 0.6)})
-    s = finger_taps_signal(seq, Side.RIGHT)
+    s = side_signal(seq, Channel.RIGHT)
     # arccos carries ~1e-6 deg rounding at exactly parallel rays
     assert s.values[0] == pytest.approx(0.0, abs=1e-5)
 
 
 def test_finger_taps_orthogonal_construction():
     seq = _hand_seq({0: (0.0, 0.0), 8: (0.0, -0.2), 4: (0.2, 0.0)})
-    s = finger_taps_signal(seq, Side.RIGHT)
+    s = side_signal(seq, Channel.RIGHT)
     assert s.values[0] == pytest.approx(90.0, abs=1e-9)
 
 
@@ -52,14 +52,14 @@ def test_finger_taps_open_pose_matches_formula_oracle():
     expected = math.degrees(math.acos(dot / (math.hypot(*u) * math.hypot(*v))))
     assert expected == pytest.approx(45.0, abs=0.1)  # oracle value for this pose
     seq = _hand_seq({0: wrist, 8: index_tip, 4: thumb_tip})
-    s = finger_taps_signal(seq, Side.RIGHT)
+    s = side_signal(seq, Channel.RIGHT)
     assert s.values[0] == pytest.approx(expected, abs=1e-9)
 
 
 def test_finger_taps_missing_hand_raises():
     seq = body_sequence([body_pose()], item=UpdrsItem.FINGER_TAPS)
     with pytest.raises(MissingLandmark):
-        finger_taps_signal(seq, Side.RIGHT)
+        side_signal(seq, Channel.RIGHT)
 
 
 def test_missing_landmark_errors_name_no_index():
@@ -68,7 +68,7 @@ def test_missing_landmark_errors_name_no_index():
         build_all(flat)
     assert str(exc.value) == "every finger_taps/right value is undefined (low visibility or degenerate geometry)"
     with pytest.raises(MissingLandmark) as exc:
-        finger_taps_signal(flat, Side.LEFT)
+        side_signal(flat, Channel.LEFT)
     assert str(exc.value) == "no frame carries left_hand for finger_taps/left"
 
 
@@ -77,24 +77,25 @@ def test_missing_landmark_errors_name_no_index():
 
 def test_hand_movement_closed_fist_zero():
     w = (0.5, 0.5)
-    seq = _hand_seq({0: w, 8: w, 12: w, 16: w, 20: w})
-    s = hand_movement_signal(seq, Side.RIGHT)
+    seq = _hand_seq({0: w, 8: w, 12: w, 16: w, 20: w}, UpdrsItem.HAND_MOVEMENT)
+    s = side_signal(seq, Channel.RIGHT)
     assert s.values[0] == 0.0
 
 
 def test_hand_movement_mean_of_tip_distances():
     seq = _hand_seq(
-        {0: (0.0, 0.0), 8: (0.1, 0.0), 12: (0.0, 0.2), 16: (-0.3, 0.0), 20: (0.0, -0.4)}
+        {0: (0.0, 0.0), 8: (0.1, 0.0), 12: (0.0, 0.2), 16: (-0.3, 0.0), 20: (0.0, -0.4)},
+        UpdrsItem.HAND_MOVEMENT,
     )
-    s = hand_movement_signal(seq, Side.RIGHT)
+    s = side_signal(seq, Channel.RIGHT)
     assert s.values[0] == pytest.approx(0.25, abs=1e-12)
 
 
 def test_hand_movement_scales_linearly():
     base = {0: (0.1, 0.1), 8: (0.2, 0.3), 12: (0.3, 0.1), 16: (0.15, 0.4), 20: (0.05, 0.3)}
     doubled = {i: (2 * x, 2 * y) for i, (x, y) in base.items()}
-    s1 = hand_movement_signal(_hand_seq(base), Side.RIGHT)
-    s2 = hand_movement_signal(_hand_seq(doubled), Side.RIGHT)
+    s1 = side_signal(_hand_seq(base, UpdrsItem.HAND_MOVEMENT), Channel.RIGHT)
+    s2 = side_signal(_hand_seq(doubled, UpdrsItem.HAND_MOVEMENT), Channel.RIGHT)
     assert s2.values[0] == pytest.approx(2 * s1.values[0], rel=1e-12)
 
 
@@ -104,8 +105,8 @@ def test_hand_movement_palm_normalized_scale_invariant():
         12: (0.3, 0.1), 16: (0.15, 0.4), 20: (0.05, 0.3),
     }
     tripled = {i: (3 * x, 3 * y) for i, (x, y) in base.items()}
-    s1 = hand_movement_signal(_hand_seq(base), Side.RIGHT, normalize_palm=True)
-    s2 = hand_movement_signal(_hand_seq(tripled), Side.RIGHT, normalize_palm=True)
+    s1 = side_signal(_hand_seq(base, UpdrsItem.HAND_MOVEMENT), Channel.RIGHT, normalize_palm=True)
+    s2 = side_signal(_hand_seq(tripled, UpdrsItem.HAND_MOVEMENT), Channel.RIGHT, normalize_palm=True)
     assert s2.values[0] == pytest.approx(s1.values[0], rel=1e-12)
 
 
@@ -113,14 +114,14 @@ def test_hand_movement_palm_normalized_scale_invariant():
 
 
 def test_alternating_hands_level_is_zero():
-    seq = _hand_seq({20: (0.4, 0.5), 4: (0.6, 0.5)})
-    s = alternating_hands_signal(seq, Side.RIGHT)
+    seq = _hand_seq({20: (0.4, 0.5), 4: (0.6, 0.5)}, UpdrsItem.ALTERNATING_HANDS)
+    s = side_signal(seq, Channel.RIGHT)
     assert s.values[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_alternating_hands_vertical_is_ninety():
-    seq = _hand_seq({20: (0.5, 0.6), 4: (0.5, 0.3)})
-    s = alternating_hands_signal(seq, Side.RIGHT)
+    seq = _hand_seq({20: (0.5, 0.6), 4: (0.5, 0.3)}, UpdrsItem.ALTERNATING_HANDS)
+    s = side_signal(seq, Channel.RIGHT)
     assert s.values[0] == pytest.approx(90.0, abs=1e-9)
 
 
@@ -130,7 +131,7 @@ def test_alternating_hands_dominant_frequency_matches_generator():
         item=UpdrsItem.ALTERNATING_HANDS, duration_s=10.0, fps=30.0,
         base_amplitude=60.0, frequency_hz=freq, seed=11,
     )
-    s = alternating_hands_signal(generate(sc), Side.RIGHT)
+    s = side_signal(generate(sc), Channel.RIGHT)
     spectrum = np.abs(np.fft.rfft(s.values - s.values.mean()))
     bin_hz = 1.0 / (s.timestamps[-1] - s.timestamps[0] + 1.0 / 30.0)
     dominant = np.argmax(spectrum[1:]) + 1
@@ -146,13 +147,13 @@ def _leg_body(hip, knee, shoulder) -> np.ndarray:
 
 def test_leg_agility_standing_straight():
     body = _leg_body((0.5, 0.5), (0.5, 0.7), (0.5, 0.3))
-    s = leg_agility_signal(body_sequence([body]), Side.RIGHT)
+    s = side_signal(body_sequence([body]), Channel.RIGHT)
     assert s.values[0] == pytest.approx(180.0, abs=1e-9)
 
 
 def test_leg_agility_thigh_horizontal():
     body = _leg_body((0.5, 0.5), (0.7, 0.5), (0.5, 0.3))
-    s = leg_agility_signal(body_sequence([body]), Side.RIGHT)
+    s = side_signal(body_sequence([body]), Channel.RIGHT)
     assert s.values[0] == pytest.approx(90.0, abs=1e-9)
 
 
@@ -160,7 +161,7 @@ def test_leg_agility_left_uses_left_landmarks():
     body = body_pose(
         {core.LEFT_HIP: (0.5, 0.5), core.LEFT_KNEE: (0.3, 0.5), core.LEFT_SHOULDER: (0.5, 0.2)}
     )
-    s = leg_agility_signal(body_sequence([body]), Side.LEFT)
+    s = side_signal(body_sequence([body]), Channel.LEFT)
     assert s.values[0] == pytest.approx(90.0, abs=1e-9)
 
 
@@ -169,7 +170,7 @@ def test_leg_agility_synth_swing_recovery():
         item=UpdrsItem.LEG_AGILITY, duration_s=8.0, fps=60.0,
         base_amplitude=30.0, frequency_hz=1.0, seed=5,
     )
-    s = leg_agility_signal(generate(sc), Side.RIGHT)
+    s = side_signal(generate(sc), Channel.RIGHT)
     assert float(s.values.max() - s.values.min()) == pytest.approx(30.0, abs=0.5)
 
 
@@ -184,7 +185,7 @@ def test_foot_taps_flat_foot_ninety():
             core.RIGHT_FOOT_TIP: (0.56, 0.9),
         }
     )
-    s = foot_taps_signal(body_sequence([body], item=UpdrsItem.FOOT_TAPS), Side.RIGHT)
+    s = side_signal(body_sequence([body], item=UpdrsItem.FOOT_TAPS), Channel.RIGHT)
     assert s.values[0] == pytest.approx(90.0, abs=1e-9)
 
 
@@ -193,7 +194,7 @@ def test_foot_taps_dorsiflexion_reduces_angle():
         item=UpdrsItem.FOOT_TAPS, duration_s=6.0, fps=60.0,
         base_amplitude=20.0, frequency_hz=1.0, seed=5,
     )
-    s = foot_taps_signal(generate(sc), Side.RIGHT)
+    s = side_signal(generate(sc), Channel.RIGHT)
     assert float(s.values.max()) == pytest.approx(90.0, abs=1e-9)
     assert float(s.values.min()) == pytest.approx(70.0, abs=0.5)
 
@@ -214,7 +215,7 @@ def test_foot_taps_degenerate_frame_becomes_gap():
         }
     )
     seq = body_sequence([good, degenerate, good], item=UpdrsItem.FOOT_TAPS)
-    s = foot_taps_signal(seq, Side.RIGHT)
+    s = side_signal(seq, Channel.RIGHT)
     assert len(s) == 2
     assert list(s.timestamps) == [0.0, 2 / 30.0]
 
@@ -302,6 +303,100 @@ def test_build_all_requires_item_tag():
         build_all(sequence([0.0], right_hand=[hand_pose()]))
 
 
+@pytest.mark.parametrize(
+    "item, channel",
+    [(None, Channel.RIGHT), (UpdrsItem.TREMOR_AT_REST, Channel.RIGHT), (UpdrsItem.FINGER_TAPS, Channel.GLOBAL)],
+    ids=["untagged", "tremor", "global"],
+)
+def test_side_signal_rejects_what_has_no_side(item, channel):
+    seq = sequence([0.0], item=item, body=[body_pose()], right_hand=[hand_pose()])
+    with pytest.raises(ValueError):
+        side_signal(seq, channel)
+
+
+def _noisy_recording(item: UpdrsItem, seed: int) -> LandmarkSequence:
+    """3 s of ``item`` with coordinate noise; synth moves only x and y, so a
+    seeded depth wobble gives the 3d plane bits of its own."""
+    seq = generate(MotionScenario(
+        item=item, duration_s=3.0, base_amplitude=DEFAULT_AMPLITUDE[item],
+        tremor_amplitude=0.02, noise_std=0.002, seed=seed,
+    ))
+    rng = np.random.default_rng(seed)
+    poses = {}
+    for slot, pts in seq.poses.items():
+        pts = pts.copy()
+        pts[..., 2] += rng.normal(0.0, 0.01, size=pts.shape[:2])
+        poses[slot] = pts
+    return dataclasses.replace(seq, poses=poses)
+
+
+_PINNED_CONFIGS = {
+    "default": AnalysisConfig(),
+    "3d_palm": AnalysisConfig(plane=Plane.FULL_3D, normalize_palm=True),
+}
+
+
+@pytest.mark.parametrize(
+    "config, item, digests",
+    [
+        ("default", "finger_taps", (
+            "db0ee23c2da1350f54bc26cad225d74499db1994d820490c5c45551b540674d0",
+            "cc6f13dcd5382892dc87039913645dfbbd063167426ee0a16eaf8ea06aedb6bd",
+        )),
+        ("default", "hand_movement", (
+            "5042dd7db44dccccb5c9edef43f4c8ce490667f7a40e80228c162893875116d2",
+            "a8e965909c4ffb5d4dfc82dc440a6cfe5bea5649fe53841d41b750fe6216e6b5",
+        )),
+        ("default", "alternating_hands", (
+            "5db9e297df02bc5b61264bede2438694ceb6e1e50de0e7d203e202e00fdbe6d8",
+            "18bd494bf0d324f462002d713ba70de832705a2c50998b704160f910668dc538",
+        )),
+        ("default", "tremor_at_rest", (
+            "f7f1339757d5aefa986e3e97774557bda73e9de2ca8677af3ca414924b55bd5e",
+        )),
+        ("default", "leg_agility", (
+            "075923736c363d8ef9668dde2903d6f3dcb4105930bf8c2d0dfa0f3290c8f78d",
+            "6a24317061f6b57b183827b3b0f7ac445bb1d200375ab87cc970eaee60ff3da0",
+        )),
+        ("default", "foot_taps", (
+            "e5358dbc54d32b779fdef04b32f15906e34441be29320135870913a7b2d002b4",
+            "36c7e474a11637909ec03682621c4e41c13341c923f652f76b79d18b0a2f745a",
+        )),
+        ("3d_palm", "finger_taps", (
+            "9ebd5762f91fd5c03f0d11deccb8b6be5c3519e824f418538b2a9de1ba58c1ee",
+            "faf0f5061b061cb2709ab8a5b7255c82f31aaf21995dae7650647bb1cf4f8983",
+        )),
+        ("3d_palm", "hand_movement", (
+            "2874375008f2e4a3d0d266de05c23f5e5814bc06b7bf5e8c61d5726ea36559d9",
+            "eb0d08cc61989250d029f4ace5a271d36c3bc0e18ef514c154f314ad91ebf6ab",
+        )),
+        ("3d_palm", "alternating_hands", (
+            "5db9e297df02bc5b61264bede2438694ceb6e1e50de0e7d203e202e00fdbe6d8",
+            "18bd494bf0d324f462002d713ba70de832705a2c50998b704160f910668dc538",
+        )),
+        ("3d_palm", "tremor_at_rest", (
+            "f7f1339757d5aefa986e3e97774557bda73e9de2ca8677af3ca414924b55bd5e",
+        )),
+        ("3d_palm", "leg_agility", (
+            "a631d30162993e92dc25d62e3f8ed277bf94da0f61af6e651d8e4342368a031e",
+            "c6e9699835d230ad3a8f36b64dc2f9b9878514bf2f39b86bf8415396e5cdb07d",
+        )),
+        ("3d_palm", "foot_taps", (
+            "649e0d5ff6f17f66b0c97be0678e02afd15720b8b9d50e4242c5354eaff389f7",
+            "d4338b55ff721f10d5734ffeb7b11d04cfa01acbcd6d7973832014d1861f3bd3",
+        )),
+    ],
+)
+def test_every_item_signal_bytes_are_pinned(config, item, digests):
+    # SHA-256 of signal_csv per channel, left to right: a change to the order
+    # of any signal's float operations shows up here
+    item = UpdrsItem(item)
+    seq = _noisy_recording(item, 40 + list(UpdrsItem).index(item))
+    channels = analyze(seq, _PINNED_CONFIGS[config]).channels
+    got = tuple(hashlib.sha256(signal_csv(ch.series).encode()).hexdigest() for ch in channels)
+    assert got == digests
+
+
 # ── geometric invariances (similarity transforms) ────────────────────
 
 
@@ -319,7 +414,7 @@ def _transform_seq(seq, scale, theta, tx, ty, rotate=True):
 def test_angle_signal_similarity_invariance(rng):
     sc = MotionScenario(item=UpdrsItem.FINGER_TAPS, duration_s=2.0, base_amplitude=40.0, seed=9)
     seq = generate(sc)
-    base = finger_taps_signal(seq, Side.RIGHT).values
+    base = side_signal(seq, Channel.RIGHT).values
     # skip the closed-hand instants: arccos is ill-conditioned at 0 degrees
     mask = (base > 0.5) & (base < 179.5)
     assert mask.any()
@@ -327,21 +422,21 @@ def test_angle_signal_similarity_invariance(rng):
         scale = rng.uniform(0.2, 4.0)
         theta = rng.uniform(0, 2 * math.pi)
         tx, ty = rng.uniform(-1, 1, size=2)
-        moved = finger_taps_signal(
-            _transform_seq(seq, scale, theta, tx, ty), Side.RIGHT
+        moved = side_signal(
+            _transform_seq(seq, scale, theta, tx, ty), Channel.RIGHT
         ).values
         assert np.abs(moved[mask] - base[mask]).max() < 1e-9
 
 
 def test_alternating_hands_rotation_counterexample():
-    seq = _hand_seq({20: (0.4, 0.5), 4: (0.6, 0.5)})
-    base = alternating_hands_signal(seq, Side.RIGHT).values[0]
-    rotated = alternating_hands_signal(
-        _transform_seq(seq, 1.0, math.radians(30), 0.0, 0.0), Side.RIGHT
+    seq = _hand_seq({20: (0.4, 0.5), 4: (0.6, 0.5)}, UpdrsItem.ALTERNATING_HANDS)
+    base = side_signal(seq, Channel.RIGHT).values[0]
+    rotated = side_signal(
+        _transform_seq(seq, 1.0, math.radians(30), 0.0, 0.0), Channel.RIGHT
     ).values[0]
     assert abs(rotated - base) > 1.0  # orientation signal is not rotation invariant
-    shifted = alternating_hands_signal(
-        _transform_seq(seq, 2.0, 0.0, 0.3, -0.2, rotate=False), Side.RIGHT
+    shifted = side_signal(
+        _transform_seq(seq, 2.0, 0.0, 0.3, -0.2, rotate=False), Channel.RIGHT
     ).values[0]
     assert shifted == pytest.approx(base, abs=1e-9)  # but scale/translation invariant
 
@@ -351,12 +446,12 @@ def test_hand_movement_homogeneity(rng):
         item=UpdrsItem.HAND_MOVEMENT, duration_s=2.0, base_amplitude=0.15, seed=9
     )
     seq = generate(sc)
-    base = hand_movement_signal(seq, Side.RIGHT).values
+    base = side_signal(seq, Channel.RIGHT).values
     for _ in range(10):
         scale = rng.uniform(0.2, 4.0)
         tx, ty = rng.uniform(-1, 1, size=2)
-        moved = hand_movement_signal(
-            _transform_seq(seq, scale, 0.0, tx, ty, rotate=False), Side.RIGHT
+        moved = side_signal(
+            _transform_seq(seq, scale, 0.0, tx, ty, rotate=False), Channel.RIGHT
         ).values
         assert np.abs(moved - scale * base).max() < 1e-12 * max(1.0, scale)
 

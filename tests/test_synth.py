@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from walkup.core import Side, UpdrsItem
+from walkup.core import UpdrsItem
 from walkup.ingest import serialize_jsonl
 from walkup.peaks import PeakConfig, cadence_stats, detect_peaks
 from walkup.signals import build_all
