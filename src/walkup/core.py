@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Optional
 
 import numpy as np
@@ -104,13 +105,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class LandmarkSequence:
     """Timestamps plus, per pose slot, an ``(n_frames, n_points, 4)`` array of
-    x, y, z, visibility (NaN where the slot is absent) and an ``(n_frames,)``
-    presence mask. A slot left out of ``poses`` is absent in every frame.
-    The arrays are read-only; the unit of ingestion."""
+    x, y, z, visibility. A row of NaN is a frame where the slot is absent, and
+    a slot left out of ``poses`` is absent in every frame. The arrays are
+    read-only; the unit of ingestion."""
 
     timestamps: np.ndarray
     poses: Mapping[str, np.ndarray]
-    present: Mapping[str, np.ndarray]
     fps: float
     item: Optional[UpdrsItem] = None
     subject_id: str = ""
@@ -118,17 +118,21 @@ class LandmarkSequence:
     def __post_init__(self):
         times = np.asarray(self.timestamps, dtype=float)
         n = len(times)
-        poses, present = {}, {}
+        poses = {}
         for slot, count in SLOT_POINTS.items():
             pts = self.poses.get(slot)
             pts = np.full((n, count, 4), np.nan) if pts is None else np.asarray(pts, dtype=float)
-            mask = np.asarray(self.present.get(slot, np.zeros(n, dtype=bool)), dtype=bool)
-            if pts.shape != (n, count, 4) or mask.shape != (n,):
-                raise ValueError(f"{slot} needs ({n}, {count}, 4) points and ({n},) presence")
-            poses[slot], present[slot] = _read_only(pts), _read_only(mask)
+            if pts.shape != (n, count, 4):
+                raise ValueError(f"{slot} needs ({n}, {count}, 4) points")
+            poses[slot] = _read_only(pts)
         object.__setattr__(self, "timestamps", _read_only(times))
         object.__setattr__(self, "poses", poses)
-        object.__setattr__(self, "present", present)
+
+    @cached_property
+    def present(self) -> Mapping[str, np.ndarray]:
+        """Per slot, an ``(n_frames,)`` mask of the frames whose row holds a
+        number, derived from ``poses``."""
+        return {slot: _read_only(~np.isnan(pts).all(axis=(1, 2))) for slot, pts in self.poses.items()}
 
     def __len__(self) -> int:
         return len(self.timestamps)

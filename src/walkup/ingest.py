@@ -27,10 +27,13 @@ float, which would change a numeric ``subject``. Writing stays on ``json``.
 A number is a JSON number: a string such as ``"0.5"``, ``true`` or ``false`` in
 ``fps``, ``t`` or a coordinate is a SchemaError, and a ``null`` coordinate is
 NaN, which the frame rules reject. A frame's decoded points go straight into
-one flat float array per present slot (a length check per point, then one
+one flat float array per slot it carries (a length check per point, then one
 ``np.fromiter`` over the chained points), and ``_stack`` joins each slot's
-arrays once. Only a line that may hold a string or a boolean gets a per-value
-type check; ``_parse_jsonl`` says how it tells.
+arrays once, with a row of NaN in each frame that does not carry the slot: the
+one record of its absence. A carried slot whose every value is null (or, in
+a CSV, ``nan``) is still a non-finite number there, not an absent slot. Only a
+line that may hold a string or a boolean gets a per-value type check;
+``_parse_jsonl`` says how it tells.
 """
 
 from __future__ import annotations
@@ -100,12 +103,11 @@ def parse_frames(
     source: PathOrStream,
     format: FileFormat = FileFormat.JSONL,
     item: Optional[UpdrsItem] = None,
-    subject_id: Optional[str] = None,
 ) -> LandmarkSequence:
     """Parse a landmark file into a LandmarkSequence, preserving source order.
 
-    ``item``/``subject_id`` override or supply metadata the file itself
-    lacks. A CSV's fps is inferred from its timestamps.
+    ``item`` overrides or supplies the item tag the file itself may lack. A
+    CSV's fps is inferred from its timestamps.
     Raises SchemaError with the line number on malformed input and at the
     first frame that breaks a rule of ``core.frame_violations`` (at the header
     for one of ``core.fps_violation``); EmptySequence when no frame lines are
@@ -124,11 +126,7 @@ def parse_frames(
     except (OSError, UnicodeDecodeError) as exc:
         raise UnreadableInput(f"cannot read {source}: {exc}" if is_path else str(exc)) from exc
 
-    if item is not None:
-        seq = replace(seq, item=item)
-    if subject_id is not None:
-        seq = replace(seq, subject_id=subject_id)
-    return seq
+    return seq if item is None else replace(seq, item=item)
 
 
 # exact classes: a JSON true or false decodes to bool, which is an int subclass
@@ -188,26 +186,28 @@ def _decode_frame(raw: str, line: int):
 def _stack(frames: list, slots: dict, fps: float, item=None, subject_id: str = "") -> LandmarkSequence:
     """Stack parsed frames, ``(line, t)`` each, and per slot the ``(frame
     index, flat points)`` of every frame that carries it, into one array per
-    slot; the first frame that breaks a rule raises SchemaError at its line."""
+    slot, NaN in the frames that do not; the first frame that breaks a rule
+    raises SchemaError at its line."""
     if not frames:
         raise EmptySequence("header present but no frames")
     lines, times = zip(*frames)
     n = len(frames)
-    poses, present = {}, {}
+    poses = {}
     for slot, carried in slots.items():
         if not carried:
             continue  # LandmarkSequence fills a slot absent from every frame
         idx, flats = zip(*carried)
         block = np.concatenate(flats).reshape(len(idx), SLOT_POINTS[slot], 4)
+        # A carried slot whose every value is null or nan would read as absent
+        # once stacked. Its first visibility becomes inf, so the frame rules
+        # still fail that frame with "non-finite number", and the parse raises.
+        block[np.isnan(block).all(axis=(1, 2)), 0, 3] = np.inf
         if len(idx) == n:
-            poses[slot], present[slot] = block, np.ones(n, dtype=bool)
+            poses[slot] = block
             continue
-        idx = list(idx)
         poses[slot] = np.full((n, *block.shape[1:]), np.nan)
-        poses[slot][idx] = block
-        present[slot] = np.zeros(n, dtype=bool)
-        present[slot][idx] = True
-    seq = LandmarkSequence(np.array(times, dtype=float), poses, present, fps, item, subject_id)
+        poses[slot][list(idx)] = block
+    seq = LandmarkSequence(np.array(times, dtype=float), poses, fps, item, subject_id)
     if broken := frame_violations(seq, first_only=True):
         raise SchemaError(lines[broken[0].frame], broken[0].message)
     return seq
@@ -387,10 +387,11 @@ def fill_gaps(seq: LandmarkSequence, cfg: IngestConfig) -> LandmarkSequence:
     (backfilling a leading gap); DROP leaves the sequence untouched so
     downstream consumers skip those landmarks and frames. Repaired landmarks
     get visibility == min_visibility so they count as visible afterwards, and
-    are finite in every frame; a slot with any repair is present in every
-    frame. A landmark never visible stays as it is, save in the frames where
-    its slot was absent: there it takes finite coordinates from the frames
-    that carry the slot under the same policy, at visibility 0.
+    are finite in every frame, so a slot with any repair holds a row of
+    numbers, and is present, in every frame. A landmark never visible stays as
+    it is, save in the frames where its slot was absent: there it takes finite
+    coordinates from the frames that carry the slot under the same policy, at
+    visibility 0.
     Returns ``seq`` itself when no landmark needs repair.
     """
     if cfg.gap_fill is GapFill.DROP or not len(seq):
@@ -423,10 +424,7 @@ def fill_gaps(seq: LandmarkSequence, cfg: IngestConfig) -> LandmarkSequence:
             block[bad, j, 3] = visibility
         repaired[slot] = block
 
-    if not repaired:
-        return seq
-    present = dict.fromkeys(repaired, np.ones(len(seq), dtype=bool))
-    return replace(seq, poses={**seq.poses, **repaired}, present={**seq.present, **present})
+    return replace(seq, poses={**seq.poses, **repaired}) if repaired else seq
 
 
 # ── resampling ───────────────────────────────────────────────────────
@@ -441,10 +439,12 @@ def resample(seq: LandmarkSequence, cfg: IngestConfig) -> LandmarkSequence:
     A ``resample_fps`` above ``MAX_UPSAMPLE`` times the sequence's own rate,
     ``(n - 1) / duration``, raises ValueError: the grid would only repeat
     interpolated frames, and without a bound its size has none.
-    Coordinates are linearly interpolated between the bracketing frames.
-    A grid point keeps a slot only where its bracketing frames carry that
-    slot; elsewhere the slot is absent there. Repairing absent frames is
-    ``fill_gaps``' job, so run it first (``report.analyze`` does).
+    Coordinates are linearly interpolated between the bracketing frames, and
+    a grid point within 1e-12 s of a frame takes that frame as it is. An
+    absent slot's NaN row carries through the interpolation, so a grid point
+    keeps a slot only where its bracketing frames carry it, and a grid point
+    that keeps no slot is dropped. Repairing absent frames is ``fill_gaps``'
+    job, so run it first (``report.analyze`` does).
     """
     if cfg.resample_fps is None:
         raise ValueError("cfg.resample_fps must be set")
@@ -465,31 +465,18 @@ def resample(seq: LandmarkSequence, cfg: IngestConfig) -> LandmarkSequence:
     # past the last frame, takes frame j as it is
     j = np.maximum(np.searchsorted(times, s + 1e-12) - 1, 0)
     jn = np.minimum(j + 1, len(times) - 1)
-    at_frame = (np.abs(times[j] - s) <= 1e-12) | (j + 1 >= len(times))
+    at_frame = ((np.abs(times[j] - s) <= 1e-12) | (j + 1 >= len(times)))[:, None, None]
 
-    poses, present = {}, {}
-    for slot, pts in seq.poses.items():
-        has = seq.present[slot]
-        if not has.any():
-            continue
-        between = has[j] & has[jn] & ~at_frame
-        keep = (has[j] & at_frame) | between
-        i0, i1 = j, np.where(between, jn, j)
-        a, b = pts[i0], pts[i1]
-        with np.errstate(divide="ignore", invalid="ignore"):  # rows with i1 == i0 take a
-            w = ((s - times[i0]) / (times[i1] - times[i0]))[:, None, None]
-            out = np.where((i1 != i0)[:, None, None], a + w * (b - a), a)
-        poses[slot] = np.where(keep[:, None, None], out, np.nan)
-        present[slot] = keep
-
-    rows = np.logical_or.reduce(list(present.values()))
+    poses = {}
+    with np.errstate(divide="ignore", invalid="ignore"):  # past the last frame jn == j: at_frame takes a
+        w = ((s - times[j]) / (times[jn] - times[j]))[:, None, None]
+        for slot, pts in seq.poses.items():
+            a = pts[j]
+            poses[slot] = np.where(at_frame, a, a + w * (pts[jn] - a))
+    grid = LandmarkSequence(tau, poses, fps)
+    rows = np.logical_or.reduce(list(grid.present.values()))
     if not rows.any():
         raise EmptySequence("resampling produced no frames")
     return LandmarkSequence(
-        tau[rows],
-        {slot: pts[rows] for slot, pts in poses.items()},
-        {slot: mask[rows] for slot, mask in present.items()},
-        fps,
-        seq.item,
-        seq.subject_id,
+        tau[rows], {slot: pts[rows] for slot, pts in grid.poses.items()}, fps, seq.item, seq.subject_id
     )

@@ -16,7 +16,7 @@ cadence statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -43,10 +43,17 @@ class MotionScenario:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if not self.duration_s > 0 or not self.fps > 0 or not self.frequency_hz > 0:
             raise ValueError("duration_s, fps and frequency_hz must be positive")
-        if self.amplitude_decrement_per_cycle < 0 or self.interval_growth_s_per_cycle < 0:
-            raise ValueError("decrement and growth must be non-negative")
+        # so that each cycle spans at least 2 frames, and _wave's loop ends
+        if self.frequency_hz > self.fps / 2:
+            raise ValueError(f"frequency_hz must not exceed fps / 2 = {self.fps / 2} (got {self.frequency_hz})")
+        if min(self.amplitude_decrement_per_cycle, self.interval_growth_s_per_cycle, self.noise_std) < 0:
+            raise ValueError("decrement, growth and noise_std must be non-negative")
         limit = _AMPLITUDE_LIMIT.get(self.item)
         if limit is not None and self.base_amplitude > limit:
             raise ValueError(
@@ -287,11 +294,4 @@ def generate(scenario: MotionScenario) -> LandmarkSequence:
         stacked[..., :2] += rng.normal(0.0, scenario.noise_std, size=stacked.shape[:3] + (2,))
         poses = dict(zip(poses, np.moveaxis(stacked, 1, 0)))
 
-    return LandmarkSequence(
-        times,
-        poses,
-        dict.fromkeys(poses, np.ones(len(times), dtype=bool)),
-        scenario.fps,
-        item,
-        f"synth-{scenario.seed}",
-    )
+    return LandmarkSequence(times, poses, scenario.fps, item, f"synth-{scenario.seed}")

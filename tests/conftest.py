@@ -48,12 +48,11 @@ def sequence(times=None, fps: float = 30.0, item: UpdrsItem = None, subject_id: 
     every frame. ``times`` defaults to i / fps."""
     if times is None:
         times = np.arange(len(next(iter(slots.values())))) / fps
-    poses, present = {}, {}
+    poses = {}
     for slot, frames in slots.items():
         absent = np.full((SLOT_POINTS[slot], 4), np.nan)
         poses[slot] = np.stack([absent if p is None else p for p in frames])
-        present[slot] = np.array([p is not None for p in frames])
-    return LandmarkSequence(times, poses, present, fps, item, subject_id)
+    return LandmarkSequence(times, poses, fps, item, subject_id)
 
 
 def hand_sequence(hands: list, fps: float = 30.0, item: UpdrsItem = UpdrsItem.FINGER_TAPS) -> LandmarkSequence:
@@ -65,11 +64,10 @@ def body_sequence(bodies: list, fps: float = 30.0, item: UpdrsItem = UpdrsItem.L
 
 
 def same_landmarks(a: LandmarkSequence, b: LandmarkSequence) -> bool:
-    """Equal timestamps, presence masks and pose arrays (NaN, an absent slot, equals NaN)."""
+    """Equal timestamps and pose arrays (NaN, an absent slot, equals NaN), so
+    equal presence masks too."""
     return np.array_equal(a.timestamps, b.timestamps) and all(
-        np.array_equal(a.present[slot], b.present[slot])
-        and np.array_equal(a.poses[slot], b.poses[slot], equal_nan=True)
-        for slot in SLOT_POINTS
+        np.array_equal(a.poses[slot], b.poses[slot], equal_nan=True) for slot in SLOT_POINTS
     )
 
 

@@ -5,7 +5,9 @@ points into flat per-slot arrays: each present pose list becomes its own
 ``(count, 4)`` array, and the frames are stacked with ``np.full`` and a scatter.
 It shares the line decoding and the frame rules with the package, so it checks
 the conversion alone. Its number rule is written out value by value: a JSON
-string or boolean is no number, a null is NaN.
+string or boolean is no number, a null is NaN. A carried slot whose every
+value is null reads as absent here, where the package fails it at its line;
+``test_ingest.test_parse_rejects_carried_slot_without_a_number`` checks that.
 """
 
 from __future__ import annotations
@@ -80,15 +82,13 @@ def parse_jsonl(text: str) -> LandmarkSequence:
         raise EmptySequence("header present but no frames")
 
     t = np.array([f[1] for f in frames], dtype=float)
-    poses, present = {}, {}
+    poses = {}
     for slot, count in SLOT_POINTS.items():
         idx = [i for i, f in enumerate(frames) if slot in f[2]]
         poses[slot] = np.full((len(t), count, 4), np.nan)
-        present[slot] = np.zeros(len(t), dtype=bool)
         if idx:
             poses[slot][idx] = np.array([frames[i][2][slot] for i in idx])
-            present[slot][idx] = True
-    seq = LandmarkSequence(t, poses, present, fps)
+    seq = LandmarkSequence(t, poses, fps)
     if broken := frame_violations(seq, first_only=True):
         raise SchemaError(frames[broken[0].frame][0], broken[0].message)
     return seq

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -132,8 +133,7 @@ def _edit(seq, frames=None, t=None, fps=None, point=None) -> LandmarkSequence:
     times = seq.timestamps[:n].copy()
     if t is not None:
         times[list(t)] = list(t.values())
-    return LandmarkSequence(times, poses, {slot: m[:n] for slot, m in seq.present.items()},
-                            seq.fps if fps is None else fps, seq.item, seq.subject_id)
+    return LandmarkSequence(times, poses, seq.fps if fps is None else fps, seq.item, seq.subject_id)
 
 
 # name: (formats, edit of the 10 s finger-tap fixture, line, reason); frame k is on line k + 2
@@ -387,6 +387,80 @@ def test_analyze_byte_determinism(capsys, tmp_path, tap_fixture):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+_PARTLY_ABSENT_FILES = [
+    "report.json",
+    *(f"synth-11_finger_taps_{side}{kind}" for side in ("left", "right") for kind in (".csv", ".svg", "_peaks.csv")),
+]
+
+
+@pytest.mark.parametrize(
+    "config, digests",
+    [
+        (None, (
+            "d75635441c8c9f13ca6a10be0433665689dafac85d31cdd74eaba4ec7c904952",
+            "c54c253935310ecd4ca0dcd05e57f92396bd6377045377a7f69e6189359a0a91",
+            "3989481cb26013e28d029a8fd519cf6d584871475b8edff33bb640f78934bef7",
+            "ffd89ce561b4b6919f5bc5bd01a7f47df8285ad64e50be1ce488f4b201e12918",
+            "f733c42b9450f9d7e5a198599e43f2548b4f6f4a6e3bcdc0d765c8caa4b40cf1",
+            "8dd7bb3db84f125af2e2c6d57821fe8fda96da99a7a39d1b68651eae6ecdc072",
+            "e5dff534828740c77ff10fe5694a7310b163d145f561467e9be9d610885898ea",
+        )),
+        ({"resample_fps": 45, "gap_fill": "hold_last"}, (
+            "d933f42f947fb1f5461b624f336556c085df3e1018a61789fdd90d657c93de64",
+            "18b1c724aa8f22d0a632930ae75bd5cb9bd39fbfefdea25922b553a84ba2dda8",
+            "132f80bdbe6adf4b35f3a5c28c2e8e6aea239ba1e34ab834814fac160d7cec90",
+            "c120f2e0f52e2775ecb9ea69ad2ea59e242ff226d1c14646033549b3ba8856ec",
+            "617eb18abf800737c235b01048e602b16d70cd2d5deebd73f447748defda6e1b",
+            "94f0bff1542965d596125fffbc29760fd87226b215b137ecb773cedbbdfcba87",
+            "abbc668b9aa5484711df424b5b41108dd4b2e63db217d05a574ea4db7aecb532",
+        )),
+        ({"gap_fill": "drop"}, (
+            "fe49c48416c557a0ab9325e53321d5b82eb2dec2d8041de5bc978758582623aa",
+            "562f015c2ce410d24b304409084ee4342427d3e027a23bb677df16d957262ae2",
+            "f7ce3ceb7db3196d329b152408ddd4679fe05e7c9e11af3bbda286ef49a62ebd",
+            "5aa2731fbe4ad914f559c1a2134e1c6661adecaa548711f08738680b894aca48",
+            "57ca04741c04bf573271b02128cf9f67f615aa841e54077a07d17760d4022f7d",
+            "95941706db1959534528993e0048cf3b91d026b4d20c9fa4998ff8a978c53205",
+            "e5dff534828740c77ff10fe5694a7310b163d145f561467e9be9d610885898ea",
+        )),
+        # grid points fall between a frame that carries a hand and one that does not
+        ({"resample_fps": 90, "gap_fill": "drop"}, (
+            "e0c21749e9152568a25009a301e2f7e2fb4ca2826bb30f11336f52b2d0643557",
+            "87ead43d9756ac66f2047cd043bdd6d9efad663f862001846abeff2204582900",
+            "2e8ddf204bb310e9c0538dbf79e201e33ededf9d4e444883fb8069ac3c83a893",
+            "5aa2731fbe4ad914f559c1a2134e1c6661adecaa548711f08738680b894aca48",
+            "7e50bdc2c57b745ba1dd0c79eed31f7eb24a860cf044e6f2ccd24fd6249ebe76",
+            "4e265706fcb65a325bb0f8552870a99afb87c2b0f1d8152894b5ecdb1178860e",
+            "e5dff534828740c77ff10fe5694a7310b163d145f561467e9be9d610885898ea",
+        )),
+    ],
+    ids=["default", "hold_45", "drop", "drop_90"],
+)
+def test_partly_absent_input_outputs_are_pinned(capsys, tmp_path, config, digests):
+    # SHA-256 of every file analyze writes for the finger-tap fixture of
+    # scripts/make_fixtures.py (seed 11) without its right hand in frames
+    # 100-109 and its left hand in every other 7th frame
+    path = tmp_path / "partly_absent.jsonl"
+    assert main(["synth", "--item", "finger_taps", "--seed", "11", "--out", str(path)]) == 0
+    lines = path.read_text().splitlines()
+    for i, line in enumerate(lines[1:]):
+        frame = json.loads(line)
+        if 100 <= i <= 109:
+            del frame["right_hand"]
+        elif i % 7 == 0:
+            del frame["left_hand"]
+        lines[i + 1] = json.dumps(frame)
+    path.write_text("\n".join(lines) + "\n")
+    options = []
+    if config:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        options = ["--config", str(tmp_path / "cfg.json")]
+    out = tmp_path / "out"
+    assert _run(capsys, "analyze", "--in", str(path), "--out", str(out), *options)[0] == 0
+    assert sorted(p.name for p in out.iterdir()) == _PARTLY_ABSENT_FILES
+    assert tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in _PARTLY_ABSENT_FILES) == digests
+
+
 def test_config_hash_changes_with_override(capsys, tmp_path):
     fixture = tmp_path / "hm.jsonl"
     main(["synth", "--item", "hand_movement", "--out", str(fixture), "--seed", "1"])
@@ -455,6 +529,14 @@ def test_bad_ingest_config_fails_once_at_load(capsys, tmp_path, tap_fixture, con
                         "--out", str(out), "--config", str(cfg_path))
     assert (code, err) == (2, f"error: {message}\n")
     assert not out.exists()
+
+
+def test_synth_non_finite_amplitude_is_usage_error(capsys, tmp_path):
+    # it used to write a file that validate rejects at its first frame
+    path = tmp_path / "nan.jsonl"
+    code, _, err = _run(capsys, "synth", "--item", "finger_taps", "--amplitude", "nan", "--out", str(path))
+    assert (code, err) == (2, "error: base_amplitude must be finite, got nan\n")
+    assert not path.exists()
 
 
 def test_signals_command_is_gone(capsys, tmp_path, tap_fixture):

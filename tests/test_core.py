@@ -17,7 +17,7 @@ from walkup.core import (
 
 
 def _one_frame(slot: str, count: int) -> LandmarkSequence:
-    return LandmarkSequence(np.zeros(1), {slot: np.zeros((1, count, 4))}, {slot: np.ones(1, dtype=bool)}, 30.0)
+    return LandmarkSequence(np.zeros(1), {slot: np.zeros((1, count, 4))}, 30.0)
 
 
 def test_sequence_body_requires_33_points():

@@ -169,6 +169,35 @@ def test_parse_rejects_frame_without_pose():
         assert exc.value.reason == "frame has no pose"
 
 
+@pytest.mark.parametrize("only_slot", [False, True], ids=["beside_right_hand", "only_slot"])
+@pytest.mark.parametrize("fmt", [FileFormat.JSONL, FileFormat.CSV])
+def test_parse_rejects_carried_slot_without_a_number(fmt, only_slot):
+    # a left hand of 21 null points, or 84 nan cells, is carried, not absent:
+    # the frame rules fail it at its line like any other null
+    text = (serialize_jsonl if fmt is FileFormat.JSONL else serialize_csv)(
+        sequence(left_hand=[hand_pose()] * 3, right_hand=[hand_pose()] * 3)
+    )
+    lines = text.splitlines()
+    if fmt is FileFormat.JSONL:
+        frame = json.loads(lines[2])
+        frame["left_hand"] = [[None] * 4] * 21
+        if only_slot:
+            del frame["right_hand"]
+        lines[2] = json.dumps(frame)
+    else:
+        header, cells = lines[0].split(","), lines[2].split(",")
+        for k, name in enumerate(header):
+            if name.startswith("lh_"):
+                cells[k] = "nan"
+            elif name.startswith("rh_") and only_slot:
+                cells[k] = ""
+        lines[2] = ",".join(cells)
+    with pytest.raises(SchemaError) as exc:
+        parse_frames(io.StringIO("\n".join(lines)), format=fmt)
+    assert exc.value.line == 3
+    assert exc.value.reason == "non-finite number"
+
+
 @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
 def test_parse_jsonl_rejects_non_finite_constants(constant):
     frame = _body_line(0.0).replace("0.2", constant, 1)

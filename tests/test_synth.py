@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -94,12 +96,24 @@ def test_default_amplitudes_cover_all_items():
 
 
 def test_scenario_validation():
-    with pytest.raises(ValueError):
-        MotionScenario(item=UpdrsItem.FINGER_TAPS, duration_s=0.0)
-    with pytest.raises(ValueError):
-        MotionScenario(item=UpdrsItem.ALTERNATING_HANDS, base_amplitude=120.0)
-    with pytest.raises(ValueError):
-        MotionScenario(item=UpdrsItem.FINGER_TAPS, interval_growth_s_per_cycle=-0.1)
+    for item, bad in [
+        (UpdrsItem.FINGER_TAPS, dict(duration_s=0.0)),
+        (UpdrsItem.ALTERNATING_HANDS, dict(base_amplitude=120.0)),
+        (UpdrsItem.FINGER_TAPS, dict(interval_growth_s_per_cycle=-0.1)),
+        # generate would never return, write a NaN file, overflow, or ignore it
+        (UpdrsItem.FINGER_TAPS, dict(frequency_hz=math.inf)),
+        (UpdrsItem.FINGER_TAPS, dict(base_amplitude=math.nan)),
+        (UpdrsItem.LEG_AGILITY, dict(duration_s=math.inf)),
+        (UpdrsItem.TREMOR_AT_REST, dict(tremor_freq_hz=math.nan)),
+        (UpdrsItem.FOOT_TAPS, dict(noise_std=-1.0)),
+        # a cycle of under 2 frames, for an item whose wave never reads it too
+        (UpdrsItem.FINGER_TAPS, dict(frequency_hz=15.5)),
+        (UpdrsItem.TREMOR_AT_REST, dict(fps=10.0, frequency_hz=6.0)),
+    ]:
+        with pytest.raises(ValueError):
+            MotionScenario(item=item, **bad)
+    # at fps / 2 each cycle spans 2 frames
+    assert len(generate(MotionScenario(item=UpdrsItem.FINGER_TAPS, duration_s=1.0, frequency_hz=15.0))) == 30
 
 
 def test_generated_sequences_are_valid():
