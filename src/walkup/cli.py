@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
+import io
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional
 
@@ -21,8 +22,7 @@ from .core import UpdrsItem, validate_sequence
 from .errors import UnreadableInput, WalkupError
 from .features import default_specs, extract_values, features_csv, features_json_payload
 from .ingest import FileFormat, csv_number, parse_frames, write_sequence
-from .kinematics import Plane
-from .peaks import overlay_csv
+from .peaks import CadenceStats, overlay_csv
 from .report import (
     REPORT_SCHEMA, AnalysisConfig, analyze, atomic_write, file_digest, plot_svg, report_json,
 )
@@ -70,9 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser("analyze", help="full analysis: report + overlays + plots")
     add_inputs(p_analyze)
     p_analyze.add_argument("--config", help="JSON config file")
-    p_analyze.add_argument("--plane", choices=["2d", "3d"], help="geometry plane override")
-    p_analyze.add_argument("--normalize-palm", action="store_true", default=None,
-                           help="divide hand-movement distances by palm length")
     p_analyze.add_argument("--out", required=True, help="output directory")
 
     p_features = sub.add_parser("features", help="extract features from a signal CSV (t,value)")
@@ -102,52 +99,55 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_config(args) -> AnalysisConfig:
-    cfg = AnalysisConfig.load(args.config) if args.config else AnalysisConfig()
-    overrides = {}
-    if args.plane:
-        overrides["plane"] = Plane(args.plane)
-    if args.normalize_palm:
-        overrides["normalize_palm"] = True
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-    return cfg
-
-
-def _load_sequence(path: str, args):
-    fmt = FileFormat(args.format)
-    item = UpdrsItem.from_name(args.item) if args.item else None
-    return parse_frames(path, format=fmt, item=item)
-
-
-def _cmd_validate(args) -> int:
+def _each_input(paths: list[str], run) -> int:
+    """``run(path)`` on each input in the order given, so stderr lists them in
+    that order. A failure is printed as ``path: Type: message`` and the next
+    input still runs; the worst code wins, ``run``'s own or a failure's."""
     worst = EXIT_OK
-    for path in args.inputs:
+    for path in paths:
         try:
-            seq = _load_sequence(path, args)
-        except WalkupError as exc:
+            code = run(path)
+        except Exception as exc:
             _err(f"{path}: {type(exc).__name__}: {exc}")
-            worst = max(worst, _exit_code(exc))
-            continue
-        report = validate_sequence(seq)
-        if report.ok:
-            _err(f"{path}: ok ({len(seq)} frames)")
-        else:
-            for violation in report.violations:
-                _err(f"{path}: {violation}")
-            worst = max(worst, EXIT_VALIDATION)
+            code = _exit_code(exc)
+        worst = max(worst, code or EXIT_OK)
     return worst
 
 
-def _analyze_one(path: str, args, cfg: AnalysisConfig, out_dir: Path, taken: dict[str, str]) -> None:
-    """Analyze one input into ``out_dir``, or of several into its own directory
-    there; ``taken`` maps each directory name used so far to its input."""
+def _reader(args):
+    """``parse_frames`` under ``--format`` and ``--item``, worked out once, so
+    an unknown item is one usage error before any input is read."""
+    fmt = FileFormat(args.format)
+    item = UpdrsItem.from_name(args.item) if args.item else None
+    return lambda path: parse_frames(path, format=fmt, item=item)
+
+
+def _cmd_validate(args) -> int:
+    read = _reader(args)
+
+    def run(path: str) -> int:
+        seq = read(path)
+        report = validate_sequence(seq)
+        for violation in report.violations:
+            _err(f"{path}: {violation}")
+        if not report.ok:
+            return EXIT_VALIDATION
+        _err(f"{path}: ok ({len(seq)} frames)")
+        return EXIT_OK
+
+    return _each_input(args.inputs, run)
+
+
+def _analyze_one(path: str, read, cfg: AnalysisConfig, out_dir: Path, taken: Optional[dict[str, str]]) -> None:
+    """Analyze one input into ``out_dir``, or, in a batch, into its own
+    directory there; ``taken`` maps each directory name the batch has used so
+    far to its input, and is None for a single input."""
     digest = file_digest(path)
-    report = analyze(_load_sequence(path, args), cfg, digest=digest)
+    report = analyze(read(path), cfg, digest=digest)
     # the prefix of the output files: the subject, else the file stem, then the item
     stem = f"{report.subject_id or Path(path).stem}_{report.item.value}"
     sub = out_dir
-    if len(args.inputs) > 1:
+    if taken is not None:
         # a natural stem ends in an item name, so "<stem>-<k>" is never one
         name, k = stem, 1
         while name in taken:
@@ -168,20 +168,12 @@ def _analyze_one(path: str, args, cfg: AnalysisConfig, out_dir: Path, taken: dic
 
 
 def _cmd_analyze(args) -> int:
-    cfg = _resolve_config(args)
+    read = _reader(args)
+    cfg = AnalysisConfig.load(args.config) if args.config else AnalysisConfig()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # inputs run one after another in the order given; every failure is
-    # reported and the worst code wins
-    worst = EXIT_OK
-    taken: dict[str, str] = {}
-    for path in args.inputs:
-        try:
-            _analyze_one(path, args, cfg, out_dir, taken)
-        except Exception as exc:
-            _err(f"{path}: {type(exc).__name__}: {exc}")
-            worst = max(worst, _exit_code(exc))
-    return worst
+    taken = {} if len(args.inputs) > 1 else None
+    return _each_input(args.inputs, lambda path: _analyze_one(path, read, cfg, out_dir, taken))
 
 
 def _read_signal_csv(path: str) -> np.ndarray:
@@ -249,10 +241,8 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
-_CADENCE_KEYS = (
-    "peak_count", "mean_amplitude", "mean_interval_s", "interval_slope_s_per_cycle", "amplitude_slope",
-)
-_SUMMARY_COLUMNS = ["subject", "item", "channel", "length", "signal_mean", *_CADENCE_KEYS]
+_CADENCE_FIELDS = [f.name for f in fields(CadenceStats)]
+_SUMMARY_COLUMNS = ["subject", "item", "channel", "length", *_CADENCE_FIELDS]
 
 
 def _field(obj, key: str, where: str):
@@ -278,34 +268,26 @@ def _summary_rows(path: str) -> list[list[str]]:
         where = f"channel {channel!r}"
         signal = _field(channels[channel], "signal", where)
         cadence = _field(channels[channel], "cadence", where)
-        row = [
+        length = _field(signal, "length", f"{where} signal")
+        stats = [_field(cadence, key, f"{where} cadence") for key in _CADENCE_FIELDS]
+        rows.append([
             str(data.get("subject", "")),
             str(data.get("item", "")),
             channel,
-            str(_field(signal, "length", f"{where} signal")),
-            repr(_field(signal, "mean", f"{where} signal")),
-        ]
-        for key in _CADENCE_KEYS:
-            v = _field(cadence, key, f"{where} cadence")
-            row.append("" if v is None else (str(v) if isinstance(v, int) else repr(v)))
-        rows.append(row)
+            str(length),
+            *("" if v is None else repr(v) for v in stats),
+        ])
     return rows
 
 
 def _cmd_report(args) -> int:
-    rows: list[list[str]] = []
-    worst = EXIT_OK
-    for path in args.inputs:
-        try:
-            rows += _summary_rows(path)
-        except (OSError, WalkupError) as exc:
-            _err(f"{path}: {type(exc).__name__}: {exc}")
-            worst = max(worst, _exit_code(exc))
-    if worst:
+    rows = [_SUMMARY_COLUMNS]
+    if worst := _each_input(args.inputs, lambda path: rows.extend(_summary_rows(path))):
         return worst
-    lines = [",".join(_SUMMARY_COLUMNS)]
-    lines += [",".join(r) for r in rows]
-    text = "\n".join(lines) + "\n"
+    # a cell that holds a comma, a quote or a line break is quoted
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    text = buf.getvalue()
     if args.out:
         atomic_write(Path(args.out), text)
         _err(f"wrote {args.out}")

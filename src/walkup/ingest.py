@@ -43,6 +43,7 @@ import enum
 import io
 import json
 import math
+import re
 from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
@@ -213,6 +214,12 @@ def _stack(frames: list, slots: dict, fps: float, item=None, subject_id: str = "
     return seq
 
 
+# what a subject, which names output files, must not hold: a path separator of
+# either kind, which could lead out of the output directory, and a C0 or C1
+# control character or DEL (no file name can hold a null byte)
+_UNSAFE_SUBJECT = re.compile(r"[/\\\x00-\x1f\x7f-\x9f]")
+
+
 def _parse_jsonl(lines: Iterable[str]) -> LandmarkSequence:
     # isspace, unlike strip, copies no line
     numbered = ((no, ln) for no, ln in enumerate(lines, 1) if ln and not ln.isspace())
@@ -234,6 +241,8 @@ def _parse_jsonl(lines: Iterable[str]) -> LandmarkSequence:
     # it names output files: a null, boolean, float, list or object is no subject
     if subject.__class__ not in (str, int):
         raise SchemaError(header_no, "subject must be a string or an integer")
+    if _UNSAFE_SUBJECT.search(str(subject)):
+        raise SchemaError(header_no, "subject must hold no '/', '\\' or control character")
 
     frames, slots = [], {slot: [] for slot in SLOT_POINTS}
     for line_no, raw in numbered:

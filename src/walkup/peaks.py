@@ -52,11 +52,12 @@ class CadenceStats:
     ``interval_slope_s_per_cycle`` is the OLS slope of successive inter-peak
     intervals against cycle index; a positive value means the action slows
     down over the recording. Fields are None when fewer than the required
-    number of peaks exist.
+    number of peaks exist. The fields, in order, are ``walkup report``'s
+    columns after the channel's length.
     """
 
-    peak_count: int
     signal_mean: float
+    peak_count: int
     mean_amplitude: Optional[float]
     mean_interval_s: Optional[float]
     interval_slope_s_per_cycle: Optional[float]
@@ -212,8 +213,8 @@ def cadence_stats(
         interval_slope = None
 
     return CadenceStats(
-        peak_count=int(len(peaks)),
         signal_mean=float(v.mean()),
+        peak_count=int(len(peaks)),
         mean_amplitude=mean_amplitude,
         mean_interval_s=mean_interval,
         interval_slope_s_per_cycle=interval_slope,

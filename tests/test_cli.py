@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import json
@@ -116,10 +117,43 @@ def test_validate_unknown_item_option_is_usage_error(capsys, tmp_path):
     assert "unknown item 'jumping_jacks'" in err
 
 
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+def test_unknown_item_option_is_one_usage_error_before_out(capsys, tmp_path, tap_fixture, command):
+    # --item is worked out once, before any input is read and before --out is made
+    out = tmp_path / "out"
+    argv = [command, "--in", str(tap_fixture), str(tap_fixture), "--item", "bogus"]
+    capsys.readouterr()  # drop the fixture's synth message
+    code, _, err = _run(capsys, *argv, *(["--out", str(out)] if command == "analyze" else []))
+    assert code == 2
+    assert err.startswith("error: unknown item 'bogus'; expected one of: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_validate_takes_no_analysis_options(capsys, tap_fixture):
     code, _, err = _run(capsys, "validate", "--in", str(tap_fixture), "--config", "x.json")
     assert code == 2
     assert "unrecognized arguments: --config x.json" in err
+
+
+@pytest.mark.parametrize("flags", [["--plane", "3d"], ["--normalize-palm"]], ids=["plane", "normalize_palm"])
+def test_analyze_takes_settings_only_from_config(capsys, tmp_path, tap_fixture, flags):
+    out = tmp_path / "out"
+    code, _, err = _run(capsys, "analyze", "--in", str(tap_fixture), "--out", str(out), *flags)
+    assert code == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" in err
+    assert not out.exists()
+
+
+def test_validate_batch_runs_inputs_in_order(capsys, tmp_path, tap_fixture):
+    missing, body_only = tmp_path / "missing.jsonl", _header_fixture(tmp_path, '{"fps": 30, "item": "finger_taps"}')
+    capsys.readouterr()  # drop the fixture's synth message
+    code, _, err = _run(capsys, "validate", "--in", str(tap_fixture), str(missing), str(body_only))
+    # the missing file's I/O error outranks the third input's violation, which still runs
+    assert code == 3
+    first, second, third = err.splitlines()
+    assert first == f"{tap_fixture}: ok (300 frames)"
+    assert second.startswith(f"{missing}: UnreadableInput: cannot read {missing}: ")
+    assert third.startswith(f"{body_only}: missing_pose")
 
 
 def _edit(seq, frames=None, t=None, fps=None, point=None) -> LandmarkSequence:
@@ -276,6 +310,38 @@ def test_analyze_keeps_integer_subject_text(capsys, tmp_path, tap_fixture):
     code, _, _ = _run(capsys, "analyze", "--in", str(fixture), "--out", str(out))
     assert code == 0
     assert json.loads((out / "report.json").read_text())["subject"] == "123456789012345678901234567890"
+
+
+def _with_subject(src: Path, dst: Path, subject) -> Path:
+    """A copy of the JSONL recording ``src`` whose header names ``subject``."""
+    header, frames = src.read_text().split("\n", 1)
+    dst.write_text(json.dumps({**json.loads(header), "subject": subject}) + "\n" + frames)
+    return dst
+
+
+_UNSAFE_SUBJECT_ERROR = "SchemaError: line 1: subject must hold no '/', '\\' or control character\n"
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
+def test_analyze_subject_cannot_lead_out_of_out(capsys, tmp_path, tap_fixture, batch):
+    bad = _with_subject(tap_fixture, tmp_path / "bad.jsonl", "../escaped")
+    out = tmp_path / "o" / "out"
+    code, _, err = _run(capsys, "analyze", "--in", *map(str, [tap_fixture] * batch + [bad]), "--out", str(out))
+    assert code == 1
+    assert f"{bad}: {_UNSAFE_SUBJECT_ERROR}" in err
+    assert list((tmp_path / "o").iterdir()) == [out]
+    assert not list(tmp_path.rglob("escaped*"))
+    assert [p.name for p in out.iterdir()] == ["synth-3_finger_taps"] * batch
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+def test_subject_with_null_byte_fails_at_header(capsys, tmp_path, tap_fixture, command):
+    bad = _with_subject(tap_fixture, tmp_path / "bad.jsonl", "x\u0000y")
+    # validate once passed it, and analyze failed with "ValueError: embedded null byte"
+    options = ["--out", str(tmp_path / "out")] if command == "analyze" else []
+    capsys.readouterr()  # drop the fixture's synth message
+    code, _, err = _run(capsys, command, "--in", str(bad), *options)
+    assert (code, err) == (1, f"{bad}: {_UNSAFE_SUBJECT_ERROR}")
 
 
 def test_analyze_nan_fingertip_fails_without_report(capsys, tmp_path, tap_fixture):
@@ -464,9 +530,11 @@ def test_partly_absent_input_outputs_are_pinned(capsys, tmp_path, config, digest
 def test_config_hash_changes_with_override(capsys, tmp_path):
     fixture = tmp_path / "hm.jsonl"
     main(["synth", "--item", "hand_movement", "--out", str(fixture), "--seed", "1"])
+    cfg_path = tmp_path / "palm.json"
+    cfg_path.write_text(json.dumps({"normalize_palm": True}))
     out1, out2 = tmp_path / "a", tmp_path / "b"
     _run(capsys, "analyze", "--in", str(fixture), "--out", str(out1))
-    _run(capsys, "analyze", "--in", str(fixture), "--out", str(out2), "--normalize-palm")
+    _run(capsys, "analyze", "--in", str(fixture), "--out", str(out2), "--config", str(cfg_path))
     h1 = json.loads((out1 / "report.json").read_text())["config_hash"]
     h2 = json.loads((out2 / "report.json").read_text())["config_hash"]
     assert h1 != h2
@@ -578,6 +646,30 @@ def test_report_merges_channels(capsys, tmp_path, tap_fixture):
     assert lines[0].startswith("subject,item,channel")
     assert len(lines) == 3  # header + left + right
     assert lines[1].split(",")[:3] == ["synth-3", "finger_taps", "left"]
+
+
+def test_report_quotes_a_cell_that_holds_a_comma_or_quote(capsys, tmp_path, tap_fixture):
+    path = _with_subject(tap_fixture, tmp_path / "doe.jsonl", 'Doe, "J"')
+    out, summary = tmp_path / "out", tmp_path / "summary.csv"
+    assert _run(capsys, "analyze", "--in", str(path), "--out", str(out))[0] == 0
+    assert _run(capsys, "report", "--in", str(out / "report.json"), "--out", str(summary))[0] == 0
+    with open(summary, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [10, 10, 10]
+    assert [row[:3] for row in rows[1:]] == [['Doe, "J"', "finger_taps", channel] for channel in ("left", "right")]
+
+
+def test_report_batch_runs_inputs_in_order(capsys, tmp_path, tap_fixture):
+    out = tmp_path / "out"
+    _run(capsys, "analyze", "--in", str(tap_fixture), "--out", str(out))
+    missing, bad = tmp_path / "missing.json", tmp_path / "bad.json"
+    bad.write_text("not json")
+    code, stdout, err = _run(capsys, "report", "--in", str(out / "report.json"), str(missing), str(bad))
+    # the missing file's I/O error outranks the third input's, which still runs
+    assert (code, stdout) == (3, "")
+    first, second = err.splitlines()
+    assert first.startswith(f"{missing}: FileNotFoundError: ")
+    assert second.startswith(f"{bad}: WalkupError: not JSON: ")
 
 
 def test_analyze_multiple_inputs(capsys, tmp_path):

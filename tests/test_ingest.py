@@ -243,6 +243,20 @@ def test_parse_jsonl_subject_must_be_string_or_integer(subject):
 
 
 @pytest.mark.parametrize(
+    "subject",
+    ["../escaped", "a/b", "a\\\\b", "x\\u0000y", "x\\ny", "x\\u007f", "x\\u0085"],
+    ids=["parent", "slash", "backslash", "null", "newline", "del", "c1"],
+)
+def test_parse_jsonl_subject_must_hold_no_separator_or_control_character(subject):
+    # it names output files: "../escaped" would lead out of the output
+    # directory, and no file name can hold a null byte
+    text = "\n".join(['{"fps": 30, "subject": "%s"}' % subject, _body_line(0.0)])
+    with pytest.raises(SchemaError) as exc:
+        parse_frames(io.StringIO(text))
+    assert (exc.value.line, exc.value.reason) == (1, "subject must hold no '/', '\\' or control character")
+
+
+@pytest.mark.parametrize(
     "old, new",
     [("0.2", "1e999"), ("0.2", "-1e999"), ('"t": 0.1', '"t": 1e999'), ('"t": 0.1', '"t": -1e999')],
 )
