@@ -12,9 +12,14 @@ class SchemaError(WalkupError):
     """A line of an input file violates the expected schema."""
 
     def __init__(self, line: int, reason: str):
-        super().__init__(f"line {line}: {reason}")
+        # both go to Exception, whose pickling calls SchemaError(*args), so a
+        # forked batch worker's error reaches the parent whole
+        super().__init__(line, reason)
         self.line = line
         self.reason = reason
+
+    def __str__(self) -> str:
+        return f"line {self.line}: {self.reason}"
 
 
 class EmptySequence(WalkupError):

@@ -774,6 +774,91 @@ print(json.dumps({{"codes": codes, "loaded": loaded}}))
     assert result["loaded"] == []
 
 
+def _synth_batch(tmp_path, count: int) -> list[Path]:
+    """``count`` synth recordings, each of its own item and subject."""
+    paths = []
+    for seed, item in enumerate(("finger_taps", "hand_movement", "leg_agility", "foot_taps")[:count], start=1):
+        path = tmp_path / f"{item}.jsonl"
+        assert main(["synth", "--item", item, "--out", str(path), "--seed", str(seed)]) == 0
+        paths.append(path)
+    return paths
+
+
+def _cpus(monkeypatch, count: int) -> None:
+    """Make ``analyze`` see ``count`` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def test_analyze_batch_same_bytes_in_workers_and_inline(capsys, tmp_path, monkeypatch):
+    import concurrent.futures
+
+    paths = _synth_batch(tmp_path, 4)
+    lines = paths[1].read_text().splitlines()
+    lines[4] = lines[4][: len(lines[4]) // 2]  # a truncated frame
+    paths[1].write_text("\n".join(lines) + "\n")
+    # a missing file, and the first input again, which goes to "<stem>-2"
+    inputs = [*map(str, paths), str(tmp_path / "missing.jsonl"), str(paths[0])]
+    capsys.readouterr()  # drop the synth messages
+
+    submitted = []
+
+    class Pool(concurrent.futures.ProcessPoolExecutor):
+        def submit(self, fn, path):
+            submitted.append(path)
+            return super().submit(fn, path)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    runs = []
+    for cpus in (3, 1):  # the parent and two workers, then the parent alone
+        _cpus(monkeypatch, cpus)
+        out = tmp_path / f"out{cpus}"
+        code, _, err = _run(capsys, "analyze", "--in", *inputs, "--out", str(out))
+        files = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        runs.append((code, err.replace(str(out), "<out>"), files))
+    assert submitted == [path for i, path in enumerate(inputs) if i % 3]
+    assert runs[0] == runs[1]
+    code, err, files = runs[0]
+    assert code == 3
+    lines = err.splitlines()
+    assert len(lines) == 7
+    assert lines[1].startswith(f"{paths[1]}: SchemaError: line 5: ")
+    assert lines[4].startswith(f"{inputs[4]}: FileNotFoundError: ")
+    assert lines[6] == f"analyzed {paths[0]} -> <out>/synth-1_finger_taps-2"
+    assert len(files) == 4 * 7
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["ok", "failing"])
+def test_analyze_batch_leaves_no_worker_running(capsys, tmp_path, monkeypatch, fails):
+    import multiprocessing
+
+    paths = _synth_batch(tmp_path, 3)
+    if fails:
+        paths[1].write_text("not json\n")
+    _cpus(monkeypatch, 2)
+    code, _, _ = _run(capsys, "analyze", "--in", *map(str, paths), "--out", str(tmp_path / "out"))
+    assert code == (1 if fails else 0)
+    assert multiprocessing.active_children() == []
+
+
+def test_single_input_analyze_imports_no_process_pool(tmp_path):
+    """Runs in a fresh interpreter, because this test process may have loaded them."""
+    path = tmp_path / "tap.jsonl"
+    script = f"""
+import json, sys
+from walkup.cli import main
+codes = [main(["synth", "--item", "finger_taps", "--out", {str(path)!r}]),
+         main(["analyze", "--in", {str(path)!r}, "--out", {str(tmp_path / "out")!r}])]
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("multiprocessing", "concurrent"))
+print(json.dumps({{"codes": codes, "loaded": loaded}}))
+"""
+    src = str(Path(walkup.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"codes": [0, 0], "loaded": []}
+
+
 def test_analyze_tremor_cutoff_too_low_names_cutoff_and_fps(capsys, tmp_path):
     fixture = tmp_path / "tremor.jsonl"
     main(["synth", "--item", "tremor_at_rest", "--out", str(fixture), "--tremor-amplitude", "0.02"])
