@@ -43,5 +43,4 @@ class EmptySeries(WalkupError):
 
 
 class UnknownFeature(WalkupError):
-    """A feature spec names no calculator or an attr its calculator lacks, or
-    one extraction requested the same spec twice."""
+    """One extraction requested the same feature id twice."""

@@ -1,8 +1,8 @@
 """Deterministic time-series feature extraction.
 
 Implements the 21-feature catalogue as pure functions of a value vector.
-``default_specs()`` is the one spec list: 43 entries that give every
-parameter, so ``FeatureSpec.make`` only packs them. Every feature that is
+``_TABLE`` is the one feature set: 43 rows, each a feature id written out, its
+calculator and the calculator's keyword arguments. Every feature that is
 mathematically undefined on its input yields NaN with a machine-readable
 reason rather than raising; a non-finite input value is a ``WalkupError``.
 Conventions used throughout:
@@ -16,9 +16,10 @@ Conventions used throughout:
   bitsets of the time indices within r of each value, at a cost of about
   n^2 / 64 word operations whatever the data and with memory linear in the
   series length;
-* the specs of one series share one memo (``_memo``), so within an
-  ``extract_values`` call each ACF lag, each Durbin-Levinson order and each
-  entropy count pass (length m and m+1 templates, per (m, r)) is computed once;
+* the rows of one series share one memo (``_memo``), passed to each calculator
+  that has a ``memo`` parameter, so within an ``extract_values`` call each ACF
+  lag, each Durbin-Levinson order and each entropy count pass (length m and
+  m+1 templates, per (m, r)) is computed once;
 * the DFT is the plain unnormalized sum X_k = sum_t x_t e^{-2*pi*i*k*t/n};
 * the ``linear_trend`` p-value is the regularized incomplete beta function,
   evaluated in-repo as a continued fraction.
@@ -26,11 +27,12 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from functools import cache, partial
 from types import SimpleNamespace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -51,20 +53,6 @@ __all__ = [
 ]
 
 Result = tuple[float, Optional[str]]
-
-_AGGREGATORS: dict[str, Callable[[np.ndarray], float]] = {
-    "mean": lambda a: float(np.mean(a)),
-    "median": lambda a: float(np.median(a)),
-    "var": lambda a: float(np.var(a)),
-    "std": lambda a: float(np.std(a)),
-}
-
-
-def _unknown_attr(name: str, attr) -> UnknownFeature:
-    """The error for an attr that calculator ``name`` lacks; each calculator
-    checks its attr before the series length, so any series rejects it."""
-    return UnknownFeature(f"{name} has no attr {attr!r}")
-
 
 def _ok(value: float) -> Result:
     return float(value), None
@@ -151,8 +139,8 @@ def autocorrelation(x: np.ndarray, lag: int, memo: SimpleNamespace) -> Result:
     return memo.acf(lag)
 
 
-def agg_autocorrelation(x: np.ndarray, f_agg: str, maxlag: int, memo: SimpleNamespace) -> Result:
-    """f_agg over [R(1) .. R(maxlag)], maxlag capped at n - 1."""
+def agg_autocorrelation(x: np.ndarray, maxlag: int, memo: SimpleNamespace) -> Result:
+    """The mean of [R(1) .. R(maxlag)], maxlag capped at n - 1."""
     n = len(x)
     if n < 2:
         return _undefined("series too short")
@@ -160,7 +148,7 @@ def agg_autocorrelation(x: np.ndarray, f_agg: str, maxlag: int, memo: SimpleName
         return _undefined("zero variance")
     top = min(maxlag, n - 1)
     vals = np.array([memo.acf(lag)[0] for lag in range(1, top + 1)])
-    return _ok(_AGGREGATORS[f_agg](vals))
+    return _ok(np.mean(vals))
 
 
 def _durbin_levinson(rho: np.ndarray) -> Optional[np.ndarray]:
@@ -329,30 +317,18 @@ def sample_entropy(x: np.ndarray, m: int, r_factor: float, memo: SimpleNamespace
 
 # ── spectral family ──────────────────────────────────────────────────
 
-_FFT_AGG_ATTRS = ("centroid", "variance", "skew", "kurtosis")
-
-
-def fft_coefficient(x: np.ndarray, coeff: int, attr: str) -> Result:
-    if attr not in ("real", "imag", "abs", "angle"):
-        raise _unknown_attr("fft_coefficient", attr)
+def fft_coefficient(x: np.ndarray, coeff: int) -> Result:
+    """|X_coeff|, the magnitude of one DFT coefficient."""
     if len(x) < 2:
         return _undefined("series too short")
     if coeff >= len(x):
         return _undefined("coeff out of range")
-    xk = np.fft.fft(x)[coeff]
-    if attr == "real":
-        return _ok(xk.real)
-    if attr == "imag":
-        return _ok(xk.imag)
-    if attr == "abs":
-        return _ok(abs(xk))
-    return _ok(math.degrees(math.atan2(xk.imag, xk.real)))
+    return _ok(abs(np.fft.fft(x)[coeff]))
 
 
 def fft_aggregated(x: np.ndarray, attr: str) -> Result:
-    """Moments of the one-sided magnitude spectrum over bin index."""
-    if attr not in _FFT_AGG_ATTRS:
-        raise _unknown_attr("fft_aggregated", attr)
+    """Moments of the one-sided magnitude spectrum over bin index: centroid,
+    variance, skew or kurtosis."""
     if len(x) < 2:
         return _undefined("series too short")
     mag = np.abs(np.fft.rfft(x))
@@ -413,8 +389,6 @@ def augmented_dickey_fuller(x: np.ndarray, attr: str, lag: int) -> Result:
     dx_t = alpha + beta * x_{t-1} + sum_{i=1..lag} gamma_i * dx_{t-i} + eps.
     There is no p-value attr: it would need response-surface tables.
     """
-    if attr not in ("teststat", "usedlag"):
-        raise _unknown_attr("augmented_dickey_fuller", attr)
     if attr == "usedlag":
         return _ok(float(lag))
     n = len(x)
@@ -433,9 +407,6 @@ def augmented_dickey_fuller(x: np.ndarray, attr: str, lag: int) -> Result:
     if se[1] == 0.0:
         return _undefined("zero residual variance")
     return _ok(float(beta[1] / se[1]))
-
-
-_TREND_ATTRS = ("slope", "intercept", "rvalue", "pvalue", "stderr")
 
 
 def _log_gamma_ratio(a: float) -> float:
@@ -499,8 +470,6 @@ def linear_trend(x: np.ndarray, attr: str) -> Result:
     so 0.0 states a fact rather than an undefined value. A tremor-flag channel
     that never fires is such a series, and its reports carry this 0.0.
     """
-    if attr not in _TREND_ATTRS:
-        raise _unknown_attr("linear_trend", attr)
     n = len(x)
     if n < 2:
         return _undefined("series too short")
@@ -573,9 +542,9 @@ def benford_correlation(x: np.ndarray) -> Result:
     return _ok(float(np.corrcoef(freq, _BENFORD_MASS)[0, 1]))
 
 
-def change_quantiles(x: np.ndarray, ql: float, qh: float, isabs: bool, f_agg: str) -> Result:
-    """Aggregate of consecutive changes whose endpoints both sit inside the
-    [quantile(ql), quantile(qh)] corridor; 0 when no step qualifies."""
+def change_quantiles(x: np.ndarray, ql: float, qh: float) -> Result:
+    """Mean absolute value of the consecutive changes whose endpoints both sit
+    inside the [quantile(ql), quantile(qh)] corridor; 0 when no step qualifies."""
     if len(x) < 2:
         return _undefined("series too short")
     lo = np.quantile(x, ql)
@@ -584,10 +553,7 @@ def change_quantiles(x: np.ndarray, ql: float, qh: float, isabs: bool, f_agg: st
     sel = inside[:-1] & inside[1:]
     if not sel.any():
         return _ok(0.0)
-    d = np.diff(x)[sel]
-    if isabs:
-        d = np.abs(d)
-    return _ok(_AGGREGATORS[f_agg](d))
+    return _ok(np.mean(np.abs(np.diff(x)[sel])))
 
 
 def cid_ce(x: np.ndarray, normalize: bool) -> Result:
@@ -603,26 +569,11 @@ def cid_ce(x: np.ndarray, normalize: bool) -> Result:
     return _ok(math.sqrt(float(d @ d)))
 
 
-# ── specs, extraction ────────────────────────────────────────────────
-
-# name -> calculator; a spec's params are the calculator's keyword arguments
-_REGISTRY: dict[str, Callable] = {
-    f.__name__: f
-    for f in (
-        abs_energy, absolute_sum_of_changes, mean_abs_change, root_mean_square, variance,
-        variation_coefficient, kurtosis, quantile, autocorrelation, agg_autocorrelation,
-        partial_autocorrelation, approximate_entropy, sample_entropy, fft_coefficient,
-        fft_aggregated, ar_coefficient, augmented_dickey_fuller, linear_trend,
-        benford_correlation, change_quantiles, cid_ce,
-    )
-}
-
-# the features that read the series memo
-_MEMO_READERS = {autocorrelation, agg_autocorrelation, partial_autocorrelation, ar_coefficient, approximate_entropy, sample_entropy}
+# ── the feature table, extraction ────────────────────────────────────
 
 
 def _memo(x: np.ndarray) -> SimpleNamespace:
-    """The work that the specs of one series share, each piece computed once: ``acf(lag)``;
+    """The work that the rows of one series share, each piece computed once: ``acf(lag)``;
     ``levinson(p)``, the order-p Durbin-Levinson solve on acf(1..p), one per order so that
     each keeps its own rank-deficient stop; ``counts(m, r)``, one entropy count pass."""
     acf = cache(partial(_acf, x))
@@ -630,41 +581,73 @@ def _memo(x: np.ndarray) -> SimpleNamespace:
     return SimpleNamespace(acf=acf, levinson=levinson, counts=cache(partial(_entropy_counts, x)))
 
 
-def _format_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    return repr(v) if isinstance(v, float) else str(v)
+@cache
+def _reads_memo(calculator: Callable) -> bool:
+    """Whether a calculator takes the series memo: the ACF family and the entropies do."""
+    return "memo" in inspect.signature(calculator).parameters
 
 
 @dataclass(frozen=True)
 class FeatureSpec:
-    """One feature request: a calculator's name and its keyword arguments, in feature_id order."""
+    """One row of the feature table: the id that keys the feature's value, its
+    calculator and the calculator's keyword arguments."""
 
-    name: str
-    params: tuple[tuple[str, object], ...] = ()
-
-    @classmethod
-    def make(cls, name: str, **params) -> "FeatureSpec":
-        """A spec of ``name`` with ``params`` in the order given, which is their
-        order in the feature_id; every parameter is passed, and only the name is
-        checked here (a calculator raises ``UnknownFeature`` for an attr it lacks)."""
-        if name not in _REGISTRY:
-            raise UnknownFeature(f"no feature is named {name!r}")
-        return cls(name, tuple(params.items()))
+    feature_id: str
+    calculator: Callable[..., Result]
+    kwargs: Mapping[str, object]
 
     @property
-    def feature_id(self) -> str:
-        parts = [self.name] + [f"{k}={_format_value(v)}" for k, v in self.params]
-        return "__".join(parts)
+    def name(self) -> str:
+        return self.calculator.__name__
 
-    def compute(self, x: np.ndarray, memo: Optional[SimpleNamespace] = None) -> Result:
-        """Evaluate on x, which must be finite; the ACF family and the entropies
-        read ``memo``, by default a new memo of x."""
-        _check_finite(x)
-        func = _REGISTRY[self.name]
-        if func in _MEMO_READERS:
-            return func(x, memo=memo or _memo(x), **dict(self.params))
-        return func(x, **dict(self.params))
+
+# the 43-entry feature set; three ids also name a setting that their calculator
+# does not take, because it has one value only: attr=abs, f_agg=mean, isabs=true
+_TABLE = tuple(FeatureSpec(*row) for row in (
+    ("abs_energy", abs_energy, {}),
+    ("absolute_sum_of_changes", absolute_sum_of_changes, {}),
+    ("mean_abs_change", mean_abs_change, {}),
+    ("root_mean_square", root_mean_square, {}),
+    ("variance", variance, {}),
+    ("variation_coefficient", variation_coefficient, {}),
+    ("kurtosis", kurtosis, {}),
+    ("benford_correlation", benford_correlation, {}),
+    ("quantile__q=0.1", quantile, {"q": 0.1}),
+    ("quantile__q=0.5", quantile, {"q": 0.5}),
+    ("quantile__q=0.9", quantile, {"q": 0.9}),
+    ("autocorrelation__lag=1", autocorrelation, {"lag": 1}),
+    ("autocorrelation__lag=2", autocorrelation, {"lag": 2}),
+    ("autocorrelation__lag=3", autocorrelation, {"lag": 3}),
+    ("autocorrelation__lag=4", autocorrelation, {"lag": 4}),
+    ("autocorrelation__lag=5", autocorrelation, {"lag": 5}),
+    ("agg_autocorrelation__f_agg=mean__maxlag=2", agg_autocorrelation, {"maxlag": 2}),
+    ("partial_autocorrelation__lag=1", partial_autocorrelation, {"lag": 1}),
+    ("partial_autocorrelation__lag=2", partial_autocorrelation, {"lag": 2}),
+    ("partial_autocorrelation__lag=3", partial_autocorrelation, {"lag": 3}),
+    ("partial_autocorrelation__lag=4", partial_autocorrelation, {"lag": 4}),
+    ("partial_autocorrelation__lag=5", partial_autocorrelation, {"lag": 5}),
+    ("approximate_entropy__m=2__r_factor=0.2", approximate_entropy, {"m": 2, "r_factor": 0.2}),
+    ("sample_entropy__m=2__r_factor=0.2", sample_entropy, {"m": 2, "r_factor": 0.2}),
+    ("fft_coefficient__coeff=5__attr=abs", fft_coefficient, {"coeff": 5}),
+    ("fft_aggregated__attr=centroid", fft_aggregated, {"attr": "centroid"}),
+    ("fft_aggregated__attr=variance", fft_aggregated, {"attr": "variance"}),
+    ("fft_aggregated__attr=skew", fft_aggregated, {"attr": "skew"}),
+    ("fft_aggregated__attr=kurtosis", fft_aggregated, {"attr": "kurtosis"}),
+    ("ar_coefficient__k=1__p=4", ar_coefficient, {"k": 1, "p": 4}),
+    ("ar_coefficient__k=2__p=4", ar_coefficient, {"k": 2, "p": 4}),
+    ("ar_coefficient__k=3__p=4", ar_coefficient, {"k": 3, "p": 4}),
+    ("ar_coefficient__k=4__p=4", ar_coefficient, {"k": 4, "p": 4}),
+    ("augmented_dickey_fuller__attr=teststat__lag=1", augmented_dickey_fuller, {"attr": "teststat", "lag": 1}),
+    ("augmented_dickey_fuller__attr=usedlag__lag=1", augmented_dickey_fuller, {"attr": "usedlag", "lag": 1}),
+    ("linear_trend__attr=slope", linear_trend, {"attr": "slope"}),
+    ("linear_trend__attr=intercept", linear_trend, {"attr": "intercept"}),
+    ("linear_trend__attr=rvalue", linear_trend, {"attr": "rvalue"}),
+    ("linear_trend__attr=pvalue", linear_trend, {"attr": "pvalue"}),
+    ("linear_trend__attr=stderr", linear_trend, {"attr": "stderr"}),
+    ("change_quantiles__ql=0.1__qh=0.9__isabs=true__f_agg=mean", change_quantiles, {"ql": 0.1, "qh": 0.9}),
+    ("cid_ce__normalize=false", cid_ce, {"normalize": False}),
+    ("cid_ce__normalize=true", cid_ce, {"normalize": True}),
+))
 
 
 @dataclass(frozen=True)
@@ -692,43 +675,12 @@ class FeatureVector:
 
 
 def default_specs() -> list[FeatureSpec]:
-    """The 43-entry feature set, the one spec list the pipeline uses; each spec
-    passes every parameter of its calculator, in feature_id order."""
-    specs: list[FeatureSpec] = []
-    for name in (
-        "abs_energy",
-        "absolute_sum_of_changes",
-        "mean_abs_change",
-        "root_mean_square",
-        "variance",
-        "variation_coefficient",
-        "kurtosis",
-        "benford_correlation",
-    ):
-        specs.append(FeatureSpec.make(name))
-    specs += [FeatureSpec.make("quantile", q=q) for q in (0.1, 0.5, 0.9)]
-    specs += [FeatureSpec.make("autocorrelation", lag=lag) for lag in range(1, 6)]
-    specs.append(FeatureSpec.make("agg_autocorrelation", f_agg="mean", maxlag=2))
-    specs += [FeatureSpec.make("partial_autocorrelation", lag=lag) for lag in range(1, 6)]
-    specs.append(FeatureSpec.make("approximate_entropy", m=2, r_factor=0.2))
-    specs.append(FeatureSpec.make("sample_entropy", m=2, r_factor=0.2))
-    specs.append(FeatureSpec.make("fft_coefficient", coeff=5, attr="abs"))
-    specs += [FeatureSpec.make("fft_aggregated", attr=a) for a in _FFT_AGG_ATTRS]
-    specs += [FeatureSpec.make("ar_coefficient", k=k, p=4) for k in range(1, 5)]
-    specs += [
-        FeatureSpec.make("augmented_dickey_fuller", attr=a, lag=1)
-        for a in ("teststat", "usedlag")
-    ]
-    specs += [FeatureSpec.make("linear_trend", attr=a) for a in _TREND_ATTRS]
-    specs.append(
-        FeatureSpec.make("change_quantiles", ql=0.1, qh=0.9, isabs=True, f_agg="mean")
-    )
-    specs += [FeatureSpec.make("cid_ce", normalize=flag) for flag in (False, True)]
-    return specs
+    """The rows of the 43-entry feature set, the one set the pipeline uses."""
+    return list(_TABLE)
 
 
 def extract_values(x, specs: Sequence[FeatureSpec]) -> FeatureVector:
-    """Run the given specs against a raw value vector (all values must be finite)."""
+    """Run the given rows against a raw value vector (all values must be finite)."""
     x = np.asarray(x, dtype=float).ravel()
     if len(x) == 0:
         raise EmptySeries("cannot extract features from an empty series")
@@ -739,15 +691,18 @@ def extract_values(x, specs: Sequence[FeatureSpec]) -> FeatureVector:
     memo = _memo(x)
     entries = []
     for spec in specs:
-        value, reason = spec.compute(x, memo)
+        if _reads_memo(spec.calculator):
+            value, reason = spec.calculator(x, **spec.kwargs, memo=memo)
+        else:
+            value, reason = spec.calculator(x, **spec.kwargs)
         entries.append(FeatureEntry(spec.feature_id, value, reason))
     entries.sort(key=lambda e: e.feature_id)
     return FeatureVector(tuple(entries))
 
 
 def extract(series: SignalSeries, specs: Optional[Sequence[FeatureSpec]] = None) -> FeatureVector:
-    """Extract features from a signal series (default set when specs is None)."""
-    return extract_values(series.values, default_specs() if specs is None else specs)
+    """Extract features from a signal series (the whole table when specs is None)."""
+    return extract_values(series.values, _TABLE if specs is None else specs)
 
 
 def features_csv(vector: FeatureVector) -> str:

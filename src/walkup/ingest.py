@@ -265,7 +265,14 @@ def _parse_jsonl(lines: Iterable[str]) -> LandmarkSequence:
         if not carried:
             raise SchemaError(line_no, "frame has no pose")
         frames.append((line_no, t))
-    return _stack(frames, slots, fps, item, str(subject))
+    seq = _stack(frames, slots, fps, item, str(subject))
+    # fps is the declared rate: a median frame interval outside [0.5, 2] periods
+    # (t in milliseconds, say) is an error at the header, not a quietly wrong scale
+    if len(seq) >= 2:
+        interval = float(np.median(np.diff(seq.timestamps)))
+        if not 0.5 <= interval * fps <= 2.0:
+            raise SchemaError(header_no, f"fps {fps:g} does not match the frame times, whose median interval is {interval:g} s")
+    return seq
 
 
 def _csv_columns() -> list[str]:

@@ -9,9 +9,11 @@ Default plane is the 2D image plane (x, y); depth is retained as an option
 but none of the shipped signals use it by default, since the hand-orientation
 angle is only well defined against the image horizontal.
 
-Dot products and norms are stacked matrix products, and acos/atan2/hypot run
-per element through ``math``: both give the same floats as the scalar
-``np.dot``/``math`` formulas, which NumPy's own ufuncs do not.
+Dot products and norms (``_dot``) are stacked matrix products, so BLAS
+computes them, and their last bits depend on the OpenBLAS kernel that the host
+picks: the SkylakeX and Haswell kernels give different bits.
+acos/atan2/hypot run per element through ``math``, so they give ``math``'s
+floats, which NumPy's own ufuncs do not.
 """
 
 from __future__ import annotations

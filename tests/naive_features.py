@@ -88,12 +88,11 @@ def autocorrelation(x, lag):
     return acc / ((n - lag) * var)
 
 
-def agg_autocorrelation(x, f_agg, maxlag):
+def agg_autocorrelation(x, maxlag):
     if len(x) < 2 or pop_var(x) == 0.0:
         return None
     vals = [autocorrelation(x, lag) for lag in range(1, min(maxlag, len(x) - 1) + 1)]
-    agg = {"mean": np.mean, "median": np.median, "var": np.var, "std": np.std}[f_agg]
-    return float(agg(vals))
+    return mean(vals)
 
 
 def _yule_walker_phi(x, p):
@@ -186,17 +185,10 @@ def dft_coefficient(x, k):
     return sum(x[t] * cmath.exp(-2j * math.pi * k * t / n) for t in range(n))
 
 
-def fft_coefficient(x, coeff, attr):
+def fft_coefficient(x, coeff):
     if len(x) < 2 or coeff >= len(x):
         return None
-    xk = dft_coefficient(x, coeff)
-    if attr == "real":
-        return xk.real
-    if attr == "imag":
-        return xk.imag
-    if attr == "abs":
-        return abs(xk)
-    return math.degrees(cmath.phase(xk))
+    return abs(dft_coefficient(x, coeff))
 
 
 def fft_aggregated(x, attr):
@@ -284,19 +276,14 @@ def benford_correlation(x):
     return float(np.corrcoef(freq, benford)[0, 1])
 
 
-def change_quantiles(x, ql, qh, isabs, f_agg):
+def change_quantiles(x, ql, qh):
     if len(x) < 2:
         return None
     lo, hi = quantile(x, ql), quantile(x, qh)
-    steps = []
-    for i in range(len(x) - 1):
-        if lo <= x[i] <= hi and lo <= x[i + 1] <= hi:
-            d = x[i + 1] - x[i]
-            steps.append(abs(d) if isabs else d)
+    steps = [abs(x[i + 1] - x[i]) for i in range(len(x) - 1) if lo <= x[i] <= hi and lo <= x[i + 1] <= hi]
     if not steps:
         return 0.0
-    agg = {"mean": np.mean, "median": np.median, "var": np.var, "std": np.std}[f_agg]
-    return float(agg(steps))
+    return mean(steps)
 
 
 def cid_ce(x, normalize):
@@ -312,7 +299,7 @@ def cid_ce(x, normalize):
     return math.sqrt(sum((xs[i + 1] - xs[i]) ** 2 for i in range(len(xs) - 1)))
 
 
-# feature name -> callable(x, **params); mirrors the engine's registry
+# calculator name -> callable(x, **kwargs), called with a feature table row's kwargs
 NAIVE = {
     "abs_energy": lambda x: abs_energy(x),
     "absolute_sum_of_changes": lambda x: absolute_sum_of_changes(x),

@@ -13,7 +13,7 @@ import pytest
 from tests import naive_features as naive
 from tests.conftest import (
     FEATURE_EDGE_SERIES,
-    assert_extract_matches_compute,
+    assert_extract_matches_rows_alone,
     body_pose,
     hand_pose,
     same_landmarks,
@@ -23,9 +23,11 @@ from walkup import core
 from walkup.cli import main as cli_main
 from walkup.core import SLOT_POINTS, Channel, LandmarkSequence, UpdrsItem
 from walkup.features import (
-    FeatureSpec,
     approximate_entropy_counts,
     default_specs,
+    extract_values,
+    fft_aggregated,
+    fft_coefficient,
     sample_entropy_counts,
 )
 from walkup.ingest import parse_frames, serialize_jsonl
@@ -241,14 +243,15 @@ def test_criterion_3_feature_oracle_equivalence():
     worst = 0.0
     count_mismatches = 0
     for x in FEATURE_EDGE_SERIES:
-        assert_extract_matches_compute(x, specs)
+        assert_extract_matches_rows_alone(x, specs)
     for _ in range(200):
         n = int(rng.integers(3, 513))
         x = rng.normal(loc=rng.uniform(-2, 2), scale=rng.uniform(0.5, 3), size=n)
-        assert_extract_matches_compute(x, specs)  # the path analyze runs
+        assert_extract_matches_rows_alone(x, specs)
+        entries = {e.feature_id: e for e in extract_values(x, specs).entries}  # the path analyze runs
         for spec in specs:
-            got, reason = spec.compute(x)
-            want = naive.NAIVE[spec.name](list(x), **dict(spec.params))
+            got, reason = entries[spec.feature_id].value, entries[spec.feature_id].reason
+            want = naive.NAIVE[spec.name](list(x), **spec.kwargs)
             if reason is not None:
                 assert want is None, f"{spec.feature_id}: engine NaN({reason}) oracle {want}"
             else:
@@ -285,10 +288,10 @@ def test_criterion_4_spectral_correctness():
         t = np.arange(n)
         x = np.cos(2 * math.pi * tone * t / n)
         for k in range(n // 2 + 1):
-            got = FeatureSpec.make("fft_coefficient", coeff=k, attr="abs").compute(x)[0]
+            got = fft_coefficient(x, coeff=k)[0]
             expected = n / 2.0 if k == tone else 0.0
             worst_mass = max(worst_mass, abs(got - expected))
-        centroid = FeatureSpec.make("fft_aggregated", attr="centroid").compute(x)[0]
+        centroid = fft_aggregated(x, attr="centroid")[0]
         worst_centroid = max(worst_centroid, abs(centroid - tone))
     ok = worst_mass < 1e-9 and worst_centroid < 1e-6
     _report(
@@ -413,10 +416,12 @@ def test_criterion_7_cli_determinism(tmp_path):
 
 def _random_sequence(rng):
     n = int(rng.integers(1, 8))
+    fps = float(rng.uniform(1.0, 240.0))
     times, slots = [], {slot: [] for slot in SLOT_POINTS}
     t = 0.0
     for _ in range(n):
-        t += float(rng.uniform(1e-3, 0.5))
+        # uneven frame intervals around the declared period, which parse checks them against
+        t += float(rng.uniform(0.6, 1.6)) / fps
         kind = int(rng.integers(0, 3))
         x, y = (float(v) for v in rng.uniform(-1.5, 1.5, size=2))
         frame = [
@@ -428,7 +433,6 @@ def _random_sequence(rng):
         for slot, poses in slots.items():
             poses.append(frame.get(slot))
     item = rng.choice([None, *UpdrsItem])
-    fps = float(rng.uniform(1.0, 240.0))
     return sequence(times, fps, item, f"s{int(rng.integers(0, 99))}", **slots)
 
 

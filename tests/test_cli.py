@@ -176,6 +176,9 @@ _VIOLATIONS = {
     "fps_negative": (["jsonl"], dict(fps=-30.0), 1, "fps must be positive, got -30.0"),
     # a CSV's fps is (n - 1) / duration, which overflows here
     "fps_inferred": (["csv"], dict(frames=2, t={1: 5e-324}), 1, "fps must be finite"),
+    # every t in milliseconds: validate passed it, and analyze gave mean_interval_s 1000.0
+    "t_milliseconds": (["jsonl"], dict(t={k: 1000 * k / 30 for k in range(300)}), 1,
+                       "fps 30 does not match the frame times, whose median interval is 33.3333 s"),
     "non_finite": (["jsonl", "csv"], dict(point=("right_hand", 3, 4, 0, np.inf)), 5, "non-finite number"),
     "non_finite_t": (["jsonl", "csv"], dict(t={3: np.inf}), 5, "non-finite number"),
     "non_increasing": (["jsonl", "csv"], dict(t={3: 2 / 30}), 5, "t must increase from frame to frame"),

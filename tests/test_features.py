@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from scipy.special import betainc
 
 from tests import naive_features as naive
-from tests.conftest import FEATURE_EDGE_SERIES, assert_extract_matches_compute, make_series
+from tests.conftest import FEATURE_EDGE_SERIES, assert_extract_matches_rows_alone, make_series
 from walkup import features
 from walkup.errors import EmptySeries, UnknownFeature, WalkupError
 from walkup.features import (
+    FeatureEntry,
     FeatureSpec,
     approximate_entropy_counts,
     default_specs,
@@ -25,8 +26,10 @@ from walkup.features import (
 )
 
 
-def one(name, x, **params):
-    return FeatureSpec.make(name, **params).compute(np.asarray(x, dtype=float))
+def one(name, x, **kwargs):
+    """(value, reason) of calculator ``name`` on x, run as extract_values runs a row of it."""
+    (entry,) = extract_values(x, [FeatureSpec(name, getattr(features, name), kwargs)]).entries
+    return entry.value, entry.reason
 
 
 # ── simple statistics ────────────────────────────────────────────────
@@ -110,7 +113,7 @@ def test_pacf_lag1_equals_acf_lag1(rng):
 def test_agg_autocorrelation_mean_of_first_two(rng):
     x = rng.normal(size=50)
     expected = (one("autocorrelation", x, lag=1)[0] + one("autocorrelation", x, lag=2)[0]) / 2
-    assert one("agg_autocorrelation", x, f_agg="mean", maxlag=2)[0] == pytest.approx(
+    assert one("agg_autocorrelation", x, maxlag=2)[0] == pytest.approx(
         expected, rel=1e-12
     )
 
@@ -168,16 +171,13 @@ def test_entropy_counts_exact_on_ties(rng):
 
 def test_extract_entropies_equal_standalone_on_ties(rng):
     specs = [
-        FeatureSpec.make(name, m=m, r_factor=r_factor)
+        FeatureSpec(f"{name}__m={m}__r_factor={r_factor}", getattr(features, name), {"m": m, "r_factor": r_factor})
         for name in ("approximate_entropy", "sample_entropy")
         for m in (1, 2, 3)
         for r_factor in (0.1, 0.2, 0.5)
     ]
     for x, _ in _tie_heavy_cases(rng):
-        got = extract_values(x, specs).as_dict()
-        for spec in specs:
-            value, _ = spec.compute(x)
-            assert got[spec.feature_id] == value or (math.isnan(value) and math.isnan(got[spec.feature_id]))
+        assert_extract_matches_rows_alone(x, specs)
 
 
 def test_extract_runs_one_count_pass_per_entropy_setting(rng, monkeypatch):
@@ -309,29 +309,19 @@ def test_approximate_entropy_matches_brute_force(rng):
 def test_fft_coefficient_single_tone():
     t = np.arange(8)
     x = np.cos(2 * math.pi * t / 8)
-    assert one("fft_coefficient", x, coeff=1, attr="abs")[0] == pytest.approx(4.0, abs=1e-9)
+    assert one("fft_coefficient", x, coeff=1)[0] == pytest.approx(4.0, abs=1e-9)
     for k in (0, 2, 3, 4):
-        assert one("fft_coefficient", x, coeff=k, attr="abs")[0] == pytest.approx(0.0, abs=1e-9)
+        assert one("fft_coefficient", x, coeff=k)[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_fft_coefficient_constant_dc_only():
     x = [2.5] * 6
-    assert one("fft_coefficient", x, coeff=0, attr="abs")[0] == pytest.approx(15.0, abs=1e-9)
-    assert one("fft_coefficient", x, coeff=3, attr="abs")[0] == pytest.approx(0.0, abs=1e-9)
-
-
-def test_fft_coefficient_attrs(rng):
-    x = rng.normal(size=32)
-    xk = complex(np.fft.fft(x)[5])
-    assert one("fft_coefficient", x, coeff=5, attr="real")[0] == pytest.approx(xk.real)
-    assert one("fft_coefficient", x, coeff=5, attr="imag")[0] == pytest.approx(xk.imag)
-    assert one("fft_coefficient", x, coeff=5, attr="angle")[0] == pytest.approx(
-        math.degrees(np.angle(xk))
-    )
+    assert one("fft_coefficient", x, coeff=0)[0] == pytest.approx(15.0, abs=1e-9)
+    assert one("fft_coefficient", x, coeff=3)[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_fft_coefficient_out_of_range():
-    value, reason = one("fft_coefficient", [1.0, 2.0], coeff=5, attr="abs")
+    value, reason = one("fft_coefficient", [1.0, 2.0], coeff=5)
     assert math.isnan(value) and reason == "coeff out of range"
 
 
@@ -463,16 +453,16 @@ def test_cid_ce_normalized_constant():
 
 def test_change_quantiles_full_corridor_equals_mean_abs_change(rng):
     x = rng.normal(size=30)
-    full = one("change_quantiles", x, ql=0.0, qh=1.0, isabs=True, f_agg="mean")[0]
+    full = one("change_quantiles", x, ql=0.0, qh=1.0)[0]
     assert full == pytest.approx(one("mean_abs_change", x)[0], rel=1e-12)
 
 
 def test_change_quantiles_empty_corridor_zero():
     x = [0.0, 10.0, 0.0, 10.0]
-    assert one("change_quantiles", x, ql=0.4, qh=0.6, isabs=True, f_agg="mean") == (0.0, None)
+    assert one("change_quantiles", x, ql=0.4, qh=0.6) == (0.0, None)
 
 
-# ── spec/id plumbing ─────────────────────────────────────────────────
+# ── the feature table ────────────────────────────────────────────────
 
 
 def test_default_set_size_and_determinism():
@@ -491,19 +481,38 @@ def test_default_ids_are_pinned():
 
 
 def test_feature_id_grammar():
-    assert FeatureSpec.make("abs_energy").feature_id == "abs_energy"
-    assert FeatureSpec.make("quantile", q=0.5).feature_id == "quantile__q=0.5"
-    assert (
-        FeatureSpec.make("change_quantiles", ql=0.1, qh=0.9, isabs=True, f_agg="mean").feature_id
-        == "change_quantiles__ql=0.1__qh=0.9__isabs=true__f_agg=mean"
-    )
-    assert FeatureSpec.make("cid_ce", normalize=False).feature_id == "cid_ce__normalize=false"
+    # an id is the calculator's name, then "__key=value" per setting, a bool as true or false
+    for spec in default_specs():
+        name, *settings = spec.feature_id.split("__")
+        assert name == spec.name, spec.feature_id
+        assert all(len(s.split("=")) == 2 for s in settings), spec.feature_id
+    ids = {s.feature_id for s in default_specs()}
+    assert {"abs_energy", "quantile__q=0.5", "cid_ce__normalize=false"} <= ids
+    assert "change_quantiles__ql=0.1__qh=0.9__isabs=true__f_agg=mean" in ids
+
+
+def test_table_keeps_what_the_benchmark_reads(rng):
+    # the benchmark reads each row's .feature_id and .name, and replays extract
+    # with the entropies apart from the other rows
+    specs = default_specs()
+    for spec in specs:
+        assert isinstance(spec.feature_id, str) and isinstance(spec.name, str)
+        # every kwarg the calculator takes is named in the id
+        for key, value in spec.kwargs.items():
+            assert f"__{key}={str(value).lower()}" in spec.feature_id, spec.feature_id
+    series = make_series(rng.normal(size=300))
+    entropy = [s for s in specs if s.name in ("approximate_entropy", "sample_entropy")]
+    other = [s for s in specs if s.name not in ("approximate_entropy", "sample_entropy")]
+    assert len(entropy) == 2 and len(other) == 41
+    merged = sorted(extract(series, entropy).entries + extract(series, other).entries, key=lambda e: e.feature_id)
+    whole = extract(series).entries
+    assert [(e.feature_id, e.reason) for e in merged] == [(e.feature_id, e.reason) for e in whole]
+    assert np.array_equal([e.value for e in merged], [e.value for e in whole], equal_nan=True)
 
 
 @pytest.mark.parametrize("name", ["approximate_entropy", "sample_entropy"])
 def test_entropy_r_factor_zero_is_accepted(name, rng):
-    spec = FeatureSpec.make(name, m=2, r_factor=0.0)
-    assert dict(spec.params)["r_factor"] == 0.0
+    spec = FeatureSpec(f"{name}__m=2__r_factor=0.0", getattr(features, name), {"m": 2, "r_factor": 0.0})
     for x in (rng.normal(size=100), np.repeat(rng.integers(0, 3, size=50), 2).astype(float)):
         (entry,) = extract_values(x, [spec]).entries
         assert math.isnan(entry.value) == (entry.reason is not None)
@@ -531,35 +540,16 @@ def test_extract_rejects_non_finite_values(bad):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", ["variance", "benford_correlation", "sample_entropy"])
 def test_compute_rejects_non_finite_values(name, bad):
-    # variance gave a NaN without a reason, and benford_correlation skipped the value
+    # one row alone: variance gave a NaN without a reason, and benford_correlation skipped the value
+    (spec,) = [s for s in default_specs() if s.name == name]
     with pytest.raises(WalkupError, match="cannot extract features from non-finite values"):
-        FeatureSpec.make(name).compute(np.array([1.0, bad, 2.0, 35.0, 7.0]))
+        extract_values(np.array([1.0, bad, 2.0, 35.0, 7.0]), [spec])
 
 
 def test_extract_duplicate_specs_rejected():
+    (spec,) = [s for s in default_specs() if s.name == "abs_energy"]
     with pytest.raises(UnknownFeature):
-        extract_values([1.0, 2.0], [FeatureSpec.make("abs_energy"), FeatureSpec.make("abs_energy")])
-
-
-@pytest.mark.parametrize(
-    "name, params, match",
-    [
-        ("nope", {}, "no feature is named 'nope'"),
-        ("fft_coefficient", {"coeff": 5, "attr": "ABS"}, "fft_coefficient has no attr 'ABS'"),
-        ("fft_aggregated", {"attr": "skewness"}, "fft_aggregated has no attr 'skewness'"),
-        ("linear_trend", {"attr": "p_value"}, "linear_trend has no attr 'p_value'"),
-        ("augmented_dickey_fuller", {"attr": "pvalue", "lag": 1}, "augmented_dickey_fuller has no attr 'pvalue'"),
-    ],
-    ids=["name", "fft_coefficient", "fft_aggregated", "linear_trend", "adf"],
-)
-@pytest.mark.parametrize("n", [50, 1])
-def test_unknown_feature_name_or_attr_raises(name, params, match, n):
-    # each gave another attr's value (the phase, the kurtosis, stderr, teststat)
-    # without a reason, and the name a bare KeyError at compute; a 1-sample
-    # series must raise too, not give "series too short"
-    x = np.random.default_rng(0).normal(size=n)
-    with pytest.raises(UnknownFeature, match=match):
-        FeatureSpec.make(name, **params).compute(x)
+        extract_values([1.0, 2.0], [spec, spec])
 
 
 def test_nan_always_carries_reason():
@@ -584,8 +574,7 @@ def test_constant_series_variance_zero_entry():
 
 
 def test_features_csv_and_json_payload(rng):
-    vec = extract_values(rng.normal(size=16), [FeatureSpec.make("abs_energy"),
-                                               FeatureSpec.make("variation_coefficient")])
+    vec = extract_values(rng.normal(size=16), [s for s in default_specs() if s.name in ("abs_energy", "variation_coefficient")])
     text = features_csv(vec)
     assert text.startswith("feature_id,value,reason\n")
     payload = features_json_payload(vec)
@@ -668,21 +657,22 @@ def test_engine_matches_naive_oracle(rng):
         series.append(rng.normal(loc=rng.uniform(-2, 2), scale=rng.uniform(0.5, 3), size=n))
     for x in series:
         n = len(x)
-        assert_extract_matches_compute(x, specs)  # the path analyze runs
+        assert_extract_matches_rows_alone(x, specs)
+        got = {e.feature_id: e for e in extract_values(x, specs).entries}  # the path analyze runs
         if np.ptp(x) == 0.0:
             # on a constant the oracle differs by convention: scipy's r is NaN where the
             # engine's is 0 (see linear_trend), and its literal DFT leaves about 1e-15
             # in the empty bins
             if n >= 2:
-                assert FeatureSpec.make("linear_trend", attr="rvalue").compute(x) == (0.0, None)
+                assert got["linear_trend__attr=rvalue"] == FeatureEntry("linear_trend__attr=rvalue", 0.0)
             continue
         for spec in specs:
-            got, reason = spec.compute(x)
-            want = naive.NAIVE[spec.name](list(x), **dict(spec.params))
+            value, reason = got[spec.feature_id].value, got[spec.feature_id].reason
+            want = naive.NAIVE[spec.name](list(x), **spec.kwargs)
             if reason is not None:
                 assert want is None, f"{spec.feature_id}: engine NaN({reason}), oracle {want}"
             else:
-                assert want is not None, f"{spec.feature_id}: oracle undefined, engine {got}"
-                assert _relative_close(got, want), (
-                    f"{spec.feature_id} on n={n}: engine {got!r} vs oracle {want!r}"
+                assert want is not None, f"{spec.feature_id}: oracle undefined, engine {value}"
+                assert _relative_close(value, want), (
+                    f"{spec.feature_id} on n={n}: engine {value!r} vs oracle {want!r}"
                 )

@@ -32,6 +32,25 @@ def _body_line(t: float) -> str:
     return json.dumps({"t": t, "body": [[0.1, 0.2, 0.0, 1.0]] * 33})
 
 
+@pytest.mark.parametrize("fps, ok", [(5.0, True), (20.0, True), (4.99, False), (20.01, False)])
+def test_parse_jsonl_checks_fps_against_median_frame_interval(fps, ok):
+    # intervals 0.1, 0.1 and 0.8 s: the median 0.1 s must lie within [0.5, 2] periods
+    text = "\n".join([json.dumps({"fps": fps})] + [_body_line(t) for t in (0.0, 0.1, 0.2, 1.0)])
+    if ok:
+        assert parse_frames(io.StringIO(text)).fps == fps
+        return
+    with pytest.raises(SchemaError) as exc:
+        parse_frames(io.StringIO(text))
+    assert (exc.value.line, exc.value.reason) == (
+        1, f"fps {fps:g} does not match the frame times, whose median interval is 0.1 s"
+    )
+
+
+def test_parse_jsonl_single_frame_takes_any_fps():
+    text = "\n".join([json.dumps({"fps": 1e6}), _body_line(5.0)])
+    assert parse_frames(io.StringIO(text)).fps == 1e6
+
+
 def test_parse_jsonl_two_body_frames():
     text = "\n".join([json.dumps({"fps": 25.0, "subject": "s1"}), _body_line(0.0), _body_line(0.04)])
     seq = parse_frames(io.StringIO(text))
@@ -357,10 +376,12 @@ coord = st.floats(min_value=-2, max_value=2, allow_nan=False)
 def sequences(draw):
     n = draw(st.integers(min_value=1, max_value=5))
     item = draw(st.none() | st.sampled_from(list(UpdrsItem)))
+    fps = draw(st.floats(min_value=0.5, max_value=240.0, allow_nan=False))
     times, slots = [], {slot: [] for slot in SLOT_POINTS}
     t = 0.0
     for _ in range(n):
-        t += draw(st.floats(min_value=0.001, max_value=1.0, allow_nan=False))
+        # uneven frame intervals around the declared period, which parse checks them against
+        t += draw(st.floats(min_value=0.6, max_value=1.6)) / fps
         which = draw(st.integers(min_value=0, max_value=2))
         x = draw(coord)
         frame = [
@@ -371,7 +392,6 @@ def sequences(draw):
         times.append(t)
         for slot, poses in slots.items():
             poses.append(frame.get(slot))
-    fps = draw(st.floats(min_value=0.5, max_value=240.0, allow_nan=False))
     subject = draw(st.text(alphabet="abc123", max_size=6))
     return sequence(times, fps, item, subject, **slots)
 
@@ -394,11 +414,14 @@ _CSV_TOKENS = ["1e999", "-1e999", "nan", "inf", "x", "", "0x10"]
 
 @st.composite
 def landmark_texts(draw):
-    """JSONL or CSV text of a few frames, with bad tokens, wrong point counts
-    and shuffled or repeated timestamps mixed in."""
+    """JSONL or CSV text of a few frames 0.5 s apart (the JSONL header's 2 fps),
+    with bad tokens, wrong point counts and shuffled or repeated timestamps mixed in."""
     fmt = draw(st.sampled_from(list(FileFormat)))
     n = draw(st.integers(min_value=1, max_value=4))
-    times = sorted(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]), min_size=n, max_size=n)))
+    times = [0.5 * k for k in range(n)]
+    if n > 1 and draw(st.booleans()):
+        k = draw(st.integers(min_value=1, max_value=n - 1))
+        times[k] = times[k - 1]
     if draw(st.booleans()):
         times = draw(st.permutations(times))
     frames = []
@@ -420,7 +443,7 @@ def landmark_texts(draw):
         pose[point][draw(st.integers(min_value=0, max_value=3))] = draw(st.sampled_from(tokens))
 
     if fmt is FileFormat.JSONL:
-        lines = ['{"fps": 30}']
+        lines = ['{"fps": 2}']
         for t, poses in frames:
             parts = [f'"t": {t}']
             for slot, pose in poses.items():
@@ -455,7 +478,8 @@ def test_parse_rejects_or_returns_finite_increasing(case):
 
 
 def _frame_text(new_frame: str) -> str:
-    return "\n".join([json.dumps({"fps": 30}), _body_line(0.0), new_frame])
+    """A header and a frame at t = 0, then ``new_frame``, whose t is about 0.1."""
+    return "\n".join([json.dumps({"fps": 10}), _body_line(0.0), new_frame])
 
 
 @pytest.mark.parametrize(
@@ -478,7 +502,7 @@ def test_parse_jsonl_coordinate_above_64_bits_is_its_float():
     pose = np.array([[0.1, 0.2, 0.0, 1.0]] * 33)
     changed = pose.copy()
     changed[0, 1] = float(big)
-    assert same_landmarks(seq, sequence([0.0, 0.1], fps=30.0, body=[pose, changed]))
+    assert same_landmarks(seq, sequence([0.0, 0.1], fps=10.0, body=[pose, changed]))
 
 
 def test_parse_jsonl_lone_surrogate_in_ignored_key():
@@ -550,7 +574,10 @@ def _assert_parity(text: str):
 @settings(max_examples=400, deadline=None)
 @given(mutated_frame_lines())
 def test_slot_conversion_matches_per_frame_reference_on_mutated_lines(line):
-    _assert_parity("\n".join(['{"fps": 30}', _body_line(-1.0), line]) + "\n")
+    # three frames 1/30 s apart hold the median interval at the header's rate
+    # whatever t the mutated line holds
+    lead = [_body_line(-1.0 - k / 30) for k in (2, 1, 0)]
+    _assert_parity("\n".join(['{"fps": 30}', *lead, line]) + "\n")
 
 
 @settings(max_examples=200, deadline=None)
