@@ -34,10 +34,6 @@ class SequenceTooShort(WalkupError):
     """Sequence shorter than the minimum required for windowed analysis."""
 
 
-class SeriesTooShort(WalkupError):
-    """Signal series too short for peak detection."""
-
-
 class EmptySeries(WalkupError):
     """Feature extraction received an empty series."""
 

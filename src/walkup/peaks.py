@@ -7,7 +7,8 @@ higher (lower) than its nearest differing neighbours; a run of equal values
 counts once, reported at its midpoint, and runs touching the series boundary
 are never reported (their prominence is undefined). A final pass enforces
 strict peak/trough alternation, keeping the more extreme of same-kind
-neighbours.
+neighbours. A series of under 3 samples has no extrema: an extremum needs a
+neighbour on each side.
 
 Values are range-normalized before thresholding, so detection is exactly
 invariant under positive affine transforms of the values.
@@ -28,7 +29,6 @@ from typing import Optional
 import numpy as np
 
 from .core import SignalSeries
-from .errors import SeriesTooShort
 
 __all__ = ["PeakConfig", "CadenceStats", "detect_peaks", "cadence_stats", "overlay_csv"]
 
@@ -126,40 +126,43 @@ def _select(v: np.ndarray, t: list[float], threshold: float, min_sep: float) -> 
     return np.array(sorted(accepted), dtype=int)
 
 
+def _events(peaks: np.ndarray, troughs: np.ndarray) -> list[tuple[int, bool]]:
+    """The extrema as (index, is-peak) pairs in time order."""
+    return sorted([(int(i), True) for i in peaks] + [(int(i), False) for i in troughs])
+
+
 def _enforce_alternation(
     v: np.ndarray, peaks: np.ndarray, troughs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    events = [(int(i), "peak") for i in peaks] + [(int(i), "trough") for i in troughs]
-    events.sort()
-    kept: list[tuple[int, str]] = []
-    for idx, kind in events:
-        if kept and kept[-1][1] == kind:
+    kept: list[tuple[int, bool]] = []
+    for idx, is_peak in _events(peaks, troughs):
+        if kept and kept[-1][1] == is_peak:
             prev_idx = kept[-1][0]
-            better = (v[idx] > v[prev_idx]) if kind == "peak" else (v[idx] < v[prev_idx])
-            if better:
-                kept[-1] = (idx, kind)
+            if (v[idx] > v[prev_idx]) if is_peak else (v[idx] < v[prev_idx]):
+                kept[-1] = (idx, is_peak)
         else:
-            kept.append((idx, kind))
-    new_peaks = np.array([i for i, k in kept if k == "peak"], dtype=int)
-    new_troughs = np.array([i for i, k in kept if k == "trough"], dtype=int)
+            kept.append((idx, is_peak))
+    new_peaks = np.array([i for i, is_peak in kept if is_peak], dtype=int)
+    new_troughs = np.array([i for i, is_peak in kept if not is_peak], dtype=int)
     return new_peaks, new_troughs
 
 
 def detect_peaks(
     series: SignalSeries, cfg: PeakConfig = PeakConfig()
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Return (peak indices, trough indices), each sorted by time."""
+    """Return (peak indices, trough indices), each sorted by time. Both are
+    empty for a constant series and for one of under 3 samples, where no
+    sample has a neighbour on each side."""
     v = series.values
-    t = series.timestamps
     if len(v) < 3:
-        raise SeriesTooShort(f"need at least 3 samples, got {len(v)}")
+        return np.array([], dtype=int), np.array([], dtype=int)
     vmin = float(v.min())
     value_range = float(v.max()) - vmin
     if value_range <= 0.0:
         return np.array([], dtype=int), np.array([], dtype=int)
     w = (v - vmin) / value_range
 
-    times = t.tolist()
+    times = series.timestamps.tolist()
     peaks = _select(w, times, cfg.min_prominence, cfg.min_separation_s)
     troughs = _select(-w, times, cfg.min_prominence, cfg.min_separation_s)
     return _enforce_alternation(v, peaks, troughs)
@@ -184,19 +187,15 @@ def cadence_stats(
     v = series.values
     t = series.timestamps
     peaks = np.asarray(peaks, dtype=int)
-    troughs = np.asarray(troughs, dtype=int)
 
-    events = sorted([(int(i), "peak") for i in peaks] + [(int(i), "trough") for i in troughs])
+    events = _events(peaks, troughs)
     per_peak_amp: list[float] = []
     all_diffs: list[float] = []
-    for pos, (idx, kind) in enumerate(events):
-        if kind != "peak":
+    for pos, (idx, is_peak) in enumerate(events):
+        if not is_peak:
             continue
-        diffs = []
-        if pos > 0 and events[pos - 1][1] == "trough":
-            diffs.append(float(v[idx] - v[events[pos - 1][0]]))
-        if pos + 1 < len(events) and events[pos + 1][1] == "trough":
-            diffs.append(float(v[idx] - v[events[pos + 1][0]]))
+        neighbours = events[max(pos - 1, 0):pos] + events[pos + 1:pos + 2]
+        diffs = [float(v[idx] - v[j]) for j, j_is_peak in neighbours if not j_is_peak]
         if diffs:
             per_peak_amp.append(float(np.mean(diffs)))
             all_diffs.extend(diffs)
@@ -223,11 +222,9 @@ def cadence_stats(
 
 
 def overlay_csv(series: SignalSeries, peaks: np.ndarray, troughs: np.ndarray) -> str:
-    """Peak-overlay export for plotting: t,value,kind rows sorted by time."""
-    rows = [(float(series.timestamps[i]), float(series.values[i]), "peak") for i in peaks]
-    rows += [(float(series.timestamps[i]), float(series.values[i]), "trough") for i in troughs]
-    rows.sort()
+    """Peak-overlay export for plotting: t,value,kind rows in time order."""
     lines = ["t,value,kind"]
-    for t, v, kind in rows:
-        lines.append(f"{t!r},{v!r},{kind}")
+    for i, is_peak in _events(peaks, troughs):
+        t, v = float(series.timestamps[i]), float(series.values[i])
+        lines.append(f"{t!r},{v!r},{'peak' if is_peak else 'trough'}")
     return "\n".join(lines) + "\n"

@@ -182,11 +182,7 @@ def analyze(
     # threshold admits them while leaving unrepairable ones as gaps.
     for series in build_all(seq, tremor_cfg=config.tremor, min_visibility=config.min_visibility,
                             plane=config.plane, normalize_palm=config.normalize_palm):
-        if len(series) >= 3:
-            pk, tr = detect_peaks(series, config.peaks)
-        else:
-            pk = np.array([], dtype=int)
-            tr = np.array([], dtype=int)
+        pk, tr = detect_peaks(series, config.peaks)
         stats = cadence_stats(series, pk, tr)
         channels.append(ChannelResult(series, pk, tr, stats, extract(series, specs)))
 

@@ -101,13 +101,30 @@ def _header_fixture(tmp_path, header: str) -> Path:
     [
         ('{"fps": 1e999, "item": "leg_agility"}', "fps must be finite"),
         ('{"fps": 30, "item": "jumping_jacks"}', "unknown item 'jumping_jacks'"),
+        ("[30]", 'header must be an object with an "fps" field'),
     ],
-    ids=["fps_overflow", "unknown_item"],
+    ids=["fps_overflow", "unknown_item", "not_object"],
 )
 def test_validate_bad_header_is_validation_error(capsys, tmp_path, header, reason):
     code, _, err = _run(capsys, "validate", "--in", str(_header_fixture(tmp_path, header)))
     assert code == 1
     assert "SchemaError: line 1:" in err and reason in err
+
+
+@pytest.mark.parametrize(
+    "fmt, text, problem",
+    [
+        ("jsonl", '{"fps": 30}\n[1]\n', "SchemaError: line 2: frame must be a JSON object"),
+        ("csv", "", "EmptySequence: no content lines"),
+        ("csv", "t,value\n0.0,1.0\n", "SchemaError: line 1: unexpected CSV header"),
+    ],
+    ids=["frame_not_object", "empty_csv", "csv_header"],
+)
+def test_validate_malformed_file_is_validation_error(capsys, tmp_path, fmt, text, problem):
+    path = tmp_path / f"bad.{fmt}"
+    path.write_text(text)
+    code, _, err = _run(capsys, "validate", "--in", str(path), "--format", fmt)
+    assert (code, err) == (1, f"{path}: {problem}\n")
 
 
 def test_validate_unknown_item_option_is_usage_error(capsys, tmp_path):
@@ -300,6 +317,22 @@ def test_analyze_single_channel_report(capsys, tmp_path, tap_fixture):
     assert "<polyline" in svg and "<circle" in svg and "<line" in svg
 
 
+def test_analyze_two_frames_gives_channels_without_extrema(capsys, tmp_path):
+    # an extremum needs a neighbour on each side: two samples have none
+    full, short = tmp_path / "full.jsonl", tmp_path / "short.jsonl"
+    assert main(["synth", "--item", "finger_taps", "--seed", "1", "--out", str(full)]) == 0
+    short.write_text("".join(full.read_text().splitlines(keepends=True)[:3]))
+    out = tmp_path / "out"
+    code, _, _ = _run(capsys, "analyze", "--in", str(short), "--out", str(out))
+    assert code == 0
+    channels = json.loads((out / "report.json").read_text())["channels"]
+    assert sorted(channels) == ["left", "right"]
+    for channel in channels.values():
+        assert channel["signal"]["length"] == 2
+        cadence = channel["cadence"]
+        assert (cadence["peak_count"], cadence["mean_interval_s"], cadence["mean_amplitude"]) == (0, None, None)
+
+
 def test_analyze_keeps_integer_subject_text(capsys, tmp_path, tap_fixture):
     # the header is read by the stdlib decoder, which keeps an integer above
     # 64 bits exact where orjson would round it to a float
@@ -410,8 +443,8 @@ def test_features_non_utf8_csv_is_io_error(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "text, code, prefix",
-    [(None, 3, "I/O error: "), ("t,value\n0.0,nan\n", 1, "WalkupError: ")],
-    ids=["missing", "non_finite"],
+    [(None, 3, "I/O error: "), ("t,value\n0.0,nan\n", 1, "WalkupError: "), ("t,x\n0.0,1.0\n", 1, "WalkupError: ")],
+    ids=["missing", "non_finite", "header"],
 )
 def test_command_failure_prefix_follows_exit_code(capsys, tmp_path, text, code, prefix):
     # a usage error's "error: " is checked by test_malformed_config_is_usage_error_naming_key
@@ -588,8 +621,18 @@ def test_malformed_config_is_usage_error_naming_key(capsys, tmp_path, tap_fixtur
     [
         ({"min_visibility": 2}, "min_visibility must lie in [0, 1]"),
         ({"resample_fps": -1}, "resample_fps must be finite and positive"),
+        ({"tremor": {"highpass_cutoff_hz": 0}}, "highpass_cutoff_hz must be positive"),
+        ({"tremor": {"rms_threshold": -0.1}}, "rms_threshold must be positive"),
+        ({"tremor": {"window_s": 0}}, "window_s must be positive"),
+        ({"tremor": {"overlap": 1}}, "overlap must lie in [0, 1)"),
+        ({"peaks": {"min_prominence": 0}}, "min_prominence must lie in (0, 1]"),
+        ({"peaks": {"min_separation_s": -1}}, "min_separation_s must be non-negative"),
+        ([1], "config must be a JSON object, got [1]"),
     ],
-    ids=["min_visibility", "resample_fps"],
+    ids=[
+        "min_visibility", "resample_fps", "highpass_cutoff", "rms_threshold", "window_s", "overlap",
+        "min_prominence", "min_separation", "not_object",
+    ],
 )
 def test_bad_ingest_config_fails_once_at_load(capsys, tmp_path, tap_fixture, config, message):
     cfg_path = tmp_path / "cfg.json"
@@ -882,8 +925,9 @@ def test_analyze_tremor_cutoff_too_low_names_cutoff_and_fps(capsys, tmp_path):
         ("[1, 2]", "report has no 'schema' field"),
         ("not json", "not JSON: "),
         ('{"schema": "walkup-report/0", "channels": {}}', "schema 'walkup-report/0' is not 'walkup-report/1'"),
+        ('{"schema": "walkup-report/1", "channels": [1]}', "report channels must be an object"),
     ],
-    ids=["no_schema", "no_signal", "list", "not_json", "wrong_schema"],
+    ids=["no_schema", "no_signal", "list", "not_json", "wrong_schema", "channels_not_object"],
 )
 def test_report_malformed_input_is_validation_error(capsys, tmp_path, text, problem):
     path = tmp_path / "report.json"

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from scipy.signal import find_peaks, peak_prominences
 
 from tests.conftest import make_series
-from walkup.errors import SeriesTooShort
 from walkup.peaks import (
     CadenceStats,
     PeakConfig,
@@ -35,8 +34,10 @@ def test_constant_series_no_extrema():
 
 
 def test_series_too_short():
-    with pytest.raises(SeriesTooShort):
-        detect_peaks(make_series([1.0, 2.0]))
+    # an extremum needs a neighbour on each side: under 3 samples there is none
+    for values in ([], [1.0], [1.0, 2.0]):
+        for found in detect_peaks(make_series(values)):
+            assert found.dtype.kind == "i" and len(found) == 0
 
 
 def test_sinusoid_peak_count_and_intervals():
@@ -78,6 +79,18 @@ def test_peaks_and_troughs_alternate(values):
     events = sorted([(int(i), "p") for i in peaks] + [(int(i), "t") for i in troughs])
     for (i1, k1), (i2, k2) in zip(events, events[1:]):
         assert k1 != k2, f"two {k1} events in a row at {i1}, {i2}"
+
+
+@pytest.mark.parametrize("sign, peaks, troughs", [(1, [1], [2]), (-1, [2], [1])], ids=["upright", "negated"])
+def test_same_kind_neighbours_keep_the_more_extreme(sign, peaks, troughs):
+    # the maximum at 5 lies within 0.15 s of the one at 1, so the minima 2 and
+    # 7 both pass the selection with no maximum between them; the lower stays
+    v = sign * np.array([3, 4, 2, 4, 3, 4, 4, 3, 4.0])
+    s = make_series(v, np.arange(9) / 30)
+    w = sign * (v - v.min()) / np.ptp(v)
+    assert _select(-w, s.timestamps.tolist(), 0.2, 0.15).tolist() == [2, 7]
+    got = detect_peaks(s, PeakConfig(min_prominence=0.2, min_separation_s=0.15))
+    assert (got[0].tolist(), got[1].tolist()) == (peaks, troughs)
 
 
 # dyadic rationals keep every affine step exact in binary, so the documented
