@@ -224,17 +224,19 @@ def _cmd_analyze(args) -> int:
 
 
 def _read_signal_csv(path: str) -> np.ndarray:
-    """The values of a t,value CSV: each row two numbers, t finite and strictly increasing."""
+    """The values of a t,value CSV: each row two numbers, t finite and strictly
+    increasing. Blank lines are skipped, as the landmark readers skip them, and
+    still count in the line numbers of errors."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+            rows = [(no, row) for no, row in enumerate(csv.reader(fh), 1) if row]
     except UnicodeDecodeError as exc:
         raise UnreadableInput(f"cannot read {path}: {exc}") from exc
-    if not rows or rows[0] != ["t", "value"]:
+    if not rows or rows[0][1] != ["t", "value"]:
         raise WalkupError(f"{path}: expected a t,value CSV")
     values = []
     last_t = -np.inf
-    for line, row in enumerate(rows[1:], start=2):
+    for line, row in rows[1:]:
         try:
             t, value = map(csv_number, row)
         except ValueError:  # a bad number, or not two cells

@@ -369,8 +369,6 @@ def ar_coefficient(x: np.ndarray, k: int, p: int, memo: SimpleNamespace) -> Resu
 def _ols_qr(X: np.ndarray, y: np.ndarray):
     """(beta, se, ok_reason): stable OLS with coefficient standard errors."""
     nrows, ncols = X.shape
-    if nrows <= ncols:
-        return None, None, "series too short"
     q, r = np.linalg.qr(X)
     diag = np.abs(np.diag(r))
     if diag.min() <= 1e-10 * max(diag.max(), 1.0):

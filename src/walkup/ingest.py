@@ -93,6 +93,8 @@ class IngestConfig:
             raise ValueError("resample_fps must be finite and positive")
         if not 0.0 <= self.min_visibility <= 1.0:
             raise ValueError("min_visibility must lie in [0, 1]")
+        if not isinstance(self.gap_fill, GapFill):
+            raise ValueError(f"gap_fill must be a GapFill, got {self.gap_fill!r}")
 
 
 # ── parsing ──────────────────────────────────────────────────────────

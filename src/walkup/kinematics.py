@@ -38,6 +38,9 @@ class Plane(enum.Enum):
     FULL_3D = "3d"
 
 
+_DIMS = {Plane.IMAGE_2D: 2, Plane.FULL_3D: 3}
+
+
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
@@ -52,7 +55,7 @@ def vector_between(
     """Vector from point ``b`` to point ``a`` (``points[..., a] - points[..., b]``);
     NaN where either visibility is below ``min_visibility``."""
     points = np.asarray(points, dtype=float)
-    dims = 2 if plane is Plane.IMAGE_2D else 3
+    dims = _DIMS[plane]  # anything but a Plane is a KeyError, not the depth plane
     vec = points[..., a, :dims] - points[..., b, :dims]
     hidden = (points[..., a, 3] < min_visibility) | (points[..., b, 3] < min_visibility)
     return np.where(hidden[..., None], np.nan, vec)

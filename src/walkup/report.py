@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .core import LandmarkSequence, SignalSeries, UpdrsItem
 from .features import FeatureVector, default_specs, extract, features_json_payload
-from .ingest import GapFill, IngestConfig, fill_gaps, resample
+from .ingest import IngestConfig, fill_gaps, resample
 from .kinematics import Plane
 from .peaks import CadenceStats, PeakConfig, cadence_stats, detect_peaks
 from .signals import TremorConfig, build_all
@@ -34,12 +34,11 @@ REPORT_SCHEMA = "walkup-report/1"
 
 
 @dataclass(frozen=True)
-class AnalysisConfig:
-    """Every knob of the analysis pipeline; defaults match the documented ones."""
+class AnalysisConfig(IngestConfig):
+    """Every knob of the analysis pipeline; defaults match the documented ones.
+    The ingest knobs are ``IngestConfig``'s, and each value is checked here,
+    when the config is built."""
 
-    min_visibility: float = 0.5
-    gap_fill: GapFill = GapFill.LINEAR_INTERP
-    resample_fps: Optional[float] = None
     plane: Plane = Plane.IMAGE_2D
     normalize_palm: bool = False
     tremor: TremorConfig = field(default_factory=TremorConfig)
@@ -47,11 +46,13 @@ class AnalysisConfig:
     feature_set: str = "default"
 
     def __post_init__(self):
-        self.ingest  # a bad ingest value fails here, not once per input
-
-    @property
-    def ingest(self) -> IngestConfig:
-        return IngestConfig(self.resample_fps, self.min_visibility, self.gap_fill)
+        super().__post_init__()
+        if not isinstance(self.plane, Plane):
+            raise ValueError(f"plane must be a Plane, got {self.plane!r}")
+        if not isinstance(self.normalize_palm, bool):
+            raise ValueError(f"normalize_palm must be true or false, got {self.normalize_palm!r}")
+        if self.feature_set != "default":
+            raise ValueError(f"feature_set {self.feature_set!r} is not defined; the one feature set is 'default'")
 
     def to_dict(self) -> dict:
         """The config as JSON data: enums by value, nested configs as objects."""
@@ -108,12 +109,8 @@ def _field_value(key: str, hint, value):
         return None
     if hint in (float, Optional[float]):
         return _number(key, value)
-    if hint is bool:
-        if not isinstance(value, bool):
-            raise ValueError(f"config key {key!r}: expected true or false, got {value!r}")
+    if hint in (bool, str):  # the config checks these values when it is built
         return value
-    if hint is str:
-        return _feature_set(value)
     if issubclass(hint, enum.Enum):
         options = [e.value for e in hint]
         if value not in options:
@@ -122,12 +119,6 @@ def _field_value(key: str, hint, value):
     if not isinstance(value, dict):  # a nested config
         raise ValueError(f"config key {key!r}: expected an object, got {value!r}")
     return _from_json(hint, value, f"{key}.")
-
-
-def _feature_set(value) -> str:
-    if value != "default":
-        raise ValueError(f"feature_set {value!r} is not defined; the one feature set is 'default'")
-    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,13 +159,11 @@ def analyze(
 ) -> AnalysisReport:
     """Run the full pipeline: clean, (optionally) resample, build signals,
     then detect peaks, compute cadence statistics and the feature set."""
-    _feature_set(config.feature_set)
     if seq.item is None:
         raise ValueError("sequence has no item tag; pass --item or tag the file")
-    ingest_cfg = config.ingest
-    seq = fill_gaps(seq, ingest_cfg)
+    seq = fill_gaps(seq, config)
     if config.resample_fps is not None:
-        seq = resample(seq, ingest_cfg)
+        seq = resample(seq, config)
 
     specs = default_specs()
     channels = []

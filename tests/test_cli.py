@@ -433,6 +433,35 @@ def test_features_malformed_row_is_validation_error(capsys, tmp_path, row):
     assert "line 3: expected a t,value row of numbers" in err and stdout == ""
 
 
+def test_features_skips_blank_lines_and_counts_them(capsys, tmp_path):
+    # a blank line, even a trailing one, was a malformed row
+    sig, plain = tmp_path / "sig.csv", tmp_path / "plain.csv"
+    plain.write_text("t,value\n0.0,1.0\n0.1,2.0\n0.2,1.5\n")
+    sig.write_text("\nt,value\n0.0,1.0\n\n0.1,2.0\n0.2,1.5\n\n")
+    expected = _run(capsys, "features", "--in", str(plain))
+    assert expected[0] == 0
+    assert _run(capsys, "features", "--in", str(sig)) == expected
+    sig.write_text("t,value\n0.0,1.0\n\n0.1,abc\n")
+    code, stdout, err = _run(capsys, "features", "--in", str(sig))
+    assert (code, stdout) == (1, "")
+    assert "line 4: expected a t,value row of numbers" in err
+
+
+def test_features_out_writes_the_stdout_table_and_the_report_features(capsys, tmp_path):
+    rec, out, feats = tmp_path / "rec.jsonl", tmp_path / "out", tmp_path / "feats"
+    assert main(["synth", "--item", "finger_taps", "--seed", "1", "--out", str(rec)]) == 0
+    assert _run(capsys, "analyze", "--in", str(rec), "--out", str(out))[0] == 0
+    right = str(out / "synth-1_finger_taps_right.csv")
+    code, table, _ = _run(capsys, "features", "--in", right)
+    assert code == 0
+    code, stdout, err = _run(capsys, "features", "--in", right, "--out", str(feats))
+    assert (code, stdout) == (0, "")
+    assert err == f"wrote {feats / 'features.csv'} and features.json\n"
+    assert (feats / "features.csv").read_text() == table
+    report = json.loads((out / "report.json").read_text())
+    assert json.loads((feats / "features.json").read_text()) == report["channels"]["right"]["features"]
+
+
 def test_features_non_utf8_csv_is_io_error(capsys, tmp_path):
     sig = tmp_path / "sig.csv"
     sig.write_bytes(b"t,value\n0.0,1\xff\n")
@@ -495,18 +524,23 @@ _PARTLY_ABSENT_FILES = [
 ]
 
 
+_PARTLY_ABSENT_DEFAULT = (
+    "d75635441c8c9f13ca6a10be0433665689dafac85d31cdd74eaba4ec7c904952",
+    "c54c253935310ecd4ca0dcd05e57f92396bd6377045377a7f69e6189359a0a91",
+    "3989481cb26013e28d029a8fd519cf6d584871475b8edff33bb640f78934bef7",
+    "ffd89ce561b4b6919f5bc5bd01a7f47df8285ad64e50be1ce488f4b201e12918",
+    "f733c42b9450f9d7e5a198599e43f2548b4f6f4a6e3bcdc0d765c8caa4b40cf1",
+    "8dd7bb3db84f125af2e2c6d57821fe8fda96da99a7a39d1b68651eae6ecdc072",
+    "e5dff534828740c77ff10fe5694a7310b163d145f561467e9be9d610885898ea",
+)
+
+
 @pytest.mark.parametrize(
     "config, digests",
     [
-        (None, (
-            "d75635441c8c9f13ca6a10be0433665689dafac85d31cdd74eaba4ec7c904952",
-            "c54c253935310ecd4ca0dcd05e57f92396bd6377045377a7f69e6189359a0a91",
-            "3989481cb26013e28d029a8fd519cf6d584871475b8edff33bb640f78934bef7",
-            "ffd89ce561b4b6919f5bc5bd01a7f47df8285ad64e50be1ce488f4b201e12918",
-            "f733c42b9450f9d7e5a198599e43f2548b4f6f4a6e3bcdc0d765c8caa4b40cf1",
-            "8dd7bb3db84f125af2e2c6d57821fe8fda96da99a7a39d1b68651eae6ecdc072",
-            "e5dff534828740c77ff10fe5694a7310b163d145f561467e9be9d610885898ea",
-        )),
+        (None, _PARTLY_ABSENT_DEFAULT),
+        # a null resample_fps is the default: the same bytes
+        ({"resample_fps": None}, _PARTLY_ABSENT_DEFAULT),
         ({"resample_fps": 45, "gap_fill": "hold_last"}, (
             "d933f42f947fb1f5461b624f336556c085df3e1018a61789fdd90d657c93de64",
             "18b1c724aa8f22d0a632930ae75bd5cb9bd39fbfefdea25922b553a84ba2dda8",
@@ -536,7 +570,7 @@ _PARTLY_ABSENT_FILES = [
             "e5dff534828740c77ff10fe5694a7310b163d145f561467e9be9d610885898ea",
         )),
     ],
-    ids=["default", "hold_45", "drop", "drop_90"],
+    ids=["default", "null_fps", "hold_45", "drop", "drop_90"],
 )
 def test_partly_absent_input_outputs_are_pinned(capsys, tmp_path, config, digests):
     # SHA-256 of every file analyze writes for the finger-tap fixture of

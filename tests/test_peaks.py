@@ -81,14 +81,29 @@ def test_peaks_and_troughs_alternate(values):
         assert k1 != k2, f"two {k1} events in a row at {i1}, {i2}"
 
 
-@pytest.mark.parametrize("sign, peaks, troughs", [(1, [1], [2]), (-1, [2], [1])], ids=["upright", "negated"])
-def test_same_kind_neighbours_keep_the_more_extreme(sign, peaks, troughs):
-    # the maximum at 5 lies within 0.15 s of the one at 1, so the minima 2 and
-    # 7 both pass the selection with no maximum between them; the lower stays
-    v = sign * np.array([3, 4, 2, 4, 3, 4, 4, 3, 4.0])
-    s = make_series(v, np.arange(9) / 30)
-    w = sign * (v - v.min()) / np.ptp(v)
-    assert _select(-w, s.timestamps.tolist(), 0.2, 0.15).tolist() == [2, 7]
+# The selection passes two extrema of one kind with none of the other between
+# them, and the more extreme one stays. In the first series the maximum at 5
+# lies within 0.15 s of the one at 1, so the minima 2 and 7 pass and the earlier
+# is lower. In the second the minimum plateau 2-5 lies within 0.15 s of the
+# deeper minimum at 7, so the maxima 1 and 6 pass and the later is higher.
+_EARLIER, _LATER = [3, 4, 2, 4, 3, 4, 4, 3, 4], [0, 1, 0, 0, 0, 0, 2, 0, 2]
+
+
+@pytest.mark.parametrize(
+    "values, sign, selected, peaks, troughs",
+    [
+        (_EARLIER, 1, ([1], [2, 7]), [1], [2]),
+        (_EARLIER, -1, ([1], [2, 7]), [2], [1]),
+        (_LATER, 1, ([1, 6], [7]), [6], [7]),
+        (_LATER, -1, ([1, 6], [7]), [7], [6]),
+    ],
+    ids=["upright", "negated", "later_upright", "later_negated"],
+)
+def test_same_kind_neighbours_keep_the_more_extreme(values, sign, selected, peaks, troughs):
+    v = np.array(values, dtype=float)
+    s = make_series(sign * v, np.arange(9) / 30)
+    w, t = (v - v.min()) / np.ptp(v), s.timestamps.tolist()
+    assert (_select(w, t, 0.2, 0.15).tolist(), _select(-w, t, 0.2, 0.15).tolist()) == selected
     got = detect_peaks(s, PeakConfig(min_prominence=0.2, min_separation_s=0.15))
     assert (got[0].tolist(), got[1].tolist()) == (peaks, troughs)
 

@@ -12,7 +12,7 @@ import pytest
 
 from tests.conftest import hand_pose, sequence
 from walkup.core import UpdrsItem
-from walkup.ingest import GapFill
+from walkup.ingest import GapFill, IngestConfig
 from walkup.kinematics import Plane
 from walkup.peaks import PeakConfig, overlay_csv
 from walkup.report import AnalysisConfig, analyze, atomic_write, plot_svg, report_json
@@ -31,7 +31,6 @@ def test_config_hash_stable_and_sensitive():
         AnalysisConfig(normalize_palm=True),
         AnalysisConfig(tremor=TremorConfig(rms_threshold=0.01)),
         AnalysisConfig(peaks=PeakConfig(min_prominence=0.3)),
-        AnalysisConfig(feature_set="none"),
     ):
         assert variant.config_hash != base.config_hash
 
@@ -72,10 +71,29 @@ def test_config_accepts_json_booleans():
     assert AnalysisConfig.from_dict({"normalize_palm": True}).normalize_palm is True
 
 
-def test_analyze_rejects_undefined_feature_set():
-    sc = MotionScenario(item=UpdrsItem.FINGER_TAPS, duration_s=2.0, seed=8)
-    with pytest.raises(ValueError, match="feature_set 'none'"):
-        analyze(generate(sc), AnalysisConfig(feature_set="none"))
+@pytest.mark.parametrize(
+    "kind, value, match",
+    [
+        (IngestConfig, {"gap_fill": "drop"}, "gap_fill"),
+        (AnalysisConfig, {"gap_fill": "drop"}, "gap_fill"),
+        (AnalysisConfig, {"plane": "2d"}, "plane"),
+        (AnalysisConfig, {"normalize_palm": "false"}, "normalize_palm"),
+        (AnalysisConfig, {"feature_set": "none"}, "feature_set 'none'"),
+    ],
+    ids=["ingest_gap_fill", "gap_fill_string", "plane_string", "palm_string", "feature_set_none"],
+)
+def test_config_rejects_bad_values_when_built(kind, value, match):
+    # the strings built silently and then ran another setting under their own
+    # config_hash ("drop" ran hold_last, "2d" the depth plane), and an
+    # unknown feature_set failed only once analyze ran
+    with pytest.raises(ValueError, match=match):
+        kind(**value)
+
+
+def test_analysis_config_is_an_ingest_config():
+    cfg = AnalysisConfig(resample_fps=20.0, min_visibility=0.6, gap_fill=GapFill.DROP)
+    assert isinstance(cfg, IngestConfig)
+    assert [f.name for f in dataclasses.fields(cfg)][:3] == ["resample_fps", "min_visibility", "gap_fill"]
 
 
 def test_analyze_requires_item():

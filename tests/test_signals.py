@@ -257,6 +257,20 @@ def test_tremor_sequence_too_short():
         tremor_signal(_static_body_seq(n=10))
 
 
+@pytest.mark.parametrize(
+    "n, fps, error, message",
+    [
+        (1, 30.0, SequenceTooShort, "needs at least one full window"),
+        (12, 3.0, ValueError, "highpass cutoff 2.0 Hz not below Nyquist 1.50 Hz"),
+        (8, 5.0, SequenceTooShort, "needs more than 9 frames, got 8"),
+    ],
+    ids=["one_frame", "below_nyquist", "shorter_than_padding"],
+)
+def test_tremor_rejects_what_it_cannot_filter(n, fps, error, message):
+    with pytest.raises(error, match=message):
+        tremor_signal(_static_body_seq(n=n, fps=fps))
+
+
 def test_tremor_values_binary_and_threshold_monotone():
     fps, n = 30.0, 240
     rng = np.random.default_rng(3)
@@ -296,6 +310,13 @@ def test_build_all_right_hand_only():
     series = build_all(hand_sequence([hand_pose()] * 3))
     assert len(series) == 1
     assert series[0].channel is Channel.RIGHT
+
+
+def test_build_all_rejects_a_plane_that_is_not_a_plane():
+    # the string "2d" used to mean the depth plane
+    sc = MotionScenario(item=UpdrsItem.FINGER_TAPS, duration_s=1.0, seed=0)
+    with pytest.raises(KeyError):
+        build_all(generate(sc), plane="2d")
 
 
 def test_build_all_requires_item_tag():
