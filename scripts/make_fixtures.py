@@ -9,7 +9,7 @@ from pathlib import Path
 
 from walkup.core import UpdrsItem
 from walkup.ingest import write_sequence
-from walkup.synth import DEFAULT_AMPLITUDE, MotionScenario, generate
+from walkup.synth import MotionScenario, generate
 
 SCENARIOS = {
     UpdrsItem.FINGER_TAPS: dict(frequency_hz=1.0, seed=11),
@@ -25,10 +25,7 @@ def main() -> int:
     out_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("fixtures")
     out_dir.mkdir(parents=True, exist_ok=True)
     for item, kwargs in SCENARIOS.items():
-        scenario = MotionScenario(
-            item=item, duration_s=10.0, fps=30.0,
-            base_amplitude=DEFAULT_AMPLITUDE[item], **kwargs,
-        )
+        scenario = MotionScenario(item=item, duration_s=10.0, fps=30.0, **kwargs)
         path = out_dir / f"{item.value}.jsonl"
         write_sequence(generate(scenario), path)
         print(f"wrote {path}")

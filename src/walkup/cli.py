@@ -36,7 +36,7 @@ from .report import (
     REPORT_SCHEMA, AnalysisConfig, analyze, atomic_write, file_digest, plot_svg, report_json,
 )
 from .signals import signal_csv
-from .synth import DEFAULT_AMPLITUDE, MotionScenario, generate
+from .synth import MotionScenario, generate
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -85,21 +85,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p_features.add_argument("--in", dest="inputs", required=True)
     p_features.add_argument("--out", help="output directory (default: stdout CSV)")
 
-    p_synth = sub.add_parser("synth", help="generate a synthetic landmark JSONL file")
+    # a flag given sets the MotionScenario field its dest names; the metavars keep the help's names
+    p_synth = sub.add_parser("synth", help="generate a synthetic landmark JSONL file",
+                             argument_default=argparse.SUPPRESS)
     p_synth.add_argument("--item", required=True)
     p_synth.add_argument("--out", required=True)
-    p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--duration", type=float, default=10.0)
-    p_synth.add_argument("--fps", type=float, default=30.0)
-    p_synth.add_argument("--frequency", type=float, default=1.0)
-    p_synth.add_argument("--amplitude", type=float, help="swing size (per-item default)")
-    p_synth.add_argument("--decrement", type=float, default=0.0,
-                         help="amplitude lost per cycle")
-    p_synth.add_argument("--interval-growth", type=float, default=0.0,
-                         help="seconds added to each successive cycle")
-    p_synth.add_argument("--tremor-amplitude", type=float, default=0.0)
-    p_synth.add_argument("--tremor-freq", type=float, default=5.0)
-    p_synth.add_argument("--noise-std", type=float, default=0.0)
+    p_synth.add_argument("--seed", type=int)
+    p_synth.add_argument("--duration", type=float, dest="duration_s", metavar="DURATION")
+    p_synth.add_argument("--fps", type=float)
+    p_synth.add_argument("--frequency", type=float, dest="frequency_hz", metavar="FREQUENCY")
+    p_synth.add_argument("--amplitude", type=float, dest="base_amplitude", metavar="AMPLITUDE",
+                         help="swing size (per-item default)")
+    p_synth.add_argument("--decrement", type=float, dest="amplitude_decrement_per_cycle",
+                         metavar="DECREMENT", help="amplitude lost per cycle")
+    p_synth.add_argument("--interval-growth", type=float, dest="interval_growth_s_per_cycle",
+                         metavar="INTERVAL_GROWTH", help="seconds added to each successive cycle")
+    p_synth.add_argument("--tremor-amplitude", type=float)
+    p_synth.add_argument("--tremor-freq", type=float, dest="tremor_freq_hz", metavar="TREMOR_FREQ")
+    p_synth.add_argument("--noise-std", type=float)
 
     p_report = sub.add_parser("report", help="merge analysis reports into a summary table")
     p_report.add_argument("--in", dest="inputs", required=True, nargs="+",
@@ -269,22 +272,8 @@ def _cmd_features(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    item = UpdrsItem.from_name(args.item)
-    amplitude = args.amplitude if args.amplitude is not None else DEFAULT_AMPLITUDE[item]
-    scenario = MotionScenario(
-        item=item,
-        duration_s=args.duration,
-        fps=args.fps,
-        base_amplitude=amplitude,
-        frequency_hz=args.frequency,
-        amplitude_decrement_per_cycle=args.decrement,
-        interval_growth_s_per_cycle=args.interval_growth,
-        tremor_amplitude=args.tremor_amplitude,
-        tremor_freq_hz=args.tremor_freq,
-        noise_std=args.noise_std,
-        seed=args.seed,
-    )
-    seq = generate(scenario)
+    given = {f.name: getattr(args, f.name) for f in fields(MotionScenario) if hasattr(args, f.name)}
+    seq = generate(MotionScenario(**{**given, "item": UpdrsItem.from_name(args.item)}))
     write_sequence(seq, args.out)
     _err(f"wrote {args.out} ({len(seq)} frames)")
     return EXIT_OK

@@ -8,9 +8,11 @@ distance signals normalized units, tremor flags {0, 1}.
 from __future__ import annotations
 
 import enum
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Optional
+from typing import Mapping, Optional, get_type_hints
 
 import numpy as np
 
@@ -249,3 +251,29 @@ def validate_sequence(seq: LandmarkSequence) -> ValidationReport:
             message = f"item requires {required} landmarks; missing in {missing} of {len(seq)} frames"
             found.append(Violation("missing_pose", message))
     return ValidationReport(found)
+
+
+def as_number(value, what: str) -> float:
+    """``value`` as a float; a bool (which Python also takes as a number), a
+    non-number or a non-finite number is a ``ValueError`` naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int too large for a float
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{what} must be finite, got {value}")
+    return number
+
+
+def check_fields(config) -> None:
+    """Check a frozen config dataclass against its annotations: a number field
+    is stored as a float (``as_number``), and a field of a class other than
+    ``bool`` and ``str`` must hold an instance of that class."""
+    for name, hint in get_type_hints(type(config)).items():
+        value = getattr(config, name)
+        if hint is float or (hint == Optional[float] and value is not None):
+            object.__setattr__(config, name, as_number(value, name))
+        elif isinstance(hint, type) and hint not in (bool, str) and not isinstance(value, hint):
+            raise ValueError(f"{name} must be a {hint.__name__}, got {value!r}")

@@ -53,7 +53,7 @@ import numpy as np
 import orjson
 
 from .core import BODY_POINT_COUNT, HAND_POINT_COUNT, SLOT_POINTS, LandmarkSequence, UpdrsItem
-from .core import fps_violation, frame_violations
+from .core import check_fields, fps_violation, frame_violations
 from .errors import EmptySequence, SchemaError, UnreadableInput
 
 __all__ = [
@@ -89,12 +89,11 @@ class IngestConfig:
     gap_fill: GapFill = GapFill.LINEAR_INTERP
 
     def __post_init__(self):
-        if self.resample_fps is not None and not 0 < self.resample_fps < math.inf:
+        check_fields(self)
+        if self.resample_fps is not None and not self.resample_fps > 0:
             raise ValueError("resample_fps must be finite and positive")
         if not 0.0 <= self.min_visibility <= 1.0:
             raise ValueError("min_visibility must lie in [0, 1]")
-        if not isinstance(self.gap_fill, GapFill):
-            raise ValueError(f"gap_fill must be a GapFill, got {self.gap_fill!r}")
 
 
 # ── parsing ──────────────────────────────────────────────────────────

@@ -28,7 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import SignalSeries
+from .core import SignalSeries, check_fields
+from .features import linear_trend
 
 __all__ = ["PeakConfig", "CadenceStats", "detect_peaks", "cadence_stats", "overlay_csv"]
 
@@ -39,6 +40,7 @@ class PeakConfig:
     min_separation_s: float = 0.15
 
     def __post_init__(self):
+        check_fields(self)
         if not 0.0 < self.min_prominence <= 1.0:
             raise ValueError("min_prominence must lie in (0, 1]")
         if self.min_separation_s < 0:
@@ -168,14 +170,6 @@ def detect_peaks(
     return _enforce_alternation(v, peaks, troughs)
 
 
-def _ols_slope(y: np.ndarray) -> Optional[float]:
-    if len(y) < 2:
-        return None
-    x = np.arange(len(y), dtype=float)
-    xc = x - x.mean()
-    return float(np.dot(xc, y - y.mean()) / np.dot(xc, xc))
-
-
 def cadence_stats(
     series: SignalSeries, peaks: np.ndarray, troughs: np.ndarray
 ) -> CadenceStats:
@@ -201,12 +195,12 @@ def cadence_stats(
             all_diffs.extend(diffs)
 
     mean_amplitude = float(np.mean(all_diffs)) if all_diffs else None
-    amplitude_slope = _ols_slope(np.array(per_peak_amp)) if len(per_peak_amp) >= 2 else None
+    amplitude_slope = linear_trend(np.array(per_peak_amp), "slope")[0] if len(per_peak_amp) >= 2 else None
 
     if len(peaks) >= 2:
         intervals = np.diff(t[peaks])
         mean_interval = float(intervals.mean())
-        interval_slope = _ols_slope(intervals)
+        interval_slope = linear_trend(intervals, "slope")[0] if len(intervals) >= 2 else None
     else:
         mean_interval = None
         interval_slope = None

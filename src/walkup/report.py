@@ -10,7 +10,6 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-import math
 import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -19,7 +18,7 @@ from typing import Optional, get_type_hints
 import numpy as np
 
 from . import __version__
-from .core import LandmarkSequence, SignalSeries, UpdrsItem
+from .core import LandmarkSequence, SignalSeries, UpdrsItem, as_number
 from .features import FeatureVector, default_specs, extract, features_json_payload
 from .ingest import IngestConfig, fill_gaps, resample
 from .kinematics import Plane
@@ -46,9 +45,7 @@ class AnalysisConfig(IngestConfig):
     feature_set: str = "default"
 
     def __post_init__(self):
-        super().__post_init__()
-        if not isinstance(self.plane, Plane):
-            raise ValueError(f"plane must be a Plane, got {self.plane!r}")
+        super().__post_init__()  # checks plane, tremor and peaks too
         if not isinstance(self.normalize_palm, bool):
             raise ValueError(f"normalize_palm must be true or false, got {self.normalize_palm!r}")
         if self.feature_set != "default":
@@ -79,19 +76,6 @@ class AnalysisConfig(IngestConfig):
         return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _number(key: str, value) -> float:
-    # a JSON true or false is a bool, which Python would also take as a number
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"config key {key!r}: expected a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
-    if not math.isfinite(number):
-        raise ValueError(f"config key {key!r}: expected a finite number, got {value}")
-    return number
-
-
 def _from_json(kind: type, data: dict, prefix: str):
     """The config dataclass ``kind`` from a JSON object, each value checked
     against its field's type; ``prefix`` is the dotted path of a nested object."""
@@ -105,11 +89,9 @@ def _from_json(kind: type, data: dict, prefix: str):
 
 
 def _field_value(key: str, hint, value):
-    if hint == Optional[float] and value is None:
-        return None
-    if hint in (float, Optional[float]):
-        return _number(key, value)
-    if hint in (bool, str):  # the config checks these values when it is built
+    if hint is float or (hint == Optional[float] and value is not None):
+        return as_number(value, f"config key {key!r}")
+    if hint in (bool, str, Optional[float]):  # the config checks these values when it is built
         return value
     if issubclass(hint, enum.Enum):
         options = [e.value for e in hint]

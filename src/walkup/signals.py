@@ -58,6 +58,7 @@ class TremorConfig:
     overlap: float = 0.5
 
     def __post_init__(self):
+        core.check_fields(self)
         if not self.highpass_cutoff_hz > 0:
             raise ValueError("highpass_cutoff_hz must be positive")
         if not self.rms_threshold > 0:

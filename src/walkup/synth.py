@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import Optional
 
 import numpy as np
 
@@ -33,7 +34,7 @@ class MotionScenario:
     item: UpdrsItem
     duration_s: float = 10.0
     fps: float = 30.0
-    base_amplitude: float = 40.0  # degrees for angle items, normalized units for hand movement
+    base_amplitude: Optional[float] = None  # degrees, or normalized units for hand movement; None: the item's default
     frequency_hz: float = 1.0
     amplitude_decrement_per_cycle: float = 0.0
     interval_growth_s_per_cycle: float = 0.0
@@ -43,6 +44,8 @@ class MotionScenario:
     seed: int = 0
 
     def __post_init__(self):
+        if self.base_amplitude is None:
+            object.__setattr__(self, "base_amplitude", DEFAULT_AMPLITUDE[self.item])
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
@@ -69,7 +72,7 @@ _AMPLITUDE_LIMIT = {
     UpdrsItem.FOOT_TAPS: 90.0,
 }
 
-# Sensible per-item defaults for callers that only pick an item (e.g. the CLI).
+# The swing of a scenario that gives no base_amplitude.
 DEFAULT_AMPLITUDE = {
     UpdrsItem.FINGER_TAPS: 40.0,
     UpdrsItem.HAND_MOVEMENT: 0.15,

@@ -13,9 +13,11 @@ import pytest
 
 import walkup
 from tests.conftest import hand_sequence
+from walkup import cli
 from walkup.cli import main
-from walkup.core import LandmarkSequence
+from walkup.core import LandmarkSequence, UpdrsItem
 from walkup.ingest import FileFormat, parse_frames, write_sequence
+from walkup.synth import MotionScenario, generate
 
 
 def _run(capsys, *argv) -> tuple[int, str, str]:
@@ -685,6 +687,40 @@ def test_synth_non_finite_amplitude_is_usage_error(capsys, tmp_path):
     code, _, err = _run(capsys, "synth", "--item", "finger_taps", "--amplitude", "nan", "--out", str(path))
     assert (code, err) == (2, "error: base_amplitude must be finite, got nan\n")
     assert not path.exists()
+
+
+_EVERY_SYNTH_FLAG = {
+    "--seed": ("seed", 3), "--duration": ("duration_s", 4.0), "--fps": ("fps", 50.0),
+    "--frequency": ("frequency_hz", 1.5), "--amplitude": ("base_amplitude", 12.0),
+    "--decrement": ("amplitude_decrement_per_cycle", 0.5),
+    "--interval-growth": ("interval_growth_s_per_cycle", 0.02),
+    "--tremor-amplitude": ("tremor_amplitude", 0.01), "--tremor-freq": ("tremor_freq_hz", 6.0),
+    "--noise-std": ("noise_std", 0.001),
+}
+
+
+@pytest.mark.parametrize("every_flag", [False, True], ids=["no_flag", "every_flag"])
+@pytest.mark.parametrize("item", list(UpdrsItem), ids=lambda i: i.value)
+def test_synth_sets_only_the_fields_given(capsys, tmp_path, item, every_flag):
+    # the CLI kept its own copy of each default, and its own per-item amplitude
+    flags = _EVERY_SYNTH_FLAG if every_flag else {}
+    argv = [arg for flag, (_, value) in flags.items() for arg in (flag, str(value))]
+    code, _, _ = _run(capsys, "synth", "--item", item.value, "--out", str(tmp_path / "cli.jsonl"), *argv)
+    assert code == 0
+    scenario = MotionScenario(item=item, **dict(flags.values()))
+    write_sequence(generate(scenario), tmp_path / "lib.jsonl")
+    assert (tmp_path / "cli.jsonl").read_bytes() == (tmp_path / "lib.jsonl").read_bytes()
+
+
+def test_unexpected_failure_is_named_then_raised(capsys, monkeypatch, tmp_path):
+    # only a WalkupError, an OSError or a ValueError becomes an exit code
+    def fail(path, read, cfg):
+        raise RuntimeError("not a walkup failure")
+
+    monkeypatch.setattr(cli, "_render_one", fail)
+    with pytest.raises(RuntimeError, match="not a walkup failure"):
+        main(["analyze", "--in", "in.jsonl", "--out", str(tmp_path / "out")])
+    assert capsys.readouterr().err == "in.jsonl: RuntimeError: not a walkup failure\n"
 
 
 def test_signals_command_is_gone(capsys, tmp_path, tap_fixture):

@@ -45,15 +45,21 @@ def test_item_from_name_round_trip():
         UpdrsItem.from_name("jumping_jacks")
 
 
+def test_one_frame_lasts_zero_seconds():
+    assert _one_frame("body", 33).duration_s == 0.0
+
+
 def test_validate_well_formed_sequence():
     seq = hand_sequence([hand_pose(), hand_pose()])
     assert validate_sequence(seq).ok
+    assert str(validate_sequence(seq)) == "ok"
 
 
 def test_validate_equal_timestamps():
     seq = sequence([0.0, 0.0], item=UpdrsItem.FINGER_TAPS, right_hand=[hand_pose(), hand_pose()])
     report = validate_sequence(seq)
     assert any(v.message == "t must increase from frame to frame" for v in report.violations)
+    assert str(report) == "non_monotone: t must increase from frame to frame [frame 1]"
 
 
 def test_validate_allows_negative_timestamps():

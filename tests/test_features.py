@@ -91,6 +91,7 @@ def test_autocorrelation_lag1_exact():
 
 def test_autocorrelation_lag0_definitional(rng):
     assert one("autocorrelation", rng.normal(size=20), lag=0) == (1.0, None)
+    assert one("partial_autocorrelation", rng.normal(size=20), lag=0) == (1.0, None)
 
 
 def test_autocorrelation_too_short():
@@ -440,6 +441,12 @@ def test_first_digits_equal_format_float_scientific(rng):
 def test_benford_no_nonzero():
     value, reason = one("benford_correlation", [0.0, 0.0])
     assert math.isnan(value) and reason == "no nonzero values"
+
+
+def test_benford_one_of_each_digit_has_zero_variance():
+    # a flat first-digit histogram has no correlation with any other
+    value, reason = one("benford_correlation", np.arange(1.0, 10.0))
+    assert math.isnan(value) and reason == "zero variance"
 
 
 def test_cid_ce_unnormalized_unit_steps():

@@ -79,8 +79,17 @@ def test_config_accepts_json_booleans():
         (AnalysisConfig, {"plane": "2d"}, "plane"),
         (AnalysisConfig, {"normalize_palm": "false"}, "normalize_palm"),
         (AnalysisConfig, {"feature_set": "none"}, "feature_set 'none'"),
+        (AnalysisConfig, {"tremor": {"window_s": 1.0}}, "tremor must be a TremorConfig"),
+        (AnalysisConfig, {"peaks": None}, "peaks must be a PeakConfig"),
+        (AnalysisConfig, {"min_visibility": True}, "min_visibility"),
+        (AnalysisConfig, {"min_visibility": "0.5"}, "min_visibility"),
+        (PeakConfig, {"min_prominence": "0.5"}, "min_prominence"),
+        (TremorConfig, {"window_s": True}, "window_s"),
+        (PeakConfig, {"min_separation_s": math.inf}, "min_separation_s must be finite"),
     ],
-    ids=["ingest_gap_fill", "gap_fill_string", "plane_string", "palm_string", "feature_set_none"],
+    ids=["ingest_gap_fill", "gap_fill_string", "plane_string", "palm_string", "feature_set_none",
+         "tremor_dict", "peaks_none", "visibility_bool", "visibility_string", "prominence_string",
+         "window_bool", "separation_inf"],
 )
 def test_config_rejects_bad_values_when_built(kind, value, match):
     # the strings built silently and then ran another setting under their own
@@ -88,6 +97,14 @@ def test_config_rejects_bad_values_when_built(kind, value, match):
     # unknown feature_set failed only once analyze ran
     with pytest.raises(ValueError, match=match):
         kind(**value)
+
+
+@pytest.mark.parametrize("key, value", [("min_visibility", 1), ("resample_fps", 30)])
+def test_config_int_is_stored_and_hashed_as_its_float(key, value):
+    # a Python int hashed apart from the same number read from JSON
+    built = AnalysisConfig(**{key: value})
+    assert type(getattr(built, key)) is float
+    assert built.config_hash == AnalysisConfig.from_dict({key: value}).config_hash
 
 
 def test_analysis_config_is_an_ingest_config():

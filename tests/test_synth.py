@@ -95,6 +95,17 @@ def test_default_amplitudes_cover_all_items():
     assert set(DEFAULT_AMPLITUDE) == set(UpdrsItem)
 
 
+@pytest.mark.parametrize("item", list(UpdrsItem), ids=lambda i: i.value)
+def test_unset_amplitude_is_the_items_own(item):
+    # every item swung 40.0, so a hand_movement fingertip reached 40.05
+    # normalized units from the wrist
+    assert MotionScenario(item=item) == MotionScenario(item=item, base_amplitude=DEFAULT_AMPLITUDE[item])
+    seq = generate(MotionScenario(item=item))
+    xy = np.concatenate([pts[..., :2] for pts in seq.poses.values()], axis=1)
+    xy = xy[~np.isnan(xy)]
+    assert xy.min() > 0.0 and xy.max() < 1.0
+
+
 def test_scenario_validation():
     for item, bad in [
         (UpdrsItem.FINGER_TAPS, dict(duration_s=0.0)),
