@@ -26,14 +26,16 @@ float, which would change a numeric ``subject``. Writing stays on ``json``.
 
 A number is a JSON number: a string such as ``"0.5"``, ``true`` or ``false`` in
 ``fps``, ``t`` or a coordinate is a SchemaError, and a ``null`` coordinate is
-NaN, which the frame rules reject. A frame's decoded points go straight into
-one flat float array per slot it carries (a length check per point, then one
-``np.fromiter`` over the chained points), and ``_stack`` joins each slot's
-arrays once, with a row of NaN in each frame that does not carry the slot: the
-one record of its absence. A carried slot whose every value is null (or, in
-a CSV, ``nan``) is still a non-finite number there, not an absent slot. Only a
-line that may hold a string or a boolean gets a per-value type check;
-``_parse_jsonl`` says how it tells.
+NaN, which the frame rules reject. Only a line that may hold a string or a
+boolean gets a per-value type check; ``_jsonl_frames`` says how it tells.
+
+Both formats share one assembly path. Each parser checks its header and
+decodes each line into ``(line, t, {slot: flat float array})``; ``_stack``
+alone decides that a frame with no pose is an error, joins each slot's arrays
+once, with a row of NaN in each frame that does not carry the slot (the one
+record of its absence), applies the frame rules and sets the rate. A carried
+slot whose every value is null (or, in a CSV, ``nan``) is still a non-finite
+number there, not an absent slot.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ def parse_frames(
     """Parse a landmark file into a LandmarkSequence, preserving source order.
 
     ``item`` overrides or supplies the item tag the file itself may lack. A
-    CSV's fps is inferred from its timestamps.
+    CSV's fps is inferred from its timestamps (``_stack``).
     Raises SchemaError with the line number on malformed input and at the
     first frame that breaks a rule of ``core.frame_violations`` (at the header
     for one of ``core.fps_violation``); EmptySequence when no frame lines are
@@ -122,13 +124,10 @@ def parse_frames(
     try:
         if is_path:
             with open(source, encoding="utf-8", newline="" if format is FileFormat.CSV else None) as fh:
-                seq = parse(fh)
-        else:
-            seq = parse(source)
+                return parse(fh, item)
+        return parse(source, item)
     except (OSError, UnicodeDecodeError) as exc:
         raise UnreadableInput(f"cannot read {source}: {exc}" if is_path else str(exc)) from exc
-
-    return seq if item is None else replace(seq, item=item)
 
 
 # exact classes: a JSON true or false decodes to bool, which is an int subclass
@@ -185,15 +184,24 @@ def _decode_frame(raw: str, line: int):
         return _decode(raw, line)
 
 
-def _stack(frames: list, slots: dict, fps: float, item=None, subject_id: str = "") -> LandmarkSequence:
-    """Stack parsed frames, ``(line, t)`` each, and per slot the ``(frame
-    index, flat points)`` of every frame that carries it, into one array per
-    slot, NaN in the frames that do not; the first frame that breaks a rule
-    raises SchemaError at its line."""
-    if not frames:
+def _stack(frames: Iterable, fps: Optional[float], item, subject_id: str, header_line: int) -> LandmarkSequence:
+    """The one assembly path of both formats: stack decoded frames, ``(line, t,
+    {slot: flat points})`` each, into one array per slot, NaN in the frames
+    that do not carry it. A frame that carries no pose raises SchemaError at its
+    line; after the last line, so does the first that breaks a frame rule. A
+    declared ``fps`` must match the frame times; with none (CSV), the rate is
+    inferred from them (30.0 for one frame). A rate error is at ``header_line``."""
+    lines, times, slots = [], [], {slot: [] for slot in SLOT_POINTS}
+    for line, t, flats in frames:
+        if not flats:
+            raise SchemaError(line, "frame has no pose")
+        for slot, flat in flats.items():
+            slots[slot].append((len(lines), flat))
+        lines.append(line)
+        times.append(t)
+    if not lines:
         raise EmptySequence("header present but no frames")
-    lines, times = zip(*frames)
-    n = len(frames)
+    n = len(lines)
     poses = {}
     for slot, carried in slots.items():
         if not carried:
@@ -209,9 +217,21 @@ def _stack(frames: list, slots: dict, fps: float, item=None, subject_id: str = "
             continue
         poses[slot] = np.full((n, *block.shape[1:]), np.nan)
         poses[slot][list(idx)] = block
-    seq = LandmarkSequence(np.array(times, dtype=float), poses, fps, item, subject_id)
+    span = times[-1] - times[0]  # not positive only where the frame rules fail
+    rate = fps if fps is not None else (n - 1) / span if span > 0 else 30.0
+    times = np.array(times, dtype=float)
+    seq = LandmarkSequence(times, poses, rate, item, subject_id)
     if broken := frame_violations(seq, first_only=True):
         raise SchemaError(lines[broken[0].frame], broken[0].message)
+    if fps is None:
+        if bad_fps := fps_violation(rate):
+            raise SchemaError(header_line, bad_fps.message)
+    elif n >= 2:
+        # a median frame interval outside [0.5, 2] declared periods (t in
+        # milliseconds, say) is an error at the header, not a quietly wrong scale
+        interval = float(np.median(np.diff(times)))
+        if not 0.5 <= interval * fps <= 2.0:
+            raise SchemaError(header_line, f"fps {fps:g} does not match the frame times, whose median interval is {interval:g} s")
     return seq
 
 
@@ -221,7 +241,7 @@ def _stack(frames: list, slots: dict, fps: float, item=None, subject_id: str = "
 _UNSAFE_SUBJECT = re.compile(r"[/\\\x00-\x1f\x7f-\x9f]")
 
 
-def _parse_jsonl(lines: Iterable[str]) -> LandmarkSequence:
+def _parse_jsonl(lines: Iterable[str], item: Optional[UpdrsItem]) -> LandmarkSequence:
     # isspace, unlike strip, copies no line
     numbered = ((no, ln) for no, ln in enumerate(lines, 1) if ln and not ln.isspace())
     header_no, header_line = next(numbered, (0, None))
@@ -235,7 +255,7 @@ def _parse_jsonl(lines: Iterable[str]) -> LandmarkSequence:
     if bad_fps := fps_violation(fps):
         raise SchemaError(header_no, bad_fps.message)
     try:
-        item = UpdrsItem.from_name(header["item"]) if header.get("item") else None
+        named = UpdrsItem.from_name(header["item"]) if header.get("item") else None
     except ValueError as exc:
         raise SchemaError(header_no, str(exc)) from None
     subject = header.get("subject", "")
@@ -245,7 +265,11 @@ def _parse_jsonl(lines: Iterable[str]) -> LandmarkSequence:
     if _UNSAFE_SUBJECT.search(str(subject)):
         raise SchemaError(header_no, "subject must hold no '/', '\\' or control character")
 
-    frames, slots = [], {slot: [] for slot in SLOT_POINTS}
+    return _stack(_jsonl_frames(numbered), fps, item or named, str(subject), header_no)
+
+
+def _jsonl_frames(numbered):
+    """Decode each numbered JSONL frame line to ``(line, t, {slot: flat points})``."""
     for line_no, raw in numbered:
         obj = _decode_frame(raw, line_no)
         if not isinstance(obj, dict):
@@ -257,23 +281,11 @@ def _parse_jsonl(lines: Iterable[str]) -> LandmarkSequence:
         # line with no other quote and no u or s (so no true, false or null)
         # holds no string or boolean: its points need no per-value type check.
         strict = raw.count('"') != 2 * len(obj) or "u" in raw or "s" in raw
-        carried = False
-        for slot, count in SLOT_POINTS.items():
-            rows = obj.get(slot)
-            if rows is not None:
-                slots[slot].append((len(frames), _pose_values(rows, count, line_no, slot, strict)))
-                carried = True
-        if not carried:
-            raise SchemaError(line_no, "frame has no pose")
-        frames.append((line_no, t))
-    seq = _stack(frames, slots, fps, item, str(subject))
-    # fps is the declared rate: a median frame interval outside [0.5, 2] periods
-    # (t in milliseconds, say) is an error at the header, not a quietly wrong scale
-    if len(seq) >= 2:
-        interval = float(np.median(np.diff(seq.timestamps)))
-        if not 0.5 <= interval * fps <= 2.0:
-            raise SchemaError(header_no, f"fps {fps:g} does not match the frame times, whose median interval is {interval:g} s")
-    return seq
+        yield line_no, t, {
+            slot: _pose_values(rows, count, line_no, slot, strict)
+            for slot, count in SLOT_POINTS.items()
+            if (rows := obj.get(slot)) is not None
+        }
 
 
 def _csv_columns() -> list[str]:
@@ -302,7 +314,7 @@ def csv_number(text: str) -> float:
     return float(text)
 
 
-def _parse_csv(lines: Iterable[str]) -> LandmarkSequence:
+def _parse_csv(lines: Iterable[str], item: Optional[UpdrsItem]) -> LandmarkSequence:
     rows = ((no, row) for no, row in enumerate(csv.reader(lines), 1) if row)
     header_no, header = next(rows, (0, None))
     if header is None:
@@ -312,19 +324,21 @@ def _parse_csv(lines: Iterable[str]) -> LandmarkSequence:
     if header != expected:
         raise SchemaError(header_no, "unexpected CSV header")
 
-    frames, slots = [], {slot: [] for slot in SLOT_POINTS}
+    return _stack(_csv_frames(rows, len(expected)), None, item, "", header_no)
+
+
+def _csv_frames(rows, width: int):
+    """Decode each numbered CSV row to ``(line, t, {slot: flat points})``."""
     for line_no, row in rows:
-        if len(row) != len(expected):
-            raise SchemaError(line_no, f"expected {len(expected)} cells, got {len(row)}")
+        if len(row) != width:
+            raise SchemaError(line_no, f"expected {width} cells, got {len(row)}")
         # one screen per row: only a row with a loose character checks each cell
         loose = _loose("".join(row))
         try:
             t = csv_number(row[0]) if loose else float(row[0])
         except ValueError:
             raise SchemaError(line_no, "t must be numeric") from None
-
-        offset = 1
-        carried = False
+        flats, offset = {}, 1
         for slot, count in SLOT_POINTS.items():
             cells = row[offset : offset + 4 * count]
             offset += 4 * count
@@ -333,21 +347,10 @@ def _parse_csv(lines: Iterable[str]) -> LandmarkSequence:
                     raise SchemaError(line_no, f"{slot} pose is partially filled")
                 continue
             try:
-                flat = np.asarray(list(map(csv_number, cells)) if loose else cells, dtype=float)
-                slots[slot].append((len(frames), flat))
+                flats[slot] = np.asarray(list(map(csv_number, cells)) if loose else cells, dtype=float)
             except ValueError:
                 raise SchemaError(line_no, f"{slot} pose has a non-numeric cell") from None
-            carried = True
-        if not carried:
-            raise SchemaError(line_no, "frame has no pose")
-        frames.append((line_no, t))
-    seq = _stack(frames, slots, 30.0)  # the rate is inferred once the timestamps pass the rules
-    if len(seq) < 2:
-        return seq
-    fps = (len(seq) - 1) / seq.duration_s
-    if bad_fps := fps_violation(fps):
-        raise SchemaError(header_no, bad_fps.message)
-    return replace(seq, fps=fps)
+        yield line_no, t, flats
 
 
 # ── serialization ────────────────────────────────────────────────────

@@ -16,7 +16,7 @@ cadence statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -44,12 +44,9 @@ class MotionScenario:
     seed: int = 0
 
     def __post_init__(self):
+        core.check_fields(self)
         if self.base_amplitude is None:
             object.__setattr__(self, "base_amplitude", DEFAULT_AMPLITUDE[self.item])
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
         if not self.duration_s > 0 or not self.fps > 0 or not self.frequency_hz > 0:
             raise ValueError("duration_s, fps and frequency_hz must be positive")
         # so that each cycle spans at least 2 frames, and _wave's loop ends

@@ -252,6 +252,21 @@ def test_negative_timestamps_are_valid_and_change_no_channel(capsys, tmp_path, t
     assert channels[0] == channels[1]
 
 
+@pytest.mark.parametrize("item", list(UpdrsItem), ids=lambda item: item.value)
+def test_jsonl_and_its_csv_copy_analyze_to_the_same_channels(capsys, tmp_path, item):
+    # both formats go through one assembly path; the CSV infers its rate and takes --item
+    seq = generate(MotionScenario(item=item, duration_s=3.0, tremor_amplitude=0.01, noise_std=0.001, seed=5))
+    channels = []
+    for fmt in FileFormat:
+        path = tmp_path / f"rec.{fmt.value}"
+        write_sequence(seq, path, fmt)
+        out = tmp_path / f"out_{fmt.value}"
+        options = ["--format", "csv", "--item", item.value] if fmt is FileFormat.CSV else []
+        assert _run(capsys, "analyze", "--in", str(path), "--out", str(out), *options)[0] == 0
+        channels.append(json.loads((out / "report.json").read_text())["channels"])
+    assert channels[0] == channels[1] != {}
+
+
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
 @pytest.mark.parametrize("command", ["validate", "analyze"])
 def test_bad_byte_deep_in_file_is_io_error(capsys, tmp_path, tap_fixture, fmt, command):

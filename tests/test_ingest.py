@@ -724,6 +724,12 @@ def test_resample_empty():
         resample(sequence([]), IngestConfig(resample_fps=10.0))
 
 
+def test_resample_with_no_slot_at_any_grid_point():
+    # one frame that carries no slot: the one grid point keeps none, so it is dropped
+    with pytest.raises(EmptySequence, match="^resampling produced no frames$"):
+        resample(sequence([5.0]), IngestConfig(resample_fps=10.0))
+
+
 # ── gap fill ─────────────────────────────────────────────────────────
 
 

@@ -15,7 +15,7 @@ from walkup.core import UpdrsItem
 from walkup.ingest import GapFill, IngestConfig
 from walkup.kinematics import Plane
 from walkup.peaks import PeakConfig, overlay_csv
-from walkup.report import AnalysisConfig, analyze, atomic_write, plot_svg, report_json
+from walkup.report import AnalysisConfig, analyze, atomic_write, file_digest, input_digest, plot_svg, report_json
 from walkup.signals import TremorConfig, signal_csv
 from walkup.synth import MotionScenario, generate
 
@@ -133,6 +133,14 @@ def test_analyze_full_pipeline_report_fields():
     assert right["signal"]["min"] >= 0.0
     assert right["cadence"]["peak_count"] == 5
     assert len(right["features"]["values"]) == 43
+
+
+def test_input_digest_of_bytes_is_file_digest_of_their_file(tmp_path):
+    # file_digest hashes in 1 MB reads; a traced replay hashes the bytes it holds
+    data = bytes(range(256)) * 10_000 + b"tail"
+    path = tmp_path / "input.jsonl"
+    path.write_bytes(data)
+    assert input_digest(data) == file_digest(path) == "sha256:" + hashlib.sha256(data).hexdigest()
 
 
 def test_analyze_with_resample_and_gap_fill():

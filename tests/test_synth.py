@@ -127,6 +127,14 @@ def test_scenario_validation():
     assert len(generate(MotionScenario(item=UpdrsItem.FINGER_TAPS, duration_s=1.0, frequency_hz=15.0))) == 30
 
 
+def test_scenario_fields_are_checked_by_their_types():
+    # an item name is not an item, and a bool is not a duration (True would give fps frames)
+    with pytest.raises(ValueError, match="^item must be a UpdrsItem, got 'finger_taps'$"):
+        MotionScenario(item="finger_taps")
+    with pytest.raises(ValueError, match="^duration_s must be a number, got True$"):
+        MotionScenario(item=UpdrsItem.LEG_AGILITY, duration_s=True, fps=4)
+
+
 def test_generated_sequences_are_valid():
     from walkup.core import validate_sequence
 
