@@ -48,8 +48,6 @@ __all__ = [
     "default_specs",
     "features_csv",
     "features_json_payload",
-    "approximate_entropy_counts",
-    "sample_entropy_counts",
 ]
 
 Result = tuple[float, Optional[str]]

@@ -18,6 +18,12 @@ The candidate extrema and their prominences are exactly those of SciPy's
 et al. 2020, Nature Methods 17:261): both are built from comparisons, min/max
 and one subtraction, so the kernels here give the same bits without
 importing ``scipy.signal``.
+
+The cycle table has one row per peak in time order: its index, ``t`` and
+value; ``rise`` and ``fall``, its value less that of the trough just before
+and just after it among the time-ordered extrema, NaN where that neighbour is
+a peak or missing; and ``interval_s``, the time since the previous peak, NaN
+for the first. ``cadence_stats`` reduces it, and ``overlay_csv`` exports it.
 """
 
 from __future__ import annotations
@@ -53,9 +59,10 @@ class CadenceStats:
 
     ``interval_slope_s_per_cycle`` is the OLS slope of successive inter-peak
     intervals against cycle index; a positive value means the action slows
-    down over the recording. Fields are None when fewer than the required
-    number of peaks exist. The fields, in order, are ``walkup report``'s
-    columns after the channel's length.
+    down over the recording. The interval fields are None under 2 and 3
+    peaks. ``mean_amplitude`` is None when no peak has a neighbouring trough,
+    and ``amplitude_slope`` when fewer than 2 peaks have one. The fields, in
+    order, are ``walkup report``'s columns after the channel's length.
     """
 
     signal_mean: float
@@ -170,55 +177,47 @@ def detect_peaks(
     return _enforce_alternation(v, peaks, troughs)
 
 
-def cadence_stats(
-    series: SignalSeries, peaks: np.ndarray, troughs: np.ndarray
-) -> CadenceStats:
-    """Amplitude/timing statistics from a detected peak/trough set.
+def _cycles(series: SignalSeries, peaks: np.ndarray, troughs: np.ndarray) -> dict[str, np.ndarray]:
+    """The cycle table as named columns; ``peaks`` and ``troughs`` are each sorted by time."""
+    v, t = series.values, series.timestamps
+    events = np.array(_events(peaks, troughs), dtype=int).reshape(-1, 2)
+    is_peak = events[:, 1] == 1
+    # each extremum's trough value, NaN at a peak, padded by a missing trough on each side
+    trough_value = np.concatenate(([np.nan], np.where(is_peak, np.nan, v[events[:, 0]]), [np.nan]))
+    pos = np.flatnonzero(is_peak)
+    index = events[pos, 0]
+    value = v[index]
+    return dict(index=index, t=t[index], value=value, rise=value - trough_value[pos],
+                fall=value - trough_value[pos + 2], interval_s=np.diff(t[index], prepend=np.nan))
 
-    Per-peak amplitude is the mean difference to the adjacent troughs (the
-    preceding and following trough in the alternating event sequence).
-    """
-    v = series.values
-    t = series.timestamps
-    peaks = np.asarray(peaks, dtype=int)
 
-    events = _events(peaks, troughs)
-    per_peak_amp: list[float] = []
-    all_diffs: list[float] = []
-    for pos, (idx, is_peak) in enumerate(events):
-        if not is_peak:
-            continue
-        neighbours = events[max(pos - 1, 0):pos] + events[pos + 1:pos + 2]
-        diffs = [float(v[idx] - v[j]) for j, j_is_peak in neighbours if not j_is_peak]
-        if diffs:
-            per_peak_amp.append(float(np.mean(diffs)))
-            all_diffs.extend(diffs)
-
-    mean_amplitude = float(np.mean(all_diffs)) if all_diffs else None
-    amplitude_slope = linear_trend(np.array(per_peak_amp), "slope")[0] if len(per_peak_amp) >= 2 else None
-
-    if len(peaks) >= 2:
-        intervals = np.diff(t[peaks])
-        mean_interval = float(intervals.mean())
-        interval_slope = linear_trend(intervals, "slope")[0] if len(intervals) >= 2 else None
-    else:
-        mean_interval = None
-        interval_slope = None
-
+def cadence_stats(series: SignalSeries, peaks: np.ndarray, troughs: np.ndarray) -> CadenceStats:
+    """Amplitude/timing statistics, each a reduction of the cycle table. A
+    peak's amplitude is the mean of those of its rise and fall that exist."""
+    cyc = _cycles(series, peaks, troughs)
+    pair = np.stack((cyc["rise"], cyc["fall"]), axis=1)
+    has = ~np.isnan(pair)
+    diffs = pair[has]  # row by row: each peak's rise, then its fall
+    amplitudes = np.nanmean(pair[has.any(axis=1)], axis=1)
+    intervals = cyc["interval_s"][1:]
     return CadenceStats(
-        signal_mean=float(v.mean()),
-        peak_count=int(len(peaks)),
-        mean_amplitude=mean_amplitude,
-        mean_interval_s=mean_interval,
-        interval_slope_s_per_cycle=interval_slope,
-        amplitude_slope=amplitude_slope,
+        signal_mean=float(series.values.mean()),
+        peak_count=len(pair),
+        mean_amplitude=float(np.mean(diffs)) if len(diffs) else None,
+        mean_interval_s=float(intervals.mean()) if len(intervals) else None,
+        interval_slope_s_per_cycle=linear_trend(intervals, "slope")[0] if len(intervals) >= 2 else None,
+        amplitude_slope=linear_trend(amplitudes, "slope")[0] if len(amplitudes) >= 2 else None,
     )
 
 
 def overlay_csv(series: SignalSeries, peaks: np.ndarray, troughs: np.ndarray) -> str:
-    """Peak-overlay export for plotting: t,value,kind rows in time order."""
-    lines = ["t,value,kind"]
-    for i, is_peak in _events(peaks, troughs):
-        t, v = float(series.timestamps[i]), float(series.values[i])
-        lines.append(f"{t!r},{v!r},{'peak' if is_peak else 'trough'}")
-    return "\n".join(lines) + "\n"
+    """The cycle table for plotting: the extrema in time order as
+    t,value,kind,rise,fall,interval_s rows. A NaN is an empty cell, and a
+    trough row leaves its last three cells empty."""
+    cyc = _cycles(series, peaks, troughs)
+    rows = [(i, True, f"{t!r},{v!r},peak," + ",".join("" if x != x else repr(x) for x in rest))
+            for i, t, v, *rest in zip(*(col.tolist() for col in cyc.values()))]
+    tr = np.asarray(troughs, dtype=int)
+    rows += [(i, False, f"{t!r},{v!r},trough,,,")
+             for i, t, v in zip(tr.tolist(), series.timestamps[tr].tolist(), series.values[tr].tolist())]
+    return "\n".join(["t,value,kind,rise,fall,interval_s"] + [row for _, _, row in sorted(rows)]) + "\n"

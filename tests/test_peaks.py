@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 from itertools import islice
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import find_peaks, peak_prominences
 
+from tests import reference_cadence
 from tests.conftest import make_series
 from walkup.peaks import (
     CadenceStats,
@@ -211,12 +213,59 @@ def test_insufficient_peaks_yields_absent_stats():
 def test_overlay_csv_format():
     s = make_series([0, 1, 0, 1, 0])
     peaks, troughs = detect_peaks(s)
-    text = overlay_csv(s, peaks, troughs)
-    lines = text.strip().splitlines()
-    assert lines[0] == "t,value,kind"
-    assert lines[1] == "1.0,1.0,peak"
-    kinds = [ln.split(",")[2] for ln in lines[1:]]
-    assert kinds == ["peak", "trough", "peak"]
+    # the first peak has no trough before it and no previous peak, the last no
+    # trough after it: empty cells
+    assert overlay_csv(s, peaks, troughs) == (
+        "t,value,kind,rise,fall,interval_s\n"
+        "1.0,1.0,peak,,1.0,\n"
+        "2.0,0.0,trough,,,\n"
+        "3.0,1.0,peak,1.0,,2.0\n"
+    )
+
+
+def test_overlay_csv_rise_and_fall_skip_a_peak_neighbour():
+    # peaks 1 and 3 are adjacent extrema, so neither has a trough between them
+    s = make_series([0, 3, 1, 2, 0, 0, 4, 1])
+    assert overlay_csv(s, np.array([1, 3]), np.array([4, 6])).splitlines() == [
+        "t,value,kind,rise,fall,interval_s",
+        "1.0,3.0,peak,,,",
+        "3.0,2.0,peak,,2.0,2.0",
+        "4.0,0.0,trough,,,",
+        "6.0,4.0,trough,,,",
+    ]
+
+
+# ── cadence_stats against the peak-by-peak reference, bit for bit ─────
+
+
+def _bits(stats: CadenceStats) -> list:
+    return [x.hex() if isinstance(x, float) else x for x in astuple(stats)]
+
+
+@st.composite
+def _cadence_cases(draw):
+    """A series of n from 1 to 400, random or integer tie-heavy, with the
+    extrema of ``detect_peaks`` or an arbitrary disjoint peak/trough set, each
+    sorted by time."""
+    n = draw(st.integers(1, 400))
+    if draw(st.booleans()):
+        values = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    else:
+        values = draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))
+    steps = draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n))
+    s = make_series(values, np.cumsum(steps))
+    if draw(st.booleans()):
+        cfg = PeakConfig(min_prominence=draw(st.floats(0.01, 1.0)), min_separation_s=draw(st.floats(0.0, 1.0)))
+        return (s, *detect_peaks(s, cfg))
+    labels = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    return s, np.flatnonzero(labels == 1), np.flatnonzero(labels == 2)
+
+
+@settings(max_examples=400)
+@given(_cadence_cases())
+def test_cadence_stats_match_peak_by_peak_reference(case):
+    s, peaks, troughs = case
+    assert _bits(cadence_stats(s, peaks, troughs)) == _bits(reference_cadence.cadence_stats(s, peaks, troughs))
 
 
 # ── in-repo kernels against scipy.signal, bit for bit ─────────────────

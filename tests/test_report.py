@@ -187,7 +187,7 @@ def test_plot_svg_elements_and_determinism():
             "fixture",
             (
                 "d8264a41d83621f1d0b31e2756e441088a4017e8291c226cd76175032360ead6",
-                "dd1607a935149dc24de79474eed2f04a7d46943e730109f53b368d8e53a437f3",
+                "89fcfedb6043853d8c059ed0efc46bc6a3a39f195f45ec42d544eb9513c4d316",
                 "fccb9006577c350453a9b85b090f2cead784023b5fbf751633ec6d3f697503b3",
             ),
         ),
@@ -195,7 +195,7 @@ def test_plot_svg_elements_and_determinism():
             "constant",  # vspan = 1.0 in plot_svg
             (
                 "58f67df891ab8af189d298e8e83c60dac7bdfbe99f8d93e354b36b2a1db0adc5",
-                "8da6e4b16e3e4db177048cafb229dcb5b181af534b1f20983536e986da8ed7e1",
+                "32f41e29a9b4f198904d997b1920377f7c47226a5b6a47da37d85f0d9cc76765",
                 "0e3fdfe47db9dce8870a9c5127080f842343e95dce7067a982c91a7506488e6f",
             ),
         ),
