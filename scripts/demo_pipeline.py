@@ -5,10 +5,7 @@ and print the cadence summary that exposes the slow-down.
 Usage: python scripts/demo_pipeline.py
 """
 
-import numpy as np
-
 from walkup.core import UpdrsItem
-from walkup.peaks import PeakConfig, cadence_stats, detect_peaks
 from walkup.report import AnalysisConfig, analyze
 from walkup.synth import MotionScenario, generate
 

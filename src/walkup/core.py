@@ -28,7 +28,7 @@ __all__ = [
     "frame_violations",
     "BODY_POINT_COUNT",
     "HAND_POINT_COUNT",
-    "REQUIRED_POSE",
+    "CHANNEL_SLOTS",
     "SLOT_POINTS",
 ]
 
@@ -84,14 +84,15 @@ class Channel(enum.Enum):
     GLOBAL = "global"
 
 
-# Which pose each item's signal reads from.
-REQUIRED_POSE = {
-    UpdrsItem.FINGER_TAPS: "hand",
-    UpdrsItem.HAND_MOVEMENT: "hand",
-    UpdrsItem.ALTERNATING_HANDS: "hand",
-    UpdrsItem.TREMOR_AT_REST: "body",
-    UpdrsItem.LEG_AGILITY: "body",
-    UpdrsItem.FOOT_TAPS: "body",
+# The pose slot each item's channels read: MDS-UPDRS rates each side of a
+# bilateral item on its own, and rest tremor once.
+CHANNEL_SLOTS = {
+    UpdrsItem.FINGER_TAPS: {Channel.LEFT: "left_hand", Channel.RIGHT: "right_hand"},
+    UpdrsItem.HAND_MOVEMENT: {Channel.LEFT: "left_hand", Channel.RIGHT: "right_hand"},
+    UpdrsItem.ALTERNATING_HANDS: {Channel.LEFT: "left_hand", Channel.RIGHT: "right_hand"},
+    UpdrsItem.TREMOR_AT_REST: {Channel.GLOBAL: "body"},
+    UpdrsItem.LEG_AGILITY: {Channel.LEFT: "body", Channel.RIGHT: "body"},
+    UpdrsItem.FOOT_TAPS: {Channel.LEFT: "body", Channel.RIGHT: "body"},
 }
 
 
@@ -235,20 +236,16 @@ def _rows_ok(block: np.ndarray) -> np.ndarray:
 def validate_sequence(seq: LandmarkSequence) -> ValidationReport:
     """Diagnose a sequence against the rules ``parse_frames`` applies to every
     file (``fps_violation``, ``frame_violations``; negative timestamps are
-    allowed) and the item/pose requirement table (``missing_pose``). Returns a
+    allowed) and the item's ``CHANNEL_SLOTS`` (``missing_pose``). Returns a
     report rather than raising: an empty report means valid."""
     if not len(seq):
         return ValidationReport([Violation("empty", "sequence contains no frames")])
     found = [v for v in [fps_violation(seq.fps)] if v] + frame_violations(seq)
     if seq.item is not None:
-        required = REQUIRED_POSE[seq.item]
-        if required == "hand":
-            has_pose = seq.present["left_hand"] | seq.present["right_hand"]
-        else:
-            has_pose = seq.present["body"]
-        missing = int((~has_pose).sum())
+        slots = dict.fromkeys(CHANNEL_SLOTS[seq.item].values())
+        missing = int((~np.logical_or.reduce([seq.present[slot] for slot in slots])).sum())
         if missing:
-            message = f"item requires {required} landmarks; missing in {missing} of {len(seq)} frames"
+            message = f"item requires {' or '.join(slots)} landmarks; missing in {missing} of {len(seq)} frames"
             found.append(Violation("missing_pose", message))
     return ValidationReport(found)
 

@@ -8,8 +8,9 @@
 * leg agility        A5 = angle at the hip between hip->knee and hip->shoulder
 * foot taps          A6 = angle at the ankle between ankle->knee and ankle->foot tip
 
-The three angle items differ only in their slot and landmarks, which the
-``_ANGLES`` table names per side.
+Each side reads the pose slot that ``core.CHANNEL_SLOTS`` names for it. The
+three angle items differ only in their landmarks, which the ``_ANGLES`` table
+names per side.
 
 Tremor (T4), built by ``tremor_signal``, is windowed: the x(t), y(t) of
 every landmark visible in all frames is high-pass filtered (zero-phase,
@@ -69,21 +70,19 @@ class TremorConfig:
             raise ValueError("overlap must lie in [0, 1)")
 
 
-_HAND = {Channel.LEFT: "left_hand", Channel.RIGHT: "right_hand"}
-
-# The angle items: per side, the slot, then the vertex and the two ray ends.
+# The angle items: per side, the vertex and the two ray ends.
 _ANGLES = {
     UpdrsItem.FINGER_TAPS: {
-        Channel.LEFT: ("left_hand", core.HAND_WRIST, core.INDEX_TIP, core.THUMB_TIP),
-        Channel.RIGHT: ("right_hand", core.HAND_WRIST, core.INDEX_TIP, core.THUMB_TIP),
+        Channel.LEFT: (core.HAND_WRIST, core.INDEX_TIP, core.THUMB_TIP),
+        Channel.RIGHT: (core.HAND_WRIST, core.INDEX_TIP, core.THUMB_TIP),
     },
     UpdrsItem.LEG_AGILITY: {
-        Channel.LEFT: ("body", core.LEFT_HIP, core.LEFT_KNEE, core.LEFT_SHOULDER),
-        Channel.RIGHT: ("body", core.RIGHT_HIP, core.RIGHT_KNEE, core.RIGHT_SHOULDER),
+        Channel.LEFT: (core.LEFT_HIP, core.LEFT_KNEE, core.LEFT_SHOULDER),
+        Channel.RIGHT: (core.RIGHT_HIP, core.RIGHT_KNEE, core.RIGHT_SHOULDER),
     },
     UpdrsItem.FOOT_TAPS: {
-        Channel.LEFT: ("body", core.LEFT_ANKLE, core.LEFT_KNEE, core.LEFT_FOOT_TIP),
-        Channel.RIGHT: ("body", core.RIGHT_ANKLE, core.RIGHT_KNEE, core.RIGHT_FOOT_TIP),
+        Channel.LEFT: (core.LEFT_ANKLE, core.LEFT_KNEE, core.LEFT_FOOT_TIP),
+        Channel.RIGHT: (core.RIGHT_ANKLE, core.RIGHT_KNEE, core.RIGHT_FOOT_TIP),
     },
 }
 
@@ -103,17 +102,19 @@ def side_signal(
         raise ValueError("sequence has no item tag")
     if item is UpdrsItem.TREMOR_AT_REST:
         raise ValueError("tremor_at_rest has one global signal; build it with tremor_signal")
-    if channel not in _HAND:
+    slot = core.CHANNEL_SLOTS[item].get(channel)
+    if slot is None:
         raise ValueError(f"{item.value} has a left and a right signal, not {channel.value}")
+    where = f"{item.value}/{channel.value}"
+    if not seq.present[slot].any():
+        raise MissingLandmark(f"no frame carries {slot} for {where}")
+    pts = seq.poses[slot]
     if item in _ANGLES:
-        slot, vertex, ray_a, ray_b = _ANGLES[item][channel]
-        pts = seq.poses[slot]
+        vertex, ray_a, ray_b = _ANGLES[item][channel]
         u = vector_between(pts, ray_a, vertex, plane, min_visibility)
         v = vector_between(pts, ray_b, vertex, plane, min_visibility)
         values = angle_between(u, v)
     elif item is UpdrsItem.HAND_MOVEMENT:
-        slot = _HAND[channel]
-        pts = seq.poses[slot]
         tips = (core.INDEX_TIP, core.MIDDLE_TIP, core.RING_TIP, core.PINKY_TIP)
         values = sum(distance(pts, t, core.HAND_WRIST, plane, min_visibility) for t in tips) / 4.0
         if normalize_palm:
@@ -121,15 +122,10 @@ def side_signal(
             with np.errstate(divide="ignore", invalid="ignore"):
                 values = np.where(palm <= 1e-12, np.nan, values / palm)
     else:  # alternating hands
-        slot = _HAND[channel]
-        pts = seq.poses[slot]
         values = angle_to_horizontal(
             vector_between(pts, core.THUMB_TIP, core.PINKY_TIP, plane, min_visibility)
         )
 
-    where = f"{item.value}/{channel.value}"
-    if not seq.present[slot].any():
-        raise MissingLandmark(f"no frame carries {slot} for {where}")
     keep = seq.present[slot] & ~np.isnan(values)
     if not keep.any():
         raise MissingLandmark(
@@ -270,19 +266,16 @@ def build_all(
     plane: Plane = Plane.IMAGE_2D,
     normalize_palm: bool = False,
 ) -> list[SignalSeries]:
-    """Build every channel the tagged item defines.
-
-    Bilateral items yield Left and Right series; hand items skip a side
-    whose hand never appears; tremor yields a single Global series.
+    """Build every channel the tagged item defines whose pose slot some frame
+    carries (``core.CHANNEL_SLOTS``); tremor yields a single Global series.
+    When no channel's slot is carried, the first channel's ``side_signal``
+    raises why (an untagged sequence raises there too).
     """
     if seq.item is UpdrsItem.TREMOR_AT_REST:
         return [tremor_signal(seq, tremor_cfg, min_visibility)]
-    hand_item = core.REQUIRED_POSE.get(seq.item) == "hand"
-    return [
-        side_signal(seq, channel, min_visibility, plane, normalize_palm)
-        for channel in (Channel.LEFT, Channel.RIGHT)
-        if not hand_item or seq.present[_HAND[channel]].any()
-    ]
+    slots = core.CHANNEL_SLOTS.get(seq.item, {})
+    carried = [channel for channel, slot in slots.items() if seq.present[slot].any()]
+    return [side_signal(seq, channel, min_visibility, plane, normalize_palm) for channel in carried or [Channel.LEFT]]
 
 
 def signal_csv(series: SignalSeries) -> str:

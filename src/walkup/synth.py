@@ -184,7 +184,8 @@ def _finger_taps_hand(angle_deg: float) -> np.ndarray:
     return _hand_points(wrist, dirs, lens)
 
 
-def _hand_movement_hand(reach: float) -> np.ndarray:
+def _hand_movement_hand(extension: float) -> np.ndarray:
+    reach = 0.05 + extension
     wrist = np.array([0.62, 0.55])
     base = _unit(np.array([0.15, -1.0]))
     dirs = {
@@ -265,28 +266,29 @@ def _tremor_body(sc: MotionScenario, t: float) -> np.ndarray:
     return _body_points(overrides)
 
 
+# The pose of each repetitive item at one value of its wave; a hand item's is its right hand.
+_WAVE_POSE = {
+    UpdrsItem.FINGER_TAPS: _finger_taps_hand,
+    UpdrsItem.HAND_MOVEMENT: _hand_movement_hand,
+    UpdrsItem.ALTERNATING_HANDS: _alternating_hand,
+    UpdrsItem.LEG_AGILITY: _leg_agility_body,
+    UpdrsItem.FOOT_TAPS: _foot_taps_body,
+}
+
+
 def generate(scenario: MotionScenario) -> LandmarkSequence:
     """Generate the landmark sequence for a scenario (bit-reproducible per seed)."""
     times = _timestamps(scenario)
     rng = np.random.default_rng(scenario.seed)
     item = scenario.item
 
-    if core.REQUIRED_POSE[item] == "hand":
-        if item is UpdrsItem.HAND_MOVEMENT:
-            def make(w: float) -> np.ndarray:
-                return _hand_movement_hand(0.05 + w)
-        elif item is UpdrsItem.FINGER_TAPS:
-            make = _finger_taps_hand
-        else:
-            make = _alternating_hand
-        right = np.array([make(float(w)) for w in _wave(scenario, times)])
-        poses = {"left_hand": _mirror_hand(right), "right_hand": right}
-    elif item is UpdrsItem.LEG_AGILITY:
-        poses = {"body": np.array([_leg_agility_body(float(w)) for w in _wave(scenario, times)])}
-    elif item is UpdrsItem.FOOT_TAPS:
-        poses = {"body": np.array([_foot_taps_body(float(w)) for w in _wave(scenario, times)])}
-    else:  # tremor at rest, the one item left
-        poses = {"body": np.array([_tremor_body(scenario, float(t)) for t in times])}
+    if item is UpdrsItem.TREMOR_AT_REST:
+        frames = np.array([_tremor_body(scenario, float(t)) for t in times])
+    else:
+        make = _WAVE_POSE[item]
+        frames = np.array([make(float(w)) for w in _wave(scenario, times)])
+    # a hand item's left hand mirrors its right one, and both legs move in the body
+    poses = {slot: _mirror_hand(frames) if slot == "left_hand" else frames for slot in core.CHANNEL_SLOTS[item].values()}
 
     if scenario.noise_std > 0.0:
         # one draw in frame-major order: frame, then slot, then point

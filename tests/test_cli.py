@@ -315,6 +315,45 @@ def test_analyze_degenerate_hand_names_no_landmark_index(capsys, tmp_path):
     )
 
 
+def _synth(tmp_path, item: str) -> Path:
+    path = tmp_path / f"{item}.jsonl"
+    assert main(["synth", "--item", item, "--out", str(path), "--seed", "3"]) == 0
+    return path
+
+
+@pytest.mark.parametrize(
+    "recorded, analyzed_as, slot",
+    [("leg_agility", "finger_taps", "left_hand"), ("finger_taps", "leg_agility", "body")],
+    ids=["body_only_as_finger_taps", "hands_only_as_leg_agility"],
+)
+def test_analyze_input_without_the_items_slots_exits_1(capsys, tmp_path, recorded, analyzed_as, slot):
+    # no frame carries a slot of the item's channels, so no channel is built and no file written
+    path, out = _synth(tmp_path, recorded), tmp_path / "out"
+    capsys.readouterr()  # drop the fixture's synth message
+    code, _, err = _run(capsys, "analyze", "--in", str(path), "--item", analyzed_as, "--out", str(out))
+    assert code == 1
+    assert err == f"{path}: MissingLandmark: no frame carries {slot} for {analyzed_as}/left\n"
+    assert not list(out.rglob("*"))
+
+
+def test_analyze_batch_gives_an_input_without_channels_no_directory(capsys, tmp_path):
+    # both inputs are subject synth-3; the body-only one builds no finger_taps channel,
+    # so it takes no directory and the real session keeps "<subject>_finger_taps"
+    body_only, taps = _synth(tmp_path, "leg_agility"), _synth(tmp_path, "finger_taps")
+    out = tmp_path / "out"
+    capsys.readouterr()  # drop the fixtures' synth messages
+    argv = ["analyze", "--in", str(body_only), str(taps), "--item", "finger_taps", "--out", str(out)]
+    code, _, err = _run(capsys, *argv)
+    assert code == 1
+    sub = out / "synth-3_finger_taps"
+    assert [p.name for p in out.iterdir()] == [sub.name]
+    assert err == (
+        f"{body_only}: MissingLandmark: no frame carries left_hand for finger_taps/left\n"
+        f"analyzed {taps} -> {sub}\n"
+    )
+    assert list(json.loads((sub / "report.json").read_text())["channels"]) == ["left", "right"]
+
+
 def test_usage_error_exit_2(capsys):
     assert main(["frobnicate"]) == 2
 

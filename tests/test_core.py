@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from tests.conftest import body_pose, body_sequence, hand_pose, hand_sequence, sequence
 from walkup.core import (
-    REQUIRED_POSE,
+    CHANNEL_SLOTS,
     LandmarkSequence,
     SignalSeries,
     UpdrsItem,
@@ -84,7 +84,7 @@ def test_validate_reports_every_violation_in_frame_order():
 def test_validate_item_pose_requirement():
     seq = body_sequence([body_pose(), body_pose()], item=UpdrsItem.FINGER_TAPS)
     report = validate_sequence(seq)
-    assert any("item requires hand landmarks" in v.message for v in report.violations)
+    assert any("item requires left_hand or right_hand landmarks" in v.message for v in report.violations)
 
 
 def test_validate_flags_nan_coordinate():
@@ -122,7 +122,8 @@ def valid_sequences(draw):
     item = draw(_items)
     n = draw(st.integers(min_value=1, max_value=6))
     fps = draw(st.floats(min_value=1.0, max_value=120.0, allow_nan=False))
-    slot, pose = ("right_hand", hand_pose) if REQUIRED_POSE[item] == "hand" else ("body", body_pose)
+    slot = list(CHANNEL_SLOTS[item].values())[-1]  # right_hand or body
+    pose = body_pose if slot == "body" else hand_pose
     times, poses = [], []
     t = 0.0
     for i in range(n):

@@ -312,6 +312,31 @@ def test_build_all_right_hand_only():
     assert series[0].channel is Channel.RIGHT
 
 
+def test_build_all_left_hand_only():
+    seq = sequence([0.0, 1 / 30], item=UpdrsItem.HAND_MOVEMENT, left_hand=[hand_pose()] * 2)
+    assert [s.channel for s in build_all(seq)] == [Channel.LEFT]
+
+
+@pytest.mark.parametrize(
+    "item, given, missing",
+    [
+        (UpdrsItem.FINGER_TAPS, "body", "left_hand"),
+        (UpdrsItem.HAND_MOVEMENT, "body", "left_hand"),
+        (UpdrsItem.ALTERNATING_HANDS, "body", "left_hand"),
+        (UpdrsItem.LEG_AGILITY, "right_hand", "body"),
+        (UpdrsItem.FOOT_TAPS, "right_hand", "body"),
+    ],
+    ids=lambda v: v.value if isinstance(v, UpdrsItem) else v,
+)
+def test_build_all_without_a_carried_slot_raises(item, given, missing):
+    # no frame carries a slot the item reads: no channel is built, and the first one says why
+    pose = body_pose() if given == "body" else hand_pose()
+    seq = sequence([0.0, 1 / 30], item=item, **{given: [pose] * 2})
+    with pytest.raises(MissingLandmark) as exc:
+        build_all(seq)
+    assert str(exc.value) == f"no frame carries {missing} for {item.value}/left"
+
+
 def test_build_all_rejects_a_plane_that_is_not_a_plane():
     # the string "2d" used to mean the depth plane
     sc = MotionScenario(item=UpdrsItem.FINGER_TAPS, duration_s=1.0, seed=0)
