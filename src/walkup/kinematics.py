@@ -11,8 +11,10 @@ angle is only well defined against the image horizontal.
 
 Dot products and norms (``_dot``) are stacked matrix products, so BLAS
 computes them, and their last bits depend on the OpenBLAS kernel that the host
-picks: the SkylakeX and Haswell kernels give different bits.
-acos/atan2/hypot run per element through ``math``, so they give ``math``'s
+picks: the SkylakeX and Haswell kernels give different bits. Both angle
+functions call a direction undefined by the same test on that norm,
+``sqrt(_dot(u, u)) <= NORM_EPS``.
+acos/atan2 run per element through ``math``, so they give ``math``'s
 floats, which NumPy's own ufuncs do not.
 """
 
@@ -30,7 +32,6 @@ NORM_EPS = 1e-9
 
 _acos_deg = np.vectorize(lambda c: math.degrees(math.acos(c)), otypes=[float])
 _atan2_deg = np.vectorize(lambda y, x: math.degrees(math.atan2(y, x)), otypes=[float])
-_hypot = np.vectorize(math.hypot, otypes=[float])
 
 
 class Plane(enum.Enum):
@@ -80,10 +81,9 @@ def angle_to_horizontal(u: np.ndarray) -> np.ndarray:
     ``u``: atan2(|dy|, |dx|). NaN where the image-plane norm is at most
     ``NORM_EPS``.
     """
-    u = np.asarray(u, dtype=float)
-    dx, dy = u[..., 0], u[..., 1]
-    degenerate = _hypot(dx, dy) <= NORM_EPS
-    return _atan2_deg(np.where(degenerate, np.nan, np.abs(dy)), np.abs(dx))
+    u = np.asarray(u, dtype=float)[..., :2]
+    degenerate = np.sqrt(_dot(u, u)) <= NORM_EPS
+    return _atan2_deg(np.where(degenerate, np.nan, np.abs(u[..., 1])), np.abs(u[..., 0]))
 
 
 def distance(

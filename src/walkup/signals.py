@@ -8,12 +8,12 @@
 * leg agility        A5 = angle at the hip between hip->knee and hip->shoulder
 * foot taps          A6 = angle at the ankle between ankle->knee and ankle->foot tip
 
-Each side reads the pose slot that ``core.CHANNEL_SLOTS`` names for it. The
-three angle items differ only in their landmarks, which the ``_ANGLES`` table
-names per side.
+Every channel reads only the pose slot that ``core.CHANNEL_SLOTS`` names for
+it. The three angle items differ only in their landmarks, which the
+``_ANGLES`` table names per side.
 
 Tremor (T4), built by ``tremor_signal``, is windowed: the x(t), y(t) of
-every landmark visible in all frames is high-pass filtered (zero-phase,
+every ``body`` landmark visible in all frames is high-pass filtered (zero-phase,
 second-order Butterworth run forward-backward) and the window is flagged 1
 iff any landmark's filtered displacement RMS exceeds the threshold. The
 filter repeats the float operations of SciPy's
@@ -126,7 +126,7 @@ def side_signal(
             vector_between(pts, core.THUMB_TIP, core.PINKY_TIP, plane, min_visibility)
         )
 
-    keep = seq.present[slot] & ~np.isnan(values)
+    keep = ~np.isnan(values)  # an absent row is all NaN, so its value is too
     if not keep.any():
         raise MissingLandmark(
             f"every {where} value is undefined (low visibility or degenerate geometry)"
@@ -135,14 +135,6 @@ def side_signal(
 
 
 # ── tremor ───────────────────────────────────────────────────────────
-
-
-def _landmark_tracks(seq: LandmarkSequence, min_visibility: float) -> np.ndarray:
-    """Stack x/y tracks of every landmark visible in all frames:
-    (n_frames, n_tracks, 2). An absent slot's NaN visibility is not visible."""
-    return np.concatenate(
-        [pts[:, (pts[:, :, 3] >= min_visibility).all(axis=0), :2] for pts in seq.poses.values()], axis=1
-    )
 
 
 def _butter_highpass(cut: float) -> tuple[np.ndarray, np.ndarray]:
@@ -201,9 +193,13 @@ def tremor_signal(
     The whole sequence is filtered once (zero-phase high-pass), then RMS is
     evaluated over sliding windows of ``cfg.window_s`` seconds with the
     configured overlap; each value sits at its window-center timestamp.
-    The tracks are the landmarks visible at ``min_visibility`` in every
-    frame (MissingLandmark if none); a frame without their slot has none.
+    The tracks are the ``body`` landmarks (the slot ``core.CHANNEL_SLOTS``
+    names) visible at ``min_visibility`` in every frame: MissingLandmark if
+    no frame carries the body or none of its landmarks is visible throughout.
     """
+    slot = core.CHANNEL_SLOTS[UpdrsItem.TREMOR_AT_REST][Channel.GLOBAL]
+    if not seq.present[slot].any():
+        raise MissingLandmark(f"no frame carries {slot} for tremor_at_rest/global")
     n = len(seq)
     times = seq.timestamps
     if n < 2:
@@ -216,7 +212,8 @@ def tremor_signal(
             f"{n} frames < one {cfg.window_s:.2f}s window ({win} frames at {fs:.1f} fps)"
         )
 
-    tracks = _landmark_tracks(seq, min_visibility)  # (n, m, 2)
+    pts = seq.poses[slot]
+    tracks = pts[:, (pts[:, :, 3] >= min_visibility).all(axis=0), :2]  # (n, m, 2)
     if tracks.shape[1] == 0:
         raise MissingLandmark("no landmark visible across the whole sequence")
 
@@ -244,16 +241,11 @@ def tremor_signal(
     # per-frame squared displacement of each landmark
     sq = filtered[:, :, 0] ** 2 + filtered[:, :, 1] ** 2
 
-    values: list[float] = []
-    centers: list[float] = []
-    start = 0
-    while start + win <= n:
-        rms = np.sqrt(sq[start : start + win].mean(axis=0))
-        values.append(1.0 if float(rms.max()) > cfg.rms_threshold else 0.0)
-        centers.append(0.5 * (times[start] + times[start + win - 1]))
-        start += hop
-
-    return SignalSeries(UpdrsItem.TREMOR_AT_REST, Channel.GLOBAL, np.array(values), np.array(centers))
+    # each window's largest displacement RMS over the landmarks, flagged above the threshold
+    starts = np.arange(0, n - win + 1, hop)
+    rms = np.array([np.sqrt(sq[s : s + win].mean(axis=0)).max() for s in starts])
+    centers = 0.5 * (times[starts] + times[starts + win - 1])
+    return SignalSeries(UpdrsItem.TREMOR_AT_REST, Channel.GLOBAL, (rms > cfg.rms_threshold).astype(float), centers)
 
 
 # ── dispatch ─────────────────────────────────────────────────────────

@@ -322,17 +322,21 @@ def _synth(tmp_path, item: str) -> Path:
 
 
 @pytest.mark.parametrize(
-    "recorded, analyzed_as, slot",
-    [("leg_agility", "finger_taps", "left_hand"), ("finger_taps", "leg_agility", "body")],
-    ids=["body_only_as_finger_taps", "hands_only_as_leg_agility"],
+    "recorded, analyzed_as, slot, channel",
+    [
+        ("leg_agility", "finger_taps", "left_hand", "left"),
+        ("finger_taps", "leg_agility", "body", "left"),
+        ("finger_taps", "tremor_at_rest", "body", "global"),
+    ],
+    ids=["body_only_as_finger_taps", "hands_only_as_leg_agility", "hands_only_as_tremor_at_rest"],
 )
-def test_analyze_input_without_the_items_slots_exits_1(capsys, tmp_path, recorded, analyzed_as, slot):
+def test_analyze_input_without_the_items_slots_exits_1(capsys, tmp_path, recorded, analyzed_as, slot, channel):
     # no frame carries a slot of the item's channels, so no channel is built and no file written
     path, out = _synth(tmp_path, recorded), tmp_path / "out"
     capsys.readouterr()  # drop the fixture's synth message
     code, _, err = _run(capsys, "analyze", "--in", str(path), "--item", analyzed_as, "--out", str(out))
     assert code == 1
-    assert err == f"{path}: MissingLandmark: no frame carries {slot} for {analyzed_as}/left\n"
+    assert err == f"{path}: MissingLandmark: no frame carries {slot} for {analyzed_as}/{channel}\n"
     assert not list(out.rglob("*"))
 
 
@@ -1163,6 +1167,32 @@ def test_analyze_repairs_a_dropped_hand_unless_drop(capsys, tmp_path, tap_fixtur
         assert report["channels"]["left"]["signal"]["length"] == 300
         lengths[gap_fill] = report["channels"]["right"]["signal"]["length"]
     assert lengths == {"linear_interp": 300, "hold_last": 300, "drop": 290}
+
+
+def test_analyze_dropped_hand_frame_prints_no_warning(tmp_path):
+    """An absent hand row is NaN under drop; the alternating-hands angle skips
+    it with nothing on stderr but the analyzed line.
+
+    Runs in a fresh interpreter, where Python's default filters print a
+    RuntimeWarning that package code or numpy raises."""
+    clean = tmp_path / "clean.jsonl"
+    assert main(["synth", "--item", "alternating_hands", "--duration", "3", "--out", str(clean)]) == 0
+
+    def drop_right(i, frame):
+        if i == 5:
+            del frame["right_hand"]
+
+    dropped = _rewrite_frames(clean, tmp_path / "dropped.jsonl", drop_right)
+    cfg, out = tmp_path / "drop.json", tmp_path / "out"
+    cfg.write_text(json.dumps({"gap_fill": "drop"}))
+    src = str(Path(walkup.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env.pop("PYTHONWARNINGS", None)
+    argv = ["analyze", "--in", str(dropped), "--out", str(out), "--config", str(cfg)]
+    proc = subprocess.run([sys.executable, "-m", "walkup.cli", *argv], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == f"analyzed {dropped} -> {out}\n"
+    assert json.loads((out / "report.json").read_text())["channels"]["right"]["signal"]["length"] == 89
 
 
 def test_analyze_names_files_by_stem_without_subject(capsys, tmp_path, tap_fixture):

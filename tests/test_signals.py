@@ -252,6 +252,20 @@ def test_tremor_slow_drift_filtered_out():
     assert (s.values == 0.0).all()
 
 
+def test_tremor_reads_only_the_body():
+    # a right hand shaking at 5 Hz (RMS 0.0141 > 0.005) beside a still body: tremor reads
+    # the body, the slot core.CHANNEL_SLOTS names, so the hand changes no window
+    fps, n = 30.0, 300
+    bodies = [body_pose()] * n
+    hands = [hand_pose({0: (0.5 + 0.02 * math.sin(2 * math.pi * 5.0 * (i / fps)), 0.5)}) for i in range(n)]
+    both = sequence(fps=fps, item=UpdrsItem.TREMOR_AT_REST, body=bodies, right_hand=hands)
+    alone = tremor_signal(_static_body_seq(n=n, fps=fps))
+    s = tremor_signal(both)
+    assert (alone.values == 0.0).all()
+    assert np.array_equal(s.values, alone.values)
+    assert np.array_equal(s.timestamps, alone.timestamps)
+
+
 def test_tremor_sequence_too_short():
     with pytest.raises(SequenceTooShort):
         tremor_signal(_static_body_seq(n=10))
