@@ -2,13 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .core import (
-    Channel,
-    LandmarkSequence,
-    SignalSeries,
-    UpdrsItem,
-    validate_sequence,
-)
+from .core import Channel, LandmarkSequence, SignalSeries, UpdrsItem
 from .features import FeatureSpec, FeatureVector, default_specs, extract
 from .ingest import FileFormat, GapFill, IngestConfig, parse_frames, resample
 from .kinematics import Plane
@@ -22,7 +16,6 @@ __all__ = [
     "UpdrsItem",
     "Channel",
     "SignalSeries",
-    "validate_sequence",
     "FileFormat",
     "GapFill",
     "IngestConfig",

@@ -27,13 +27,13 @@ from typing import Optional
 
 import numpy as np
 
-from .core import UpdrsItem, validate_sequence
+from .core import CHANNEL_SLOTS, UpdrsItem
 from .errors import UnreadableInput, WalkupError
 from .features import default_specs, extract_values, features_csv, features_json_payload
 from .ingest import FileFormat, csv_number, parse_frames, write_sequence
 from .peaks import CadenceStats, overlay_csv
 from .report import (
-    REPORT_SCHEMA, AnalysisConfig, analyze, atomic_write, file_digest, plot_svg, report_json,
+    REPORT_SCHEMA, AnalysisConfig, analyze, atomic_write, build_series, file_digest, plot_svg, report_json,
 )
 from .signals import signal_csv
 from .synth import MotionScenario, generate
@@ -73,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
         p.add_argument("--item", help="item tag override (e.g. finger_taps)")
 
-    p_validate = sub.add_parser("validate", help="diagnose a landmark file")
+    p_validate = sub.add_parser("validate", help="check a landmark file as analyze reads it, writing nothing")
     add_inputs(p_validate)
 
     p_analyze = sub.add_parser("analyze", help="full analysis: report + overlays + plots")
@@ -138,15 +138,14 @@ def _reader(args):
 def _cmd_validate(args) -> int:
     read = _reader(args)
 
-    def run(path: str) -> int:
+    def run(path: str) -> None:
         seq = read(path)
-        report = validate_sequence(seq)
-        for violation in report.violations:
-            _err(f"{path}: {violation}")
-        if not report.ok:
-            return EXIT_VALIDATION
-        _err(f"{path}: ok ({len(seq)} frames)")
-        return EXIT_OK
+        series = build_series(seq)
+        # per channel: the samples built, and the frames that carried its slot before repair
+        slots = CHANNEL_SLOTS[seq.item]
+        built = [f"{s.channel.value} {len(s)} samples, {slots[s.channel]} in "
+                 f"{int(seq.present[slots[s.channel]].sum())} frames" for s in series]
+        _err(f"{path}: ok ({len(seq)} frames; {'; '.join(built)})")
 
     return _each_input(args.inputs, run)
 
@@ -202,7 +201,6 @@ def _cmd_analyze(args) -> int:
     cfg = AnalysisConfig.load(args.config) if args.config else AnalysisConfig()
     render = partial(_render_one, read=read, cfg=cfg)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     inputs = args.inputs
     taken = {} if len(inputs) > 1 else None
     jobs = _jobs(len(inputs))

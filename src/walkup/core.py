@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional, get_type_hints
 
@@ -21,11 +21,8 @@ __all__ = [
     "UpdrsItem",
     "Channel",
     "SignalSeries",
-    "Violation",
-    "ValidationReport",
-    "validate_sequence",
     "fps_violation",
-    "frame_violations",
+    "frame_violation",
     "BODY_POINT_COUNT",
     "HAND_POINT_COUNT",
     "CHANNEL_SLOTS",
@@ -170,84 +167,43 @@ class SignalSeries:
         return f"{self.item.value}_{self.channel.value}"
 
 
-@dataclass(frozen=True)
-class Violation:
-    code: str
-    message: str
-    frame: Optional[int] = None
-
-    def __str__(self) -> str:
-        where = f" [frame {self.frame}]" if self.frame is not None else ""
-        return f"{self.code}: {self.message}{where}"
-
-
-@dataclass
-class ValidationReport:
-    violations: list[Violation] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __str__(self) -> str:
-        if self.ok:
-            return "ok"
-        return "\n".join(str(v) for v in self.violations)
-
-
-def fps_violation(fps: float) -> Optional[Violation]:
-    """The ``bad_fps`` violation of a frame rate that is not finite and positive, else None."""
+def fps_violation(fps: float) -> Optional[str]:
+    """Why a frame rate is not finite and positive, else None."""
     if np.isfinite(fps) and fps > 0:
         return None
-    return Violation("bad_fps", f"fps must be positive, got {fps}" if np.isfinite(fps) else "fps must be finite")
+    return f"fps must be positive, got {fps}" if np.isfinite(fps) else "fps must be finite"
 
 
-def frame_violations(seq: LandmarkSequence, first_only: bool = False) -> list[Violation]:
-    """The frame rules ``seq`` breaks, in frame order: timestamps are finite and
-    strictly increasing, and every landmark of a present slot is finite with
-    visibility in [0, 1]. ``first_only`` stops at the first violating frame."""
+def frame_violation(seq: LandmarkSequence) -> Optional[tuple[int, str]]:
+    """The first frame that breaks a frame rule, and why, else None: timestamps
+    are finite and strictly increasing, and every landmark of a present slot is
+    finite with visibility in [0, 1]."""
     t = seq.timestamps
     rises = np.append(True, t[1:] > t[:-1])
     bad = ~(np.isfinite(t) & rises)
     for slot, pts in seq.poses.items():
         rows = np.flatnonzero(seq.present[slot])  # only present rows: absent ones are NaN
         bad[rows[~_rows_ok(pts if len(rows) == len(t) else pts[rows])]] = True
-    found = []
-    for i in np.flatnonzero(bad)[: 1 if first_only else None].tolist():
-        if not np.isfinite(t[i]):
-            found.append(Violation("bad_timestamp", "non-finite number", i))
-        if not rises[i]:
-            found.append(Violation("non_monotone", "t must increase from frame to frame", i))
-        for slot, pts in seq.poses.items():
-            # each landmark as a row of one point
-            for j in np.flatnonzero(seq.present[slot][i] & ~_rows_ok(pts[i, :, None])).tolist():
-                finite = np.isfinite(pts[i, j]).all()
-                issue = f"{slot}[{j}]: visibility {pts[i, j, 3]} outside [0, 1]" if finite else "non-finite number"
-                found.append(Violation("bad_landmark", issue, i))
-    return found
+    if not bad.any():
+        return None
+    i = int(bad.argmax())
+    if not np.isfinite(t[i]):
+        return i, "non-finite number"
+    if not rises[i]:
+        return i, "t must increase from frame to frame"
+    for slot, pts in seq.poses.items():
+        ok = _rows_ok(pts[i, :, None])  # each landmark as a row of one point
+        if seq.present[slot][i] and not ok.all():
+            j = int(ok.argmin())
+            if not np.isfinite(pts[i, j]).all():
+                return i, "non-finite number"
+            return i, f"{slot}[{j}]: visibility {pts[i, j, 3]} outside [0, 1]"
 
 
 def _rows_ok(block: np.ndarray) -> np.ndarray:
     """Per row of ``(rows, points, 4)`` landmarks: all finite, visibility in [0, 1]."""
     vis = block[:, :, 3]
     return np.isfinite(block).all(axis=(1, 2)) & ((vis >= 0.0) & (vis <= 1.0)).all(axis=1)
-
-
-def validate_sequence(seq: LandmarkSequence) -> ValidationReport:
-    """Diagnose a sequence against the rules ``parse_frames`` applies to every
-    file (``fps_violation``, ``frame_violations``; negative timestamps are
-    allowed) and the item's ``CHANNEL_SLOTS`` (``missing_pose``). Returns a
-    report rather than raising: an empty report means valid."""
-    if not len(seq):
-        return ValidationReport([Violation("empty", "sequence contains no frames")])
-    found = [v for v in [fps_violation(seq.fps)] if v] + frame_violations(seq)
-    if seq.item is not None:
-        slots = dict.fromkeys(CHANNEL_SLOTS[seq.item].values())
-        missing = int((~np.logical_or.reduce([seq.present[slot] for slot in slots])).sum())
-        if missing:
-            message = f"item requires {' or '.join(slots)} landmarks; missing in {missing} of {len(seq)} frames"
-            found.append(Violation("missing_pose", message))
-    return ValidationReport(found)
 
 
 def as_number(value, what: str) -> float:

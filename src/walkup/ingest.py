@@ -55,7 +55,7 @@ import numpy as np
 import orjson
 
 from .core import BODY_POINT_COUNT, HAND_POINT_COUNT, SLOT_POINTS, LandmarkSequence, UpdrsItem
-from .core import check_fields, fps_violation, frame_violations
+from .core import check_fields, fps_violation, frame_violation
 from .errors import EmptySequence, SchemaError, UnreadableInput
 
 __all__ = [
@@ -113,7 +113,7 @@ def parse_frames(
     ``item`` overrides or supplies the item tag the file itself may lack. A
     CSV's fps is inferred from its timestamps (``_stack``).
     Raises SchemaError with the line number on malformed input and at the
-    first frame that breaks a rule of ``core.frame_violations`` (at the header
+    first frame that breaks a rule of ``core.frame_violation`` (at the header
     for one of ``core.fps_violation``); EmptySequence when no frame lines are
     present; UnreadableInput when the file cannot be read.
     """
@@ -221,11 +221,11 @@ def _stack(frames: Iterable, fps: Optional[float], item, subject_id: str, header
     rate = fps if fps is not None else (n - 1) / span if span > 0 else 30.0
     times = np.array(times, dtype=float)
     seq = LandmarkSequence(times, poses, rate, item, subject_id)
-    if broken := frame_violations(seq, first_only=True):
-        raise SchemaError(lines[broken[0].frame], broken[0].message)
+    if broken := frame_violation(seq):
+        raise SchemaError(lines[broken[0]], broken[1])
     if fps is None:
         if bad_fps := fps_violation(rate):
-            raise SchemaError(header_line, bad_fps.message)
+            raise SchemaError(header_line, bad_fps)
     elif n >= 2:
         # a median frame interval outside [0.5, 2] declared periods (t in
         # milliseconds, say) is an error at the header, not a quietly wrong scale
@@ -253,7 +253,7 @@ def _parse_jsonl(lines: Iterable[str], item: Optional[UpdrsItem]) -> LandmarkSeq
         raise SchemaError(header_no, 'header must be an object with an "fps" field')
     fps = _number(header["fps"], header_no, "fps must be numeric")
     if bad_fps := fps_violation(fps):
-        raise SchemaError(header_no, bad_fps.message)
+        raise SchemaError(header_no, bad_fps)
     try:
         named = UpdrsItem.from_name(header["item"]) if header.get("item") else None
     except ValueError as exc:

@@ -26,7 +26,7 @@ from .peaks import CadenceStats, PeakConfig, cadence_stats, detect_peaks
 from .signals import TremorConfig, build_all
 
 __all__ = [
-    "AnalysisConfig", "ChannelResult", "AnalysisReport", "analyze", "report_json", "plot_svg",
+    "AnalysisConfig", "ChannelResult", "AnalysisReport", "build_series", "analyze", "report_json", "plot_svg",
 ]
 
 REPORT_SCHEMA = "walkup-report/1"
@@ -134,25 +134,30 @@ def file_digest(path) -> str:
     return "sha256:" + h.hexdigest()
 
 
-def analyze(
-    seq: LandmarkSequence,
-    config: AnalysisConfig = AnalysisConfig(),
-    digest: str = "",
-) -> AnalysisReport:
-    """Run the full pipeline: clean, (optionally) resample, build signals,
-    then detect peaks, compute cadence statistics and the feature set."""
+def build_series(seq: LandmarkSequence, config: AnalysisConfig = AnalysisConfig()) -> list[SignalSeries]:
+    """The first half of ``analyze``: clean, (optionally) resample, and build
+    every channel's signal. Raises where the input cannot be analyzed."""
     if seq.item is None:
         raise ValueError("sequence has no item tag; pass --item or tag the file")
     seq = fill_gaps(seq, config)
     if config.resample_fps is not None:
         seq = resample(seq, config)
-
-    specs = default_specs()
-    channels = []
     # Repaired landmarks carry visibility == min_visibility, so the same
     # threshold admits them while leaving unrepairable ones as gaps.
-    for series in build_all(seq, tremor_cfg=config.tremor, min_visibility=config.min_visibility,
-                            plane=config.plane, normalize_palm=config.normalize_palm):
+    return build_all(seq, tremor_cfg=config.tremor, min_visibility=config.min_visibility,
+                     plane=config.plane, normalize_palm=config.normalize_palm)
+
+
+def analyze(
+    seq: LandmarkSequence,
+    config: AnalysisConfig = AnalysisConfig(),
+    digest: str = "",
+) -> AnalysisReport:
+    """Run the full pipeline: ``build_series``, then detect peaks, compute
+    cadence statistics and the feature set."""
+    specs = default_specs()
+    channels = []
+    for series in build_series(seq, config):
         pk, tr = detect_peaks(series, config.peaks)
         stats = cadence_stats(series, pk, tr)
         channels.append(ChannelResult(series, pk, tr, stats, extract(series, specs)))

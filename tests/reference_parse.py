@@ -16,7 +16,7 @@ import io
 
 import numpy as np
 
-from walkup.core import SLOT_POINTS, LandmarkSequence, fps_violation, frame_violations
+from walkup.core import SLOT_POINTS, LandmarkSequence, fps_violation, frame_violation
 from walkup.errors import EmptySequence, SchemaError
 from walkup.ingest import _decode, _decode_frame
 
@@ -60,7 +60,7 @@ def parse_jsonl(text: str) -> LandmarkSequence:
         raise SchemaError(header_no, 'header must be an object with an "fps" field')
     fps = _float(header["fps"], header_no, "fps must be numeric")
     if bad_fps := fps_violation(fps):
-        raise SchemaError(header_no, bad_fps.message)
+        raise SchemaError(header_no, bad_fps)
 
     frames = []
     for line_no, raw in frame_lines:
@@ -89,6 +89,6 @@ def parse_jsonl(text: str) -> LandmarkSequence:
         if idx:
             poses[slot][idx] = np.array([frames[i][2][slot] for i in idx])
     seq = LandmarkSequence(t, poses, fps)
-    if broken := frame_violations(seq, first_only=True):
-        raise SchemaError(frames[broken[0].frame][0], broken[0].message)
+    if broken := frame_violation(seq):
+        raise SchemaError(frames[broken[0]][0], broken[1])
     return seq

@@ -4,6 +4,8 @@ import hashlib
 import json
 import math
 import os
+import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +19,7 @@ from walkup import cli
 from walkup.cli import main
 from walkup.core import LandmarkSequence, UpdrsItem
 from walkup.features import linear_trend
-from walkup.ingest import FileFormat, parse_frames, write_sequence
+from walkup.ingest import FileFormat, parse_frames, serialize_csv, write_sequence
 from walkup.synth import MotionScenario, generate
 
 
@@ -48,10 +50,14 @@ def _right_only_fixture(tmp_path, tap_fixture) -> Path:
     return out
 
 
+# validate's line for the tap fixture: each channel's samples, and the frames that carried its slot
+_TAP_OK = "ok (300 frames; left 300 samples, left_hand in 300 frames; right 300 samples, right_hand in 300 frames)"
+
+
 def test_synth_then_validate_ok(capsys, tap_fixture):
     code, _, err = _run(capsys, "validate", "--in", str(tap_fixture))
     assert code == 0
-    assert "ok" in err
+    assert err.endswith(f"{tap_fixture}: {_TAP_OK}\n")
 
 
 def test_validate_empty_file(capsys, tmp_path):
@@ -171,9 +177,94 @@ def test_validate_batch_runs_inputs_in_order(capsys, tmp_path, tap_fixture):
     # the missing file's I/O error outranks the third input's violation, which still runs
     assert code == 3
     first, second, third = err.splitlines()
-    assert first == f"{tap_fixture}: ok (300 frames)"
+    assert first == f"{tap_fixture}: {_TAP_OK}"
     assert second.startswith(f"{missing}: UnreadableInput: cannot read {missing}: ")
-    assert third.startswith(f"{body_only}: missing_pose")
+    assert third == f"{body_only}: MissingLandmark: no frame carries left_hand for finger_taps/left"
+
+
+def _low_visibility(tmp_path) -> Path:
+    """A seed-1 finger-tap recording whose left hand is at visibility 0.1 in every frame."""
+    seq = generate(MotionScenario(item=UpdrsItem.FINGER_TAPS, seed=1))
+    left = seq.poses["left_hand"].copy()
+    left[:, :, 3] = 0.1
+    path = tmp_path / "low_visibility.jsonl"
+    write_sequence(dataclasses.replace(seq, poses={**seq.poses, "left_hand": left}), path)
+    return path
+
+
+def _disagreements(tmp_path) -> dict[str, tuple[Path, list[str]]]:
+    """Inputs on which validate and analyze once gave different exit codes, by
+    name: each file and the options it is read with."""
+    seq = generate(MotionScenario(item=UpdrsItem.FINGER_TAPS, seed=1))
+    poses = {slot: pts.copy() for slot, pts in seq.poses.items()}
+    poses["left_hand"][10:21] = poses["right_hand"][10:21] = np.nan
+    poses["body"][10:21] = np.tile([0.5, 0.5, 0.0, 1.0], (33, 1))  # frames 10-20 carry only a body
+    body_frames, untagged = tmp_path / "body_frames.jsonl", tmp_path / "untagged.csv"
+    write_sequence(dataclasses.replace(seq, poses=poses), body_frames)
+    write_sequence(seq, untagged, FileFormat.CSV)
+    return {
+        "low_visibility": (_low_visibility(tmp_path), []),
+        "body_frames": (body_frames, []),
+        "untagged_csv": (untagged, ["--format", "csv"]),
+    }
+
+
+def _malformed_copies(src: Path, d: Path) -> list[Path]:
+    """The malformed copies of the fixture finger-tap recording ``src`` that CI
+    checks: a 3-number point, a string coordinate, a boolean fps, a null or a
+    traversing subject, every t in milliseconds, and a CSV cell ``1_0``."""
+    lines = src.read_text().splitlines(keepends=True)
+    copies = []
+    for name, no, pattern, repl in [
+        ("three_numbers", 5, r"\[([^][,]+), ([^][,]+), ([^][,]+), [^][,]+\]", r"[\1, \2, \3]"),
+        ("string_coordinate", 7, r"\[\[[^][,]+,", '[["0.5",'),
+        ("fps_true", 1, r'"fps": [^,}]+', '"fps": true'),
+        ("subject_null", 1, r'"subject": "[^"]*"', '"subject": null'),
+        ("subject_traversal", 1, r'"subject": "[^"]*"', '"subject": "../escaped"'),
+    ]:
+        bad = lines.copy()
+        bad[no - 1] = re.sub(pattern, repl, bad[no - 1], count=1)
+        copies.append(d / f"bad_{name}.jsonl")
+        copies[-1].write_text("".join(bad))
+    scaled = [re.sub(r'"t": ([^,}]+)', lambda m: f'"t": {float(m[1]) * 1000!r}', line, count=1) for line in lines[1:]]
+    copies.append(d / "bad_milliseconds.jsonl")
+    copies[-1].write_text(lines[0] + "".join(scaled))
+    rows = serialize_csv(parse_frames(src)).splitlines(keepends=True)
+    cells = rows[4].split(",")
+    cells[next(k for k, cell in enumerate(cells) if k and cell)] = "1_0"
+    rows[4] = ",".join(cells)
+    copies.append(d / "bad_underscore.csv")
+    copies[-1].write_text("".join(rows))
+    return copies
+
+
+def test_validate_gives_analyze_exit_code(capsys, tmp_path, monkeypatch):
+    corpus = tmp_path / "corpus"
+    monkeypatch.setattr(sys, "argv", ["make_fixtures.py", str(corpus)])
+    assert runpy.run_path(str(Path(__file__).parents[1] / "scripts" / "make_fixtures.py"))["main"]() == 0
+    cases = {path.stem: (path, []) for path in sorted(corpus.glob("*.jsonl"))}
+    cases.update(_disagreements(tmp_path))
+    for bad in _malformed_copies(corpus / "finger_taps.jsonl", tmp_path):
+        cases[bad.stem] = (bad, ["--format", bad.suffix[1:], "--item", "finger_taps"])
+    # the wrong slot for the item: no frame carries the hands, or the body
+    cases["no_hands"] = (corpus / "leg_agility.jsonl", ["--item", "finger_taps"])
+    cases["no_body"] = (corpus / "finger_taps.jsonl", ["--item", "tremor_at_rest"])
+    codes = {}
+    for name, (path, options) in cases.items():
+        validate = _run(capsys, "validate", "--in", str(path), *options)[0]
+        analyze = _run(capsys, "analyze", "--in", str(path), *options, "--out", str(tmp_path / "out" / name))[0]
+        codes[name] = (validate, analyze)
+    assert {name: pair for name, pair in codes.items() if pair[0] != pair[1]} == {}
+    assert [codes[name] for name in ("low_visibility", "body_frames", "untagged_csv")] == [(1, 1), (0, 0), (2, 2)]
+    assert {pair for name, pair in codes.items() if name.startswith(("bad_", "no_"))} == {(1, 1)}
+    assert [codes[item.value] for item in UpdrsItem] == [(0, 0)] * len(UpdrsItem)
+
+
+def test_analyze_failing_single_input_makes_no_out(capsys, tmp_path):
+    out = tmp_path / "out"
+    code, _, err = _run(capsys, "analyze", "--in", str(_low_visibility(tmp_path)), "--out", str(out))
+    assert code == 1 and "MissingLandmark: every finger_taps/left value is undefined" in err
+    assert not out.exists()
 
 
 def _edit(seq, frames=None, t=None, fps=None, point=None) -> LandmarkSequence:
@@ -240,7 +331,7 @@ def test_negative_timestamps_are_valid_and_change_no_channel(capsys, tmp_path, t
     shifted = tmp_path / "shifted.jsonl"
     write_sequence(dataclasses.replace(seq, timestamps=seq.timestamps - 0.5), shifted)
     code, _, err = _run(capsys, "validate", "--in", str(shifted))
-    assert code == 0 and err.endswith(f"{shifted}: ok (300 frames)\n")
+    assert code == 0 and err.endswith(f"{shifted}: {_TAP_OK}\n")
     options = []
     if config:
         (tmp_path / "cfg.json").write_text(json.dumps(config))
@@ -426,9 +517,12 @@ def test_analyze_subject_cannot_lead_out_of_out(capsys, tmp_path, tap_fixture, b
     code, _, err = _run(capsys, "analyze", "--in", *map(str, [tap_fixture] * batch + [bad]), "--out", str(out))
     assert code == 1
     assert f"{bad}: {_UNSAFE_SUBJECT_ERROR}" in err
-    assert list((tmp_path / "o").iterdir()) == [out]
     assert not list(tmp_path.rglob("escaped*"))
-    assert [p.name for p in out.iterdir()] == ["synth-3_finger_taps"] * batch
+    if batch:
+        assert list((tmp_path / "o").iterdir()) == [out]
+        assert [p.name for p in out.iterdir()] == ["synth-3_finger_taps"]
+    else:  # no input was written, so there is no --out
+        assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["validate", "analyze"])

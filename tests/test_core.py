@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import body_pose, body_sequence, hand_pose, hand_sequence, sequence
+from tests.conftest import body_pose, hand_pose, hand_sequence, sequence
 from walkup.core import (
     CHANNEL_SLOTS,
     LandmarkSequence,
     SignalSeries,
     UpdrsItem,
-    validate_sequence,
+    fps_violation,
+    frame_violation,
 )
 
 
@@ -49,66 +50,48 @@ def test_one_frame_lasts_zero_seconds():
     assert _one_frame("body", 33).duration_s == 0.0
 
 
+def _valid(seq: LandmarkSequence) -> bool:
+    """Whether ``seq`` keeps the rules ``parse_frames`` applies to every file."""
+    return fps_violation(seq.fps) is None and frame_violation(seq) is None
+
+
 def test_validate_well_formed_sequence():
-    seq = hand_sequence([hand_pose(), hand_pose()])
-    assert validate_sequence(seq).ok
-    assert str(validate_sequence(seq)) == "ok"
+    assert _valid(hand_sequence([hand_pose(), hand_pose()]))
 
 
 def test_validate_equal_timestamps():
     seq = sequence([0.0, 0.0], item=UpdrsItem.FINGER_TAPS, right_hand=[hand_pose(), hand_pose()])
-    report = validate_sequence(seq)
-    assert any(v.message == "t must increase from frame to frame" for v in report.violations)
-    assert str(report) == "non_monotone: t must increase from frame to frame [frame 1]"
+    assert frame_violation(seq) == (1, "t must increase from frame to frame")
 
 
 def test_validate_allows_negative_timestamps():
     seq = sequence([-0.5, -0.2, 0.1], item=UpdrsItem.FINGER_TAPS, right_hand=[hand_pose()] * 3)
-    assert validate_sequence(seq).ok
+    assert _valid(seq)
 
 
-def test_validate_reports_every_violation_in_frame_order():
+def test_frame_violation_names_the_first_broken_rule_of_the_first_bad_frame():
     pts = hand_pose()
     pts[4, 3] = -0.5
-    seq = sequence([0.0, 0.0, math.nan], fps=math.inf, right_hand=[hand_pose(), pts, hand_pose()])
-    found = [(v.code, v.frame, v.message) for v in validate_sequence(seq).violations]
-    assert found == [
-        ("bad_fps", None, "fps must be finite"),
-        ("non_monotone", 1, "t must increase from frame to frame"),
-        ("bad_landmark", 1, "right_hand[4]: visibility -0.5 outside [0, 1]"),
-        ("bad_timestamp", 2, "non-finite number"),
-        ("non_monotone", 2, "t must increase from frame to frame"),
-    ]
-
-
-def test_validate_item_pose_requirement():
-    seq = body_sequence([body_pose(), body_pose()], item=UpdrsItem.FINGER_TAPS)
-    report = validate_sequence(seq)
-    assert any("item requires left_hand or right_hand landmarks" in v.message for v in report.violations)
+    seq = sequence([0.0, 0.5, math.nan], right_hand=[hand_pose(), pts, hand_pose()])
+    assert frame_violation(seq) == (1, "right_hand[4]: visibility -0.5 outside [0, 1]")
+    seq = sequence([0.0, math.nan, 0.0], right_hand=[hand_pose(), pts, hand_pose()])
+    assert frame_violation(seq) == (1, "non-finite number")
 
 
 def test_validate_flags_nan_coordinate():
     bad = hand_pose({4: (float("nan"), 0.5)})
-    seq = hand_sequence([bad])
-    report = validate_sequence(seq)
-    assert any(v.code == "bad_landmark" for v in report.violations)
+    assert frame_violation(hand_sequence([bad])) == (0, "non-finite number")
 
 
 def test_validate_flags_bad_visibility():
     pts = hand_pose(visibility=1.0)
     pts[0] = (0.1, 0.1, 0.0, 1.5)  # one landmark with out-of-range visibility
-    report = validate_sequence(sequence([0.0], right_hand=[pts]))
-    assert any("visibility" in v.message for v in report.violations)
-
-
-def test_validate_empty_sequence():
-    report = validate_sequence(sequence([]))
-    assert not report.ok and report.violations[0].code == "empty"
+    assert frame_violation(sequence([0.0], right_hand=[pts])) == (0, "right_hand[0]: visibility 1.5 outside [0, 1]")
 
 
 def test_validate_bad_fps():
-    seq = sequence([0.0], fps=0.0, right_hand=[hand_pose()])
-    assert any(v.code == "bad_fps" for v in validate_sequence(seq).violations)
+    assert fps_violation(0.0) == "fps must be positive, got 0.0"
+    assert fps_violation(math.inf) == "fps must be finite"
 
 
 # ── property: generated-valid sequences pass; single mutations fail ──
@@ -138,11 +121,11 @@ def valid_sequences(draw):
 @settings(max_examples=50, deadline=None)
 @given(valid_sequences())
 def test_generated_valid_sequences_pass(seq):
-    assert validate_sequence(seq).ok
+    assert _valid(seq)
 
 
 @settings(max_examples=50, deadline=None)
-@given(valid_sequences(), st.sampled_from(["fps", "timestamp", "nan", "pose"]))
+@given(valid_sequences(), st.sampled_from(["fps", "timestamp", "nan", "visibility"]))
 def test_single_mutation_is_caught(seq, mutation):
     if mutation == "fps":
         broken = dataclasses.replace(seq, fps=-1.0)
@@ -150,19 +133,9 @@ def test_single_mutation_is_caught(seq, mutation):
         times = seq.timestamps.copy()
         times[1] = times[0]
         broken = dataclasses.replace(seq, timestamps=times)
-    elif mutation == "nan":
+    else:
         slot = "right_hand" if seq.present["right_hand"][0] else "body"
         pts = seq.poses[slot].copy()
-        pts[0, 3] = (np.nan, 0.5, 0.0, 1.0)
+        pts[0, 3] = (np.nan, 0.5, 0.0, 1.0) if mutation == "nan" else (0.5, 0.5, 0.0, 1.5)
         broken = dataclasses.replace(seq, poses={**seq.poses, slot: pts})
-    else:
-        # swap the required pose for the wrong one
-        broken = sequence(
-            seq.timestamps,
-            fps=seq.fps,
-            item=seq.item,
-            body=[None if p else body_pose() for p in seq.present["body"]],
-            right_hand=[None if p else hand_pose() for p in seq.present["right_hand"]],
-        )
-    report = validate_sequence(broken)
-    assert not report.ok
+    assert not _valid(broken)

@@ -136,9 +136,10 @@ def test_scenario_fields_are_checked_by_their_types():
 
 
 def test_generated_sequences_are_valid():
-    from walkup.core import validate_sequence
+    from walkup.core import fps_violation, frame_violation
 
     for item in UpdrsItem:
         sc = MotionScenario(item=item, duration_s=2.0,
                             base_amplitude=DEFAULT_AMPLITUDE[item] or 0.1, seed=6)
-        assert validate_sequence(generate(sc)).ok, item
+        seq = generate(sc)
+        assert fps_violation(seq.fps) is None and frame_violation(seq) is None, item
