@@ -77,7 +77,6 @@ class FileFormat(enum.Enum):
 
 
 class GapFill(enum.Enum):
-    HOLD_LAST = "hold_last"
     LINEAR_INTERP = "linear_interp"
     DROP = "drop"
 
@@ -403,15 +402,15 @@ def fill_gaps(seq: LandmarkSequence, cfg: IngestConfig) -> LandmarkSequence:
     The one owner of the missing-pose policy: a frame where a slot is absent
     counts as one where every landmark of that slot is invisible (its NaN
     visibility compares as not visible). LINEAR_INTERP bridges each such
-    landmark from its nearest visible samples in time; HOLD_LAST forward-fills
-    (backfilling a leading gap); DROP leaves the sequence untouched so
-    downstream consumers skip those landmarks and frames. Repaired landmarks
-    get visibility == min_visibility so they count as visible afterwards, and
-    are finite in every frame, so a slot with any repair holds a row of
-    numbers, and is present, in every frame. A landmark never visible stays as
-    it is, save in the frames where its slot was absent: there it takes finite
-    coordinates from the frames that carry the slot under the same policy, at
-    visibility 0.
+    landmark linearly in time between its nearest visible frames; before its
+    first visible frame and after its last one it takes the nearest visible
+    value. DROP leaves the sequence untouched so downstream consumers skip
+    those landmarks and frames. Repaired landmarks get visibility ==
+    min_visibility so they count as visible afterwards, and are finite in
+    every frame, so a slot with any repair holds a row of numbers, and is
+    present, in every frame. A landmark never visible stays as it is, save in
+    the frames where its slot was absent: there it takes finite coordinates
+    from the frames that carry the slot by the same rule, at visibility 0.
     Returns ``seq`` itself when no landmark needs repair.
     """
     if cfg.gap_fill is GapFill.DROP or not len(seq):
@@ -434,13 +433,7 @@ def fill_gaps(seq: LandmarkSequence, cfg: IngestConfig) -> LandmarkSequence:
             bad = ~good
             for axis in range(3):
                 col = block[:, j, axis]
-                if cfg.gap_fill is GapFill.LINEAR_INTERP:
-                    col[bad] = np.interp(t[bad], t[good], col[good])
-                else:  # HOLD_LAST
-                    idx = np.where(good)[0]
-                    pos = np.searchsorted(idx, np.where(bad)[0], side="right") - 1
-                    pos = np.clip(pos, 0, len(idx) - 1)
-                    col[bad] = col[idx[pos]]
+                col[bad] = np.interp(t[bad], t[good], col[good])
             block[bad, j, 3] = visibility
         repaired[slot] = block
 

@@ -716,13 +716,13 @@ def _seed_11_fixture(tmp_path, partly_absent: bool) -> Path:
         (None, _PARTLY_ABSENT_DEFAULT),
         # a null resample_fps is the default: the same bytes
         ({"resample_fps": None}, _PARTLY_ABSENT_DEFAULT),
-        ({"resample_fps": 45, "gap_fill": "hold_last"}, (
-            "d933f42f947fb1f5461b624f336556c085df3e1018a61789fdd90d657c93de64",
-            "18b1c724aa8f22d0a632930ae75bd5cb9bd39fbfefdea25922b553a84ba2dda8",
-            "132f80bdbe6adf4b35f3a5c28c2e8e6aea239ba1e34ab834814fac160d7cec90",
-            "b45b219a9ad6bb9276ee6c585c2f4226ad26710a0d59c64c055dbcf3105fae60",
-            "617eb18abf800737c235b01048e602b16d70cd2d5deebd73f447748defda6e1b",
-            "94f0bff1542965d596125fffbc29760fd87226b215b137ecb773cedbbdfcba87",
+        ({"resample_fps": 45}, (
+            "489cf381b4a1ee7788d68836aa86709ea598736a58b01371a8d44a509dd0f85d",
+            "b0042a6a0ad3f2af91c194bd4ebf67646459eee0f33c054d178fd2711d451374",
+            "f1f3d60a0be2231267760d25bb82694bcd2fcd31043a87f6ee9ef1e61ad6dcf5",
+            "0bb18849a7a62fca36f32ef0aa940a2ab04c4ff384dc3283bd49627269d396bc",
+            "d70efca8b2c8f2cd0e38aff49bf74c976e6a19d7760b42956fd0f204ffd609b5",
+            "a343d35de1ea5f40dbf8f017726f49bceae5e9bfb6a371123dc77aaadfb6aa79",
             "f82a6acca5c652a2ba13339f39de523d18581ef7ba982a38cbb6d6a3dc250c15",
         )),
         ({"gap_fill": "drop"}, (
@@ -745,7 +745,7 @@ def _seed_11_fixture(tmp_path, partly_absent: bool) -> Path:
             "58651ae4e67673388cd6877f7e0e32ba90230792371f8e746f2710613c42cd4d",
         )),
     ],
-    ids=["default", "null_fps", "hold_45", "drop", "drop_90"],
+    ids=["default", "null_fps", "resample_45", "drop", "drop_90"],
 )
 def test_partly_absent_input_outputs_are_pinned(capsys, tmp_path, config, digests):
     # SHA-256 of every file analyze writes for the partly absent seed-11 fixture
@@ -874,6 +874,16 @@ def test_bad_ingest_config_fails_once_at_load(capsys, tmp_path, tap_fixture, con
     code, _, err = _run(capsys, "analyze", "--in", str(tap_fixture), str(tap_fixture),
                         "--out", str(out), "--config", str(cfg_path))
     assert (code, err) == (2, f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_removed_gap_fill_hold_last_is_usage_error(capsys, tmp_path, tap_fixture):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"gap_fill": "hold_last"}))
+    out = tmp_path / "out"
+    capsys.readouterr()  # the fixture's own "wrote ..." line
+    code, _, err = _run(capsys, "analyze", "--in", str(tap_fixture), "--out", str(out), "--config", str(cfg_path))
+    assert (code, err) == (2, "error: config key 'gap_fill': expected one of ['linear_interp', 'drop'], got 'hold_last'\n")
     assert not out.exists()
 
 
@@ -1238,10 +1248,9 @@ def test_analyze_tremor_survives_one_frame_without_body(capsys, tmp_path):
             frame["left_hand"] = [[0.5, 0.5, 0.0, 1.0]] * 21
 
     dropped = _rewrite_frames(clean, tmp_path / "dropped.jsonl", swap)
-    for gap_fill in ("linear_interp", "hold_last"):
-        code, err, report = _analyze_with(capsys, tmp_path, dropped, gap_fill, gap_fill)
-        assert code == 0, err
-        assert list(report["channels"]) == ["global"]
+    code, err, report = _analyze_with(capsys, tmp_path, dropped, "linear_interp", "linear_interp")
+    assert code == 0, err
+    assert list(report["channels"]) == ["global"]
     code, err, report = _analyze_with(capsys, tmp_path, dropped, "drop", "drop")
     assert code == 1
     assert "MissingLandmark: no landmark visible across the whole sequence" in err
@@ -1255,12 +1264,12 @@ def test_analyze_repairs_a_dropped_hand_unless_drop(capsys, tmp_path, tap_fixtur
 
     dropped = _rewrite_frames(tap_fixture, tmp_path / "dropped.jsonl", drop_right)
     lengths = {}
-    for gap_fill in ("linear_interp", "hold_last", "drop"):
+    for gap_fill in ("linear_interp", "drop"):
         code, err, report = _analyze_with(capsys, tmp_path, dropped, gap_fill, gap_fill)
         assert code == 0, err
         assert report["channels"]["left"]["signal"]["length"] == 300
         lengths[gap_fill] = report["channels"]["right"]["signal"]["length"]
-    assert lengths == {"linear_interp": 300, "hold_last": 300, "drop": 290}
+    assert lengths == {"linear_interp": 300, "drop": 290}
 
 
 def test_analyze_dropped_hand_frame_prints_no_warning(tmp_path):

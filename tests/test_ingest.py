@@ -684,9 +684,6 @@ def test_resample_missing_pose_policies():
     bridged = clean(GapFill.LINEAR_INTERP)
     assert bridged.poses["right_hand"][1, 0, 0] == pytest.approx(0.5)
 
-    held = clean(GapFill.HOLD_LAST)
-    assert held.poses["right_hand"][1, 0, 0] == pytest.approx(0.0)
-
     dropped = clean(GapFill.DROP)
     assert not dropped.present["right_hand"][1]
     assert dropped.present["body"][1]
@@ -750,16 +747,13 @@ def test_fill_gaps_linear_interp():
     assert out.poses["right_hand"][0, 4, 0] == 0.0
 
 
-def test_fill_gaps_hold_last():
-    seq = _vis_seq([1.0, 0.1, 1.0], [0.0, 99.0, 1.0])
-    out = fill_gaps(seq, IngestConfig(min_visibility=0.5, gap_fill=GapFill.HOLD_LAST))
-    assert out.poses["right_hand"][1, 4, 0] == pytest.approx(0.0)
-
-
-def test_fill_gaps_leading_gap_backfills():
-    seq = _vis_seq([0.1, 1.0], [99.0, 0.7])
-    out = fill_gaps(seq, IngestConfig(min_visibility=0.5, gap_fill=GapFill.HOLD_LAST))
-    assert out.poses["right_hand"][0, 4, 0] == pytest.approx(0.7)
+def test_fill_gaps_edge_gaps_take_the_nearest_visible_value():
+    # a gap at either end of the recording has one visible neighbour to take
+    seq = _vis_seq([0.1, 1.0, 0.1], [99.0, 0.7, 42.0])
+    out = fill_gaps(seq, IngestConfig(min_visibility=0.5, gap_fill=GapFill.LINEAR_INTERP))
+    for i in (0, 2):
+        assert out.poses["right_hand"][i, 4, 0] == pytest.approx(0.7)
+        assert out.poses["right_hand"][i, 4, 3] == pytest.approx(0.5)
 
 
 def test_fill_gaps_drop_leaves_untouched():
@@ -775,7 +769,7 @@ def test_fill_gaps_never_visible_left_alone():
     assert out.poses["right_hand"][:, 4, 0].tolist() == [5.0, 6.0, 7.0]
 
 
-@pytest.mark.parametrize("gap_fill, x", [(GapFill.LINEAR_INTERP, 0.5), (GapFill.HOLD_LAST, 0.0)])
+@pytest.mark.parametrize("gap_fill, x", [(GapFill.LINEAR_INTERP, 0.5)])
 def test_fill_gaps_repairs_a_frame_without_the_slot(gap_fill, x):
     hands = [hand_pose({4: (0.0, 0.5)}), None, hand_pose({4: (1.0, 0.5)})]
     seq = sequence([0.0, 1.0, 2.0], fps=1.0, body=[body_pose()] * 3, right_hand=hands)
@@ -793,7 +787,7 @@ def test_fill_gaps_drop_leaves_an_absent_frame_absent():
     assert fill_gaps(seq, IngestConfig(gap_fill=GapFill.DROP)) is seq
 
 
-@pytest.mark.parametrize("gap_fill", [GapFill.LINEAR_INTERP, GapFill.HOLD_LAST])
+@pytest.mark.parametrize("gap_fill", list(GapFill))
 def test_fill_gaps_returns_clean_sequence_itself(gap_fill):
     # always visible, and never visible: neither needs repair
     for vis in ([1.0, 0.5, 1.0], [0.1, 0.2, 0.1]):
@@ -801,7 +795,7 @@ def test_fill_gaps_returns_clean_sequence_itself(gap_fill):
         assert fill_gaps(seq, IngestConfig(min_visibility=0.5, gap_fill=gap_fill)) is seq
 
 
-@pytest.mark.parametrize("gap_fill, x", [(GapFill.LINEAR_INTERP, 0.4), (GapFill.HOLD_LAST, 0.2)])
+@pytest.mark.parametrize("gap_fill, x", [(GapFill.LINEAR_INTERP, 0.4)])
 def test_fill_gaps_keeps_a_never_visible_landmark_finite_where_its_slot_was_absent(gap_fill, x):
     # landmark 7 is never visible and the body is absent from the middle
     # frame; the repaired slot is present there, so landmark 7 must be finite

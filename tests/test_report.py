@@ -25,7 +25,7 @@ def test_config_hash_stable_and_sensitive():
     assert base.config_hash == AnalysisConfig().config_hash
     for variant in (
         AnalysisConfig(min_visibility=0.6),
-        AnalysisConfig(gap_fill=GapFill.HOLD_LAST),
+        AnalysisConfig(gap_fill=GapFill.DROP),
         AnalysisConfig(resample_fps=25.0),
         AnalysisConfig(plane=Plane.FULL_3D),
         AnalysisConfig(normalize_palm=True),
@@ -64,6 +64,13 @@ def test_config_rejects_bad_values_naming_key(data, key):
     # both quietly; float() of a huge integer raised OverflowError
     with pytest.raises(ValueError, match=key):
         AnalysisConfig.from_dict(data)
+
+
+def test_config_rejects_the_removed_hold_last():
+    assert list(GapFill) == [GapFill.LINEAR_INTERP, GapFill.DROP]
+    with pytest.raises(ValueError) as raised:
+        AnalysisConfig.from_dict({"gap_fill": "hold_last"})
+    assert str(raised.value) == "config key 'gap_fill': expected one of ['linear_interp', 'drop'], got 'hold_last'"
 
 
 def test_config_accepts_json_booleans():
