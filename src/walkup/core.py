@@ -222,11 +222,11 @@ def as_number(value, what: str) -> float:
 
 def check_fields(config) -> None:
     """Check a frozen config dataclass against its annotations: a number field
-    is stored as a float (``as_number``), and a field of a class other than
-    ``bool`` and ``str`` must hold an instance of that class."""
+    is stored as a float (``as_number``), and a field of any other class, a
+    ``bool`` included, must hold an instance of that class."""
     for name, hint in get_type_hints(type(config)).items():
         value = getattr(config, name)
         if hint is float or (hint == Optional[float] and value is not None):
             object.__setattr__(config, name, as_number(value, name))
-        elif isinstance(hint, type) and hint not in (bool, str) and not isinstance(value, hint):
+        elif isinstance(hint, type) and not isinstance(value, hint):
             raise ValueError(f"{name} must be a {hint.__name__}, got {value!r}")

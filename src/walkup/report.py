@@ -35,21 +35,13 @@ REPORT_SCHEMA = "walkup-report/1"
 @dataclass(frozen=True)
 class AnalysisConfig(IngestConfig):
     """Every knob of the analysis pipeline; defaults match the documented ones.
-    The ingest knobs are ``IngestConfig``'s, and each value is checked here,
-    when the config is built."""
+    The ingest knobs are ``IngestConfig``'s, whose ``__post_init__`` checks
+    every field here too, when the config is built."""
 
     plane: Plane = Plane.IMAGE_2D
     normalize_palm: bool = False
     tremor: TremorConfig = field(default_factory=TremorConfig)
     peaks: PeakConfig = field(default_factory=PeakConfig)
-    feature_set: str = "default"
-
-    def __post_init__(self):
-        super().__post_init__()  # checks plane, tremor and peaks too
-        if not isinstance(self.normalize_palm, bool):
-            raise ValueError(f"normalize_palm must be true or false, got {self.normalize_palm!r}")
-        if self.feature_set != "default":
-            raise ValueError(f"feature_set {self.feature_set!r} is not defined; the one feature set is 'default'")
 
     def to_dict(self) -> dict:
         """The config as JSON data: enums by value, nested configs as objects."""
@@ -91,7 +83,7 @@ def _from_json(kind: type, data: dict, prefix: str):
 def _field_value(key: str, hint, value):
     if hint is float or (hint == Optional[float] and value is not None):
         return as_number(value, f"config key {key!r}")
-    if hint in (bool, str, Optional[float]):  # the config checks these values when it is built
+    if hint in (bool, Optional[float]):  # the config checks these values when it is built
         return value
     if issubclass(hint, enum.Enum):
         options = [e.value for e in hint]

@@ -680,7 +680,7 @@ _PARTLY_ABSENT_FILES = [
 
 
 _PARTLY_ABSENT_DEFAULT = (
-    "d75635441c8c9f13ca6a10be0433665689dafac85d31cdd74eaba4ec7c904952",
+    "e61b115c5fb0072ba0c90ac876870637571b7abaa7c0fad07912b0910bc4c5d1",
     "c54c253935310ecd4ca0dcd05e57f92396bd6377045377a7f69e6189359a0a91",
     "3989481cb26013e28d029a8fd519cf6d584871475b8edff33bb640f78934bef7",
     "f257648582a75560d147e2b00e67da6b34e6fe57a1f3cdab37ea32a98db9be07",
@@ -717,7 +717,7 @@ def _seed_11_fixture(tmp_path, partly_absent: bool) -> Path:
         # a null resample_fps is the default: the same bytes
         ({"resample_fps": None}, _PARTLY_ABSENT_DEFAULT),
         ({"resample_fps": 45}, (
-            "489cf381b4a1ee7788d68836aa86709ea598736a58b01371a8d44a509dd0f85d",
+            "890deb68b78f9b7c8681974a53f8e612e5c4204c309071cdcad1cc4dec5d6498",
             "b0042a6a0ad3f2af91c194bd4ebf67646459eee0f33c054d178fd2711d451374",
             "f1f3d60a0be2231267760d25bb82694bcd2fcd31043a87f6ee9ef1e61ad6dcf5",
             "0bb18849a7a62fca36f32ef0aa940a2ab04c4ff384dc3283bd49627269d396bc",
@@ -726,7 +726,7 @@ def _seed_11_fixture(tmp_path, partly_absent: bool) -> Path:
             "f82a6acca5c652a2ba13339f39de523d18581ef7ba982a38cbb6d6a3dc250c15",
         )),
         ({"gap_fill": "drop"}, (
-            "fe49c48416c557a0ab9325e53321d5b82eb2dec2d8041de5bc978758582623aa",
+            "12be22cd6654809a2093a7a27dfec8dc62cc8946e4c9c44f9267ba5bef3e0af3",
             "562f015c2ce410d24b304409084ee4342427d3e027a23bb677df16d957262ae2",
             "f7ce3ceb7db3196d329b152408ddd4679fe05e7c9e11af3bbda286ef49a62ebd",
             "39adc4d74d2ca5354272368bd1f35c0dad18756c8b5ca5b36a373769662cc1aa",
@@ -736,7 +736,7 @@ def _seed_11_fixture(tmp_path, partly_absent: bool) -> Path:
         )),
         # grid points fall between a frame that carries a hand and one that does not
         ({"resample_fps": 90, "gap_fill": "drop"}, (
-            "e0c21749e9152568a25009a301e2f7e2fb4ca2826bb30f11336f52b2d0643557",
+            "234e52e82773a4af941e60c18b57e590323b284e7dd708f5ccd556c5b819da7d",
             "87ead43d9756ac66f2047cd043bdd6d9efad663f862001846abeff2204582900",
             "2e8ddf204bb310e9c0538dbf79e201e33ededf9d4e444883fb8069ac3c83a893",
             "39adc4d74d2ca5354272368bd1f35c0dad18756c8b5ca5b36a373769662cc1aa",
@@ -860,10 +860,11 @@ def test_malformed_config_is_usage_error_naming_key(capsys, tmp_path, tap_fixtur
         ({"peaks": {"min_prominence": 0}}, "min_prominence must lie in (0, 1]"),
         ({"peaks": {"min_separation_s": -1}}, "min_separation_s must be non-negative"),
         ([1], "config must be a JSON object, got [1]"),
+        ({"normalize_palm": "false"}, "normalize_palm must be a bool, got 'false'"),
     ],
     ids=[
         "min_visibility", "resample_fps", "highpass_cutoff", "rms_threshold", "window_s", "overlap",
-        "min_prominence", "min_separation", "not_object",
+        "min_prominence", "min_separation", "not_object", "palm_string",
     ],
 )
 def test_bad_ingest_config_fails_once_at_load(capsys, tmp_path, tap_fixture, config, message):
@@ -884,6 +885,16 @@ def test_removed_gap_fill_hold_last_is_usage_error(capsys, tmp_path, tap_fixture
     capsys.readouterr()  # the fixture's own "wrote ..." line
     code, _, err = _run(capsys, "analyze", "--in", str(tap_fixture), "--out", str(out), "--config", str(cfg_path))
     assert (code, err) == (2, "error: config key 'gap_fill': expected one of ['linear_interp', 'drop'], got 'hold_last'\n")
+    assert not out.exists()
+
+
+def test_removed_feature_set_is_usage_error(capsys, tmp_path, tap_fixture):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"feature_set": "default"}))
+    out = tmp_path / "out"
+    capsys.readouterr()  # the fixture's own "wrote ..." line
+    code, _, err = _run(capsys, "analyze", "--in", str(tap_fixture), "--out", str(out), "--config", str(cfg_path))
+    assert (code, err) == (2, "error: unknown config key(s): ['feature_set']\n")
     assert not out.exists()
 
 

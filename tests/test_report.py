@@ -60,8 +60,9 @@ def test_config_rejects_unknown_keys():
     ids=["palm_string", "palm_number", "feature_set_none", "gap_fill_list", "fps_bool", "huge_int"],
 )
 def test_config_rejects_bad_values_naming_key(data, key):
-    # bool("false") is True and an unknown feature_set computed the default set,
-    # both quietly; float() of a huge integer raised OverflowError
+    # bool("false") is True, so the string turned palm normalization on quietly;
+    # feature_set is no field, so it is an unknown key; float() of a huge
+    # integer raised OverflowError
     with pytest.raises(ValueError, match=key):
         AnalysisConfig.from_dict(data)
 
@@ -71,6 +72,13 @@ def test_config_rejects_the_removed_hold_last():
     with pytest.raises(ValueError) as raised:
         AnalysisConfig.from_dict({"gap_fill": "hold_last"})
     assert str(raised.value) == "config key 'gap_fill': expected one of ['linear_interp', 'drop'], got 'hold_last'"
+
+
+def test_config_rejects_the_removed_feature_set():
+    assert "feature_set" not in {f.name for f in dataclasses.fields(AnalysisConfig)}
+    with pytest.raises(ValueError) as raised:
+        AnalysisConfig.from_dict({"feature_set": "default"})
+    assert str(raised.value) == "unknown config key(s): ['feature_set']"
 
 
 def test_config_accepts_json_booleans():
@@ -85,7 +93,6 @@ def test_config_accepts_json_booleans():
         (AnalysisConfig, {"gap_fill": "drop"}, "gap_fill"),
         (AnalysisConfig, {"plane": "2d"}, "plane"),
         (AnalysisConfig, {"normalize_palm": "false"}, "normalize_palm"),
-        (AnalysisConfig, {"feature_set": "none"}, "feature_set 'none'"),
         (AnalysisConfig, {"tremor": {"window_s": 1.0}}, "tremor must be a TremorConfig"),
         (AnalysisConfig, {"peaks": None}, "peaks must be a PeakConfig"),
         (AnalysisConfig, {"min_visibility": True}, "min_visibility"),
@@ -94,14 +101,13 @@ def test_config_accepts_json_booleans():
         (TremorConfig, {"window_s": True}, "window_s"),
         (PeakConfig, {"min_separation_s": math.inf}, "min_separation_s must be finite"),
     ],
-    ids=["ingest_gap_fill", "gap_fill_string", "plane_string", "palm_string", "feature_set_none",
+    ids=["ingest_gap_fill", "gap_fill_string", "plane_string", "palm_string",
          "tremor_dict", "peaks_none", "visibility_bool", "visibility_string", "prominence_string",
          "window_bool", "separation_inf"],
 )
 def test_config_rejects_bad_values_when_built(kind, value, match):
     # the strings built silently and then ran another setting under their own
-    # config_hash ("drop" ran hold_last, "2d" the depth plane), and an
-    # unknown feature_set failed only once analyze ran
+    # config_hash ("drop" ran hold_last, "2d" the depth plane)
     with pytest.raises(ValueError, match=match):
         kind(**value)
 
