@@ -457,6 +457,101 @@ def test_every_item_signal_bytes_are_pinned(config, item, digests):
     assert got == digests
 
 
+# Per item and slot, every landmark its formula reads on either side.
+_READ_LANDMARKS = {
+    UpdrsItem.FINGER_TAPS: (core.HAND_WRIST, core.INDEX_TIP, core.THUMB_TIP),
+    UpdrsItem.HAND_MOVEMENT: (
+        core.HAND_WRIST, core.INDEX_TIP, core.MIDDLE_TIP, core.RING_TIP, core.PINKY_TIP, core.MIDDLE_MCP,
+    ),
+    UpdrsItem.ALTERNATING_HANDS: (core.THUMB_TIP, core.PINKY_TIP),
+    UpdrsItem.LEG_AGILITY: (
+        core.LEFT_HIP, core.LEFT_KNEE, core.LEFT_SHOULDER, core.RIGHT_HIP, core.RIGHT_KNEE, core.RIGHT_SHOULDER,
+    ),
+    UpdrsItem.FOOT_TAPS: (
+        core.LEFT_ANKLE, core.LEFT_KNEE, core.LEFT_FOOT_TIP, core.RIGHT_ANKLE, core.RIGHT_KNEE, core.RIGHT_FOOT_TIP,
+    ),
+}
+
+
+def _hidden_recording(item: UpdrsItem, seed: int) -> LandmarkSequence:
+    """``_noisy_recording`` where each landmark the formula reads is, frame by
+    frame, below the 0.5 threshold with probability 0.1 and exactly at it with
+    probability 0.05, and each slot it reads is absent in one frame."""
+    seq = _noisy_recording(item, seed)
+    rng = np.random.default_rng(seed)
+    poses = dict(seq.poses)
+    for slot in sorted(set(core.CHANNEL_SLOTS[item].values())):
+        pts = poses[slot].copy()
+        for j in _READ_LANDMARKS[item]:
+            draw = rng.random(len(pts))
+            low = rng.uniform(0.0, 0.5, len(pts))
+            pts[:, j, 3] = np.where(draw < 0.1, low, np.where(draw < 0.15, 0.5, pts[:, j, 3]))
+        pts[rng.integers(len(pts))] = np.nan  # and one frame without the slot
+        poses[slot] = pts
+    return dataclasses.replace(seq, poses=poses)
+
+
+_HIDDEN_CONFIGS = {
+    "drop": AnalysisConfig.from_dict({"gap_fill": "drop"}),
+    "drop_3d_palm": AnalysisConfig.from_dict({"gap_fill": "drop", "plane": "3d", "normalize_palm": True}),
+}
+
+
+@pytest.mark.parametrize(
+    "config, item, digests",
+    [
+        ("drop", "finger_taps", (
+            "03491a6dc768ad453d32cea30aabd27423bea582fed48ce2c407634b602f7fbb",
+            "35795d37491776cbdd14752a63d7d76fe2dffe5d67d04ad1776a257132b5ab9d",
+        )),
+        ("drop", "hand_movement", (
+            "eaf95ec0090219acc01c6b42bf9d72297ff9311f4eca23c84117236d89451283",
+            "0d06c2dfabcc053c7769684d9514a90c5e4d4dfb128147b6ca202133cd366531",
+        )),
+        ("drop", "alternating_hands", (
+            "c9a7c6ad6a5a95f3311b68cfcb3f13a4f5b561c7f9688523a816a98b4ef1a1b7",
+            "d64c199db2979df081b32b56e8c87917548cbc984dcab7c6f8029d6f39886ea6",
+        )),
+        ("drop", "leg_agility", (
+            "e949a8060ac6eca58cf9577d51b46dee2401446e7ac232f6dfe64ca98022272a",
+            "6318c3735bf4a1b4ad920c725bc0512bbc0940416cac85554a038f681472889c",
+        )),
+        ("drop", "foot_taps", (
+            "c02450a447539aa4d925b3e97dc5d31af8e31666a4aac6a4bbe8c8d1eff271ca",
+            "03b3c4b8579f21c697c2bca73883ac7683ea6cdb6d7cbe6be57c5367efed36d7",
+        )),
+        ("drop_3d_palm", "finger_taps", (
+            "60a46439cd61aedc9549e86bd223a0916abaec82fc837ba58f1c4b3a9ef6ef33",
+            "6bc100d422fc569125dba36cf48a66fc0f799093a5530bec0444e23e87a2dc65",
+        )),
+        ("drop_3d_palm", "hand_movement", (
+            "208185f487976c67f0d44f05c0da77a13eef6012025c8dc682c1541fe83b9472",
+            "cda3e2948aee4ae24ab45f61bd8ef7c6af66c8fe7f89794328d2469adad0d52c",
+        )),
+        ("drop_3d_palm", "alternating_hands", (
+            "c9a7c6ad6a5a95f3311b68cfcb3f13a4f5b561c7f9688523a816a98b4ef1a1b7",
+            "d64c199db2979df081b32b56e8c87917548cbc984dcab7c6f8029d6f39886ea6",
+        )),
+        ("drop_3d_palm", "leg_agility", (
+            "5d119b976463bce03835c1efc774a0072dac1da0896778a627581e0fa2554508",
+            "49990c5e8165d9ec23713711269ec9574fed0500e035282a7a86628ace43ea63",
+        )),
+        ("drop_3d_palm", "foot_taps", (
+            "f00656d9e45838d366e74f4436fe064314cd86a8436a6afc0bfdef83d3abeaca",
+            "9ac3b0a7c48f6dbbd607ebede0001a704fa25f782fb249337ef82c123ac3f77e",
+        )),
+    ],
+)
+def test_hidden_landmark_signal_bytes_are_pinned(config, item, digests):
+    # under drop, a landmark below min_visibility reaches the signal builders,
+    # and each frame where one the formula reads is hidden is a gap
+    item = UpdrsItem(item)
+    seq = _hidden_recording(item, 60 + list(UpdrsItem).index(item))
+    channels = analyze(seq, _HIDDEN_CONFIGS[config]).channels
+    got = tuple(hashlib.sha256(signal_csv(ch.series).encode()).hexdigest() for ch in channels)
+    assert got == digests
+
+
 # ── geometric invariances (similarity transforms) ────────────────────
 
 
