@@ -8,7 +8,10 @@ An `analyze` batch renders on up to ``jobs`` CPUs (one per usable CPU, at
 most one per input): the parent plus ``jobs - 1`` forked workers, Linux only.
 The parent writes every file and stderr line, in input order, so both are the
 same on one CPU or many. A batch's peak memory is up to ``jobs`` times one
-input's.
+input's. A worker lost to the operating system (killed, or out of memory)
+fails each input whose render it took with it as a ``ChildProcessError``, an
+``OSError``, so the batch exits 3; the parent still analyzes and writes its
+own inputs.
 """
 
 from __future__ import annotations
@@ -207,7 +210,7 @@ def _cmd_analyze(args) -> int:
     if jobs == 1:
         pool = nullcontext()
     else:  # imported here: a single input or a single CPU never pays for them
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
         from multiprocessing import get_context
         # fork, not spawn: a spawned worker imports numpy and walkup again,
         # about 0.2 s, as long as a whole batch of a dozen short inputs
@@ -219,7 +222,14 @@ def _cmd_analyze(args) -> int:
 
         def run(path: str) -> None:
             job = next(pending)
-            _write_one(path, job.result() if job else render(path), out_dir, taken)
+            if job is None:
+                rendered = render(path)
+            else:
+                try:
+                    rendered = job.result()
+                except BrokenExecutor as exc:
+                    raise ChildProcessError(f"the process rendering it was lost: {exc}") from None
+            _write_one(path, rendered, out_dir, taken)
 
         return _each_input(inputs, run)
 

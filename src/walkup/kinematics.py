@@ -1,19 +1,14 @@
-"""Geometric primitives: pairwise vectors, angles, and distances on landmarks.
+"""Geometric primitives: vector norms and angles.
 
 Every function works over leading axes, so one call covers all frames: a
-landmark array has shape ``(..., n_points, 4)`` (x, y, z, visibility) and a
-vector array ``(..., 2)`` or ``(..., 3)``. A result is NaN where a landmark is
-below the visibility threshold or a direction is undefined.
-
-Default plane is the 2D image plane (x, y); depth is retained as an option
-but none of the shipped signals use it by default, since the hand-orientation
-angle is only well defined against the image horizontal.
+vector array has shape ``(..., 2)`` or ``(..., 3)``. An angle is NaN where a
+direction is undefined, and every result is NaN where an input component is.
 
 Dot products and norms (``_dot``) are stacked matrix products, so BLAS
 computes them, and their last bits depend on the OpenBLAS kernel that the host
 picks: the SkylakeX and Haswell kernels give different bits. Both angle
 functions call a direction undefined by the same test on that norm,
-``sqrt(_dot(u, u)) <= NORM_EPS``.
+``norm(u) <= NORM_EPS``.
 acos/atan2 run per element through ``math``, so they give ``math``'s
 floats, which NumPy's own ufuncs do not.
 """
@@ -25,7 +20,7 @@ import math
 
 import numpy as np
 
-__all__ = ["Plane", "NORM_EPS", "vector_between", "angle_between", "angle_to_horizontal", "distance"]
+__all__ = ["Plane", "NORM_EPS", "norm", "angle_between", "angle_to_horizontal"]
 
 # Below this norm (normalized units) a direction is considered undefined.
 NORM_EPS = 1e-9
@@ -35,31 +30,20 @@ _atan2_deg = np.vectorize(lambda y, x: math.degrees(math.atan2(y, x)), otypes=[f
 
 
 class Plane(enum.Enum):
+    """The axes a signal's landmark vectors keep; ``signals`` applies it."""
+
     IMAGE_2D = "2d"
     FULL_3D = "3d"
-
-
-_DIMS = {Plane.IMAGE_2D: 2, Plane.FULL_3D: 3}
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
-def vector_between(
-    points: np.ndarray,
-    a: int,
-    b: int,
-    plane: Plane = Plane.IMAGE_2D,
-    min_visibility: float = 0.0,
-) -> np.ndarray:
-    """Vector from point ``b`` to point ``a`` (``points[..., a] - points[..., b]``);
-    NaN where either visibility is below ``min_visibility``."""
-    points = np.asarray(points, dtype=float)
-    dims = _DIMS[plane]  # anything but a Plane is a KeyError, not the depth plane
-    vec = points[..., a, :dims] - points[..., b, :dims]
-    hidden = (points[..., a, 3] < min_visibility) | (points[..., b, 3] < min_visibility)
-    return np.where(hidden[..., None], np.nan, vec)
+def norm(u: np.ndarray) -> np.ndarray:
+    """Euclidean length of each vector."""
+    u = np.asarray(u, dtype=float)
+    return np.sqrt(_dot(u, u))
 
 
 def angle_between(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -67,8 +51,8 @@ def angle_between(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     either norm is at most ``NORM_EPS``."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    nu = np.sqrt(_dot(u, u))
-    nv = np.sqrt(_dot(v, v))
+    nu = norm(u)
+    nv = norm(v)
     with np.errstate(divide="ignore", invalid="ignore"):
         cos = np.clip(_dot(u, v) / (nu * nv), -1.0, 1.0)
     return _acos_deg(np.where((nu <= NORM_EPS) | (nv <= NORM_EPS), np.nan, cos))
@@ -82,17 +66,4 @@ def angle_to_horizontal(u: np.ndarray) -> np.ndarray:
     ``NORM_EPS``.
     """
     u = np.asarray(u, dtype=float)[..., :2]
-    degenerate = np.sqrt(_dot(u, u)) <= NORM_EPS
-    return _atan2_deg(np.where(degenerate, np.nan, np.abs(u[..., 1])), np.abs(u[..., 0]))
-
-
-def distance(
-    points: np.ndarray,
-    a: int,
-    b: int,
-    plane: Plane = Plane.IMAGE_2D,
-    min_visibility: float = 0.0,
-) -> np.ndarray:
-    """Euclidean distance between two landmarks in the selected plane."""
-    vec = vector_between(points, a, b, plane=plane, min_visibility=min_visibility)
-    return np.sqrt(_dot(vec, vec))
+    return _atan2_deg(np.where(norm(u) <= NORM_EPS, np.nan, np.abs(u[..., 1])), np.abs(u[..., 0]))

@@ -10,7 +10,12 @@
 
 Every channel reads only the pose slot that ``core.CHANNEL_SLOTS`` names for
 it. The three angle items differ only in their landmarks, which the
-``_ANGLES`` table names per side.
+``_ANGLES`` table names per side. A formula reads each of its landmarks once,
+through ``_landmark``, which owns the plane and visibility rule: the
+landmark's x, y, and its depth too in the 3d plane, NaN in the frames where
+its visibility is below ``min_visibility``. The 2D image plane is the default,
+since the hand-orientation angle is only well defined against the image
+horizontal; ``angle_to_horizontal`` reads x, y in either plane.
 
 Tremor (T4), built by ``tremor_signal``, is windowed: the x(t), y(t) of
 every ``body`` landmark visible in all frames is high-pass filtered (zero-phase,
@@ -32,13 +37,14 @@ channel's series.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import core
 from .core import Channel, LandmarkSequence, SignalSeries, UpdrsItem
 from .errors import MissingLandmark, SequenceTooShort
-from .kinematics import Plane, angle_between, angle_to_horizontal, distance, vector_between
+from .kinematics import Plane, angle_between, angle_to_horizontal, norm
 
 __all__ = [
     "TremorConfig",
@@ -87,6 +93,17 @@ _ANGLES = {
 }
 
 
+_DIMS = {Plane.IMAGE_2D: 2, Plane.FULL_3D: 3}
+
+
+def _landmark(pts: np.ndarray, j: int, plane: Plane, min_visibility: float) -> np.ndarray:
+    """Landmark ``j`` of a slot's ``(n_frames, n_points, 4)`` array as an
+    ``(n_frames, dims)`` array in ``plane``; NaN in the frames where its
+    visibility is below ``min_visibility``."""
+    dims = _DIMS[plane]  # anything but a Plane is a KeyError, not the depth plane
+    return np.where(pts[:, j, 3:] < min_visibility, np.nan, pts[:, j, :dims])
+
+
 def side_signal(
     seq: LandmarkSequence,
     channel: Channel,
@@ -108,23 +125,20 @@ def side_signal(
     where = f"{item.value}/{channel.value}"
     if not seq.present[slot].any():
         raise MissingLandmark(f"no frame carries {slot} for {where}")
-    pts = seq.poses[slot]
+    landmark = partial(_landmark, seq.poses[slot], plane=plane, min_visibility=min_visibility)
     if item in _ANGLES:
-        vertex, ray_a, ray_b = _ANGLES[item][channel]
-        u = vector_between(pts, ray_a, vertex, plane, min_visibility)
-        v = vector_between(pts, ray_b, vertex, plane, min_visibility)
-        values = angle_between(u, v)
+        vertex, ray_a, ray_b = map(landmark, _ANGLES[item][channel])
+        values = angle_between(ray_a - vertex, ray_b - vertex)
     elif item is UpdrsItem.HAND_MOVEMENT:
+        wrist = landmark(core.HAND_WRIST)
         tips = (core.INDEX_TIP, core.MIDDLE_TIP, core.RING_TIP, core.PINKY_TIP)
-        values = sum(distance(pts, t, core.HAND_WRIST, plane, min_visibility) for t in tips) / 4.0
+        values = sum(norm(landmark(t) - wrist) for t in tips) / 4.0
         if normalize_palm:
-            palm = distance(pts, core.MIDDLE_MCP, core.HAND_WRIST, plane, min_visibility)
+            palm = norm(landmark(core.MIDDLE_MCP) - wrist)
             with np.errstate(divide="ignore", invalid="ignore"):
                 values = np.where(palm <= 1e-12, np.nan, values / palm)
     else:  # alternating hands
-        values = angle_to_horizontal(
-            vector_between(pts, core.THUMB_TIP, core.PINKY_TIP, plane, min_visibility)
-        )
+        values = angle_to_horizontal(landmark(core.THUMB_TIP) - landmark(core.PINKY_TIP))
 
     keep = ~np.isnan(values)  # an absent row is all NaN, so its value is too
     if not keep.any():

@@ -49,6 +49,9 @@ class MotionScenario:
             object.__setattr__(self, "base_amplitude", DEFAULT_AMPLITUDE[self.item])
         if not self.duration_s > 0 or not self.fps > 0 or not self.frequency_hz > 0:
             raise ValueError("duration_s, fps and frequency_hz must be positive")
+        frames = self.duration_s * self.fps  # _timestamps rounds it to the frame count
+        if not math.isfinite(frames) or round(frames) < 1:
+            raise ValueError(f"duration_s * fps = {frames} does not round to a frame count of at least 1")
         # so that each cycle spans at least 2 frames, and _wave's loop ends
         if self.frequency_hz > self.fps / 2:
             raise ValueError(f"frequency_hz must not exceed fps / 2 = {self.fps / 2} (got {self.frequency_hz})")

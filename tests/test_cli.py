@@ -906,6 +906,20 @@ def test_synth_non_finite_amplitude_is_usage_error(capsys, tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize(
+    "item, duration, fps, frames",
+    [("finger_taps", "0.01", "30", "0.3"), ("tremor_at_rest", "0.01", "30", "0.3"),
+     ("finger_taps", "1e308", "1e308", "inf")],
+    ids=["finger_taps", "tremor_at_rest", "overflow"],
+)
+def test_synth_without_a_frame_is_usage_error(capsys, tmp_path, item, duration, fps, frames):
+    # these were an IndexError, a shape error and an OverflowError
+    path = tmp_path / "none.jsonl"
+    code, _, err = _run(capsys, "synth", "--item", item, "--duration", duration, "--fps", fps, "--out", str(path))
+    assert (code, err) == (2, f"error: duration_s * fps = {frames} does not round to a frame count of at least 1\n")
+    assert not path.exists()
+
+
 _EVERY_SYNTH_FLAG = {
     "--seed": ("seed", 3), "--duration": ("duration_s", 4.0), "--fps": ("fps", 50.0),
     "--frequency": ("frequency_hz", 1.5), "--amplitude": ("base_amplitude", 12.0),
@@ -1170,6 +1184,37 @@ def test_analyze_batch_leaves_no_worker_running(capsys, tmp_path, monkeypatch, f
     _cpus(monkeypatch, 2)
     code, _, _ = _run(capsys, "analyze", "--in", *map(str, paths), "--out", str(tmp_path / "out"))
     assert code == (1 if fails else 0)
+    assert multiprocessing.active_children() == []
+
+
+_PARENT_PID = os.getpid()
+_render_one = cli._render_one
+
+
+def _render_dies_on_hand_movement(path, read, cfg):
+    # only ever in a worker: in the test process it would end the test run
+    if Path(path).stem == "hand_movement" and os.getpid() != _PARENT_PID:
+        os._exit(9)
+    return _render_one(path, read, cfg)
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable CPUs")
+def test_analyze_batch_survives_a_lost_worker(capsys, tmp_path, monkeypatch):
+    import multiprocessing
+
+    paths = _synth_batch(tmp_path, 3)
+    capsys.readouterr()  # drop the synth messages
+    _cpus(monkeypatch, 2)  # the parent renders inputs 0 and 2, a worker input 1
+    monkeypatch.setattr(cli, "_render_one", _render_dies_on_hand_movement)
+    out = tmp_path / "out"
+    code, _, err = _run(capsys, "analyze", "--in", *map(str, paths), "--out", str(out))
+    lines = err.splitlines()
+    assert code == 3
+    assert len(lines) == 3
+    assert lines[0] == f"analyzed {paths[0]} -> {out / 'synth-1_finger_taps'}"
+    assert lines[1].startswith(f"{paths[1]}: ChildProcessError: the process rendering it was lost: ")
+    assert lines[2] == f"analyzed {paths[2]} -> {out / 'synth-3_leg_agility'}"
+    assert sorted(p.name for p in out.iterdir()) == ["synth-1_finger_taps", "synth-3_leg_agility"]
     assert multiprocessing.active_children() == []
 
 

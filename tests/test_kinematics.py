@@ -5,31 +5,42 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from walkup.kinematics import Plane, angle_between, angle_to_horizontal, distance, vector_between
+from walkup.kinematics import Plane, angle_between, angle_to_horizontal, norm
+from walkup.signals import _landmark
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
 
 
 def _points(*rows):
-    """Landmark array from (x, y), (x, y, z) or (x, y, z, visibility) rows."""
+    """One frame's landmark array, ``(1, n_points, 4)``, from (x, y), (x, y, z)
+    or (x, y, z, visibility) rows."""
     defaults = (0.0, 0.0, 0.0, 1.0)
-    return np.array([tuple(r) + defaults[len(r) :] for r in rows], dtype=float)
+    return np.array([[tuple(r) + defaults[len(r) :] for r in rows]], dtype=float)
+
+
+def _vector(pts, a, b, plane=Plane.IMAGE_2D, min_visibility=0.0):
+    """Landmark ``b`` to landmark ``a``, as the signal formulas take it."""
+    return _landmark(pts, a, plane, min_visibility) - _landmark(pts, b, plane, min_visibility)
 
 
 def test_vector_between_componentwise():
     pts = _points((0.5, 0.5), (0.6, 0.5))
-    v = vector_between(pts, 1, 0)
-    assert v == pytest.approx([0.1, 0.0])
+    assert _vector(pts, 1, 0)[0] == pytest.approx([0.1, 0.0])
 
 
 def test_vector_between_same_point_is_zero():
     pts = _points((0.3, 0.7))
-    assert np.allclose(vector_between(pts, 0, 0), [0.0, 0.0])
+    assert np.array_equal(_vector(pts, 0, 0), [[0.0, 0.0]])
 
 
 def test_vector_between_visibility_threshold():
-    pts = _points((0.5, 0.5, 0.0, 0.2), (0.6, 0.5))
-    assert np.isnan(vector_between(pts, 1, 0, min_visibility=0.5)).all()
+    # a landmark below min_visibility is NaN, so is every vector from it; one at it counts
+    pts = _points((0.5, 0.5, 0.0, 0.2), (0.6, 0.5), (0.6, 0.7, 0.0, 0.5))
+    assert np.isnan(_vector(pts, 1, 0, min_visibility=0.5)).all()
+    assert np.isnan(_vector(pts, 0, 1, min_visibility=0.5)).all()
+    assert _vector(pts, 2, 1, min_visibility=0.5)[0] == pytest.approx([0.0, 0.2])
+    assert np.isnan(norm(_vector(pts, 1, 0, min_visibility=0.5))).all()
+    assert np.isnan(angle_between(_vector(pts, 1, 0, min_visibility=0.5), [[1.0, 0.0]])).all()
 
 
 def test_angle_between_orthogonal():
@@ -67,12 +78,13 @@ def test_angle_to_horizontal_degenerate():
 
 def test_distance_345():
     pts = _points((0.0, 0.0), (0.3, 0.4))
-    assert distance(pts, 1, 0) == pytest.approx(0.5)
+    assert norm(_vector(pts, 1, 0)) == pytest.approx([0.5])
+    assert norm([3.0, 4.0]) == 5.0
 
 
 def test_distance_identity():
     pts = _points((0.2, 0.9))
-    assert distance(pts, 0, 0) == 0.0
+    assert norm(_vector(pts, 0, 0)) == 0.0
 
 
 def test_distance_full3d():
@@ -80,9 +92,9 @@ def test_distance_full3d():
     expected = math.sqrt(0.3**2 + 0.4**2 + 0.12**2)
     pts = _points((0.0, 0.0, 0.0), (0.3, 0.4, 0.12))
     assert expected == pytest.approx(0.514198, abs=1e-6)
-    assert distance(pts, 1, 0, plane=Plane.FULL_3D) == pytest.approx(expected, abs=1e-12)
+    assert norm(_vector(pts, 1, 0, plane=Plane.FULL_3D)) == pytest.approx([expected], abs=1e-12)
     # the 2D default ignores depth
-    assert distance(pts, 1, 0) == pytest.approx(0.5)
+    assert norm(_vector(pts, 1, 0)) == pytest.approx([0.5])
 
 
 # ── properties ───────────────────────────────────────────────────────
@@ -138,9 +150,9 @@ def test_angle_to_horizontal_sign_insensitive(u):
 @given(st.lists(st.tuples(finite, finite), min_size=3, max_size=3))
 def test_distance_symmetry_and_triangle(points):
     pts = _points(*points)
-    dab = distance(pts, 0, 1)
-    dba = distance(pts, 1, 0)
+    dab = norm(_vector(pts, 0, 1))
+    dba = norm(_vector(pts, 1, 0))
     assert dab == pytest.approx(dba, abs=1e-12)
-    dac = distance(pts, 0, 2)
-    dcb = distance(pts, 2, 1)
+    dac = norm(_vector(pts, 0, 2))
+    dcb = norm(_vector(pts, 2, 1))
     assert dab <= dac + dcb + 1e-9

@@ -220,6 +220,30 @@ def test_foot_taps_degenerate_frame_becomes_gap():
     assert list(s.timestamps) == [0.0, 2 / 30.0]
 
 
+
+@pytest.mark.parametrize(
+    "j, kept, kept_with_palm",
+    [
+        (core.HAND_WRIST, 2, 2),
+        (core.INDEX_TIP, 2, 2),
+        (core.PINKY_TIP, 2, 2),
+        (core.MIDDLE_MCP, 3, 2),  # read only for the palm length
+        (11, 3, 3),  # the middle DIP joint, which no formula reads
+    ],
+    ids=["wrist", "index_tip", "pinky_tip", "middle_mcp", "unread"],
+)
+def test_hand_movement_hidden_landmark_frame_becomes_gap(j, kept, kept_with_palm):
+    hidden = hand_pose()
+    hidden[j, 3] = 0.2
+    seq = hand_sequence([hand_pose(), hidden, hand_pose()], item=UpdrsItem.HAND_MOVEMENT)
+    assert len(side_signal(seq, Channel.RIGHT, min_visibility=0.5)) == kept
+    assert len(side_signal(seq, Channel.RIGHT, min_visibility=0.5, normalize_palm=True)) == kept_with_palm
+    # at the threshold a landmark counts
+    hidden[j, 3] = 0.5
+    seq = hand_sequence([hand_pose(), hidden, hand_pose()], item=UpdrsItem.HAND_MOVEMENT)
+    assert len(side_signal(seq, Channel.RIGHT, min_visibility=0.5, normalize_palm=True)) == 3
+
+
 # ── tremor ───────────────────────────────────────────────────────────
 
 

@@ -120,6 +120,12 @@ def test_scenario_validation():
         # a cycle of under 2 frames, for an item whose wave never reads it too
         (UpdrsItem.FINGER_TAPS, dict(frequency_hz=15.5)),
         (UpdrsItem.TREMOR_AT_REST, dict(fps=10.0, frequency_hz=6.0)),
+        # no frame: _wave's times[-1] would be an IndexError, the body a shape error
+        (UpdrsItem.FINGER_TAPS, dict(duration_s=0.01)),
+        (UpdrsItem.TREMOR_AT_REST, dict(duration_s=0.01)),
+        (UpdrsItem.LEG_AGILITY, dict(duration_s=0.5, fps=1.0)),  # 0.5 rounds to even, 0
+        # duration_s * fps overflows to inf, so the frame count has no integer
+        (UpdrsItem.FINGER_TAPS, dict(duration_s=1e308, fps=1e308)),
     ]:
         with pytest.raises(ValueError):
             MotionScenario(item=item, **bad)
